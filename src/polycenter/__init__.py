@@ -20,6 +20,7 @@ from .center import (
     f_vector,
     harmonic_center,
     harmonic_hyperplane,
+    harmonic_point_on_axis,
     parse_trace_csv,
 )
 from .errors import (
@@ -35,7 +36,6 @@ from .errors import (
 from .harmonic import (
     HarmonicSolveResult,
     bisection_oracle,
-    harmonic_point_on_axis,
     harmonic_point_on_line,
     solve_harmonic_offset,
 )

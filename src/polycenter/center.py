@@ -156,6 +156,57 @@ def _record(polytope, iteration, p):
     )
 
 
+def _axis_step(polytope, p, k, move):
+    """Copy of ``p`` with coordinate k moved by ``move(section)`` of the
+    axis-k line through ``p``."""
+    q = np.array(p, dtype=float)
+    q[k - 1] += move(section(polytope, q, axis_direction(k, polytope.n)))
+    return q
+
+
+def _sweep(polytope, p, move):
+    """n axis steps in turn, each from the point the previous one left."""
+    for k in range(1, polytope.n + 1):
+        p = _axis_step(polytope, p, k, move)
+    return p
+
+
+def _harmonic_move(tol):
+    return lambda sec: solve_harmonic_offset(sec, tol=tol).h
+
+
+def _midpoint_move(sec):
+    return 0.5 * (sec.d_plus + sec.d_minus)
+
+
+def _search(polytope, p0, sweep, measure, stop_tol, max_iter):
+    """Sweep from ``p0`` while ``measure(p, fnorm)`` exceeds ``stop_tol``.
+
+    The trace records the start as iteration 0 and one row per sweep, at
+    most ``max_iter`` of them.  ``converged`` holds when the measure of
+    the last iterate is within ``stop_tol``; a NaN measure stops the
+    search unconverged.
+    """
+    if stop_tol <= 0.0:
+        raise ValueError("stop_tol must be positive")
+    p = np.asarray(p0, dtype=float)
+    records = [_record(polytope, 0, p)]
+    value = measure(p, records[-1].fnorm)
+    while value > stop_tol and records[-1].iteration < max_iter:
+        p = sweep(p)
+        records.append(_record(polytope, records[-1].iteration + 1, p))
+        value = measure(p, records[-1].fnorm)
+    return p, CenterTrace(records=tuple(records), converged=value <= stop_tol)
+
+
+def harmonic_point_on_axis(polytope, p, k, tol=1e-10):
+    """Harmonic point of the line through ``p`` parallel to axis ``k`` (1-based).
+
+    Only coordinate ``k`` changes; the others are returned bit-identical.
+    """
+    return _axis_step(polytope, p, k, _harmonic_move(tol))
+
+
 def cs_step(polytope, p, tol=1e-10):
     """One coordinate-search sweep: n sequential axis updates.
 
@@ -163,12 +214,7 @@ def cs_step(polytope, p, tol=1e-10):
     point of the axis-k line through it, re-evaluating slacks after every
     stage.  Returns the point after stage n.
     """
-    q = np.array(p, dtype=float)
-    for k in range(1, polytope.n + 1):
-        sec = section(polytope, q, axis_direction(k, polytope.n))
-        res = solve_harmonic_offset(sec, tol=tol)
-        q[k - 1] += res.h
-    return q
+    return _sweep(polytope, p, _harmonic_move(tol))
 
 
 def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
@@ -181,24 +227,14 @@ def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
 
     Returns ``(center, trace)``.
     """
-    if stop_tol <= 0.0:
-        raise ValueError("stop_tol must be positive")
-    p = np.asarray(p0, dtype=float)
-    records = [_record(polytope, 0, p)]
-    it = 0
-    while records[-1].fnorm > stop_tol and it < max_iter:
-        p = cs_step(polytope, p, tol=inner_tol)
-        it += 1
-        records.append(_record(polytope, it, p))
-    trace = CenterTrace(
-        records=tuple(records), converged=records[-1].fnorm <= stop_tol
+    return _search(
+        polytope,
+        p0,
+        lambda p: cs_step(polytope, p, tol=inner_tol),
+        lambda p, fnorm: fnorm,
+        stop_tol,
+        max_iter,
     )
-    return p, trace
-
-
-def _axis_midpoint_offset(polytope, p, k):
-    sec = section(polytope, p, axis_direction(k, polytope.n))
-    return 0.5 * (sec.d_plus + sec.d_minus)
 
 
 def bi_point_on_axis(polytope, p, k):
@@ -207,16 +243,7 @@ def bi_point_on_axis(polytope, p, k):
     Coordinate k moves by ``(d_plus + d_minus) / 2``; the others are
     unchanged.
     """
-    q = np.array(p, dtype=float)
-    q[k - 1] += _axis_midpoint_offset(polytope, q, k)
-    return q
-
-
-def _max_axis_offset(polytope, p):
-    return max(
-        abs(_axis_midpoint_offset(polytope, p, k))
-        for k in range(1, polytope.n + 1)
-    )
+    return _axis_step(polytope, p, k, _midpoint_move)
 
 
 def bi_center(polytope, p0, stop_tol=0.01, max_iter=100):
@@ -230,18 +257,19 @@ def bi_center(polytope, p0, stop_tol=0.01, max_iter=100):
 
     Returns ``(point, trace)``.
     """
-    if stop_tol <= 0.0:
-        raise ValueError("stop_tol must be positive")
-    p = np.asarray(p0, dtype=float)
-    records = [_record(polytope, 0, p)]
-    it = 0
-    converged = _max_axis_offset(polytope, p) <= stop_tol
-    while not converged and it < max_iter:
-        q = np.array(p)
-        for k in range(1, polytope.n + 1):
-            q = bi_point_on_axis(polytope, q, k)
-        p = q
-        it += 1
-        records.append(_record(polytope, it, p))
-        converged = _max_axis_offset(polytope, p) <= stop_tol
-    return p, CenterTrace(records=tuple(records), converged=converged)
+    n = polytope.n
+
+    def largest_offset(p, fnorm):
+        return max(
+            abs(_midpoint_move(section(polytope, p, axis_direction(k, n))))
+            for k in range(1, n + 1)
+        )
+
+    return _search(
+        polytope,
+        p0,
+        lambda p: _sweep(polytope, p, _midpoint_move),
+        largest_offset,
+        stop_tol,
+        max_iter,
+    )

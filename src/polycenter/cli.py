@@ -10,7 +10,6 @@ budget exhausted.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +17,7 @@ from .center import (
     bi_center,
     directional_sum,
     f_norm,
+    f_vector,
     harmonic_center,
     harmonic_hyperplane,
 )
@@ -41,26 +41,6 @@ EXIT_INFEASIBLE = 2
 EXIT_UNBOUNDED = 3
 EXIT_MAXITER = 4
 
-_CHECK_DIRECTIONS = 100
-_CHECK_SEED = 0
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: one command plus its inputs and knobs."""
-
-    command: str
-    input_path: str
-    start: tuple | None = None
-    stop_tol: float = 0.01
-    inner_tol: float = 1e-10
-    max_iter: int = 100
-    fmt: str = "table"
-    trace_path: str | None = None
-    svg_path: str | None = None
-    axis: int | None = None
-    direction: tuple | None = None
-
 
 class _Parser(argparse.ArgumentParser):
     # usage problems are parse errors (exit 1); argparse's default of 2 is
@@ -77,6 +57,16 @@ def _vector(text):
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}"
         ) from None
+
+
+def _positive(text):
+    try:
+        value = float(text)
+        if value > 0.0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
 
 
 def build_parser():
@@ -98,7 +88,7 @@ def build_parser():
         )
         p.add_argument(
             "--inner-tol",
-            type=float,
+            type=_positive,
             default=1e-10,
             help="tolerance of the per-line root solver (default 1e-10)",
         )
@@ -112,7 +102,7 @@ def build_parser():
         if with_loop:
             p.add_argument(
                 "--tol",
-                type=float,
+                type=_positive,
                 default=0.01,
                 help="stopping tolerance of the outer loop (default 0.01)",
             )
@@ -166,13 +156,14 @@ def _fmt_point(p):
     return "(" + ", ".join(f"{v:.2f}" for v in p) + ")"
 
 
-def _point_csv(names, values):
-    return ",".join(names) + "\n" + ",".join(repr(float(v)) for v in values) + "\n"
+def _csv(*rows):
+    # cells are names or Python floats, whose str() is their full repr()
+    return "".join(",".join(str(v) for v in row) + "\n" for row in rows)
 
 
-def _resolve_start(config, poly):
-    if config.start is not None:
-        p0 = np.asarray(config.start, dtype=float)
+def _resolve_start(start, poly):
+    if start is not None:
+        p0 = np.asarray(start, dtype=float)
         if p0.shape != (poly.n,):
             raise PolytopeFormatError(
                 f"start point has {p0.size} coordinates, polytope has n={poly.n}"
@@ -186,167 +177,121 @@ def _resolve_start(config, poly):
     return p0
 
 
-def _cmd_center(config, poly, out):
-    p0 = _resolve_start(config, poly)
+# Each command returns (status, JSON result, table lines, CSV text or None);
+# a command without its own CSV prints its table lines for --format csv.
+
+
+def _cmd_center(args, poly, p0):
     point, trace = harmonic_center(
         poly,
         p0,
-        stop_tol=config.stop_tol,
-        max_iter=config.max_iter,
-        inner_tol=config.inner_tol,
+        stop_tol=args.tol,
+        max_iter=args.max_iter,
+        inner_tol=args.inner_tol,
     )
-    if config.trace_path:
-        with open(config.trace_path, "w", encoding="utf-8") as fh:
-            fh.write(trace.to_csv())
-    if config.svg_path:
+    csv_text = trace.to_csv()
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            fh.write(csv_text)
+    if args.svg:
         doc = emit_svg([trace], poly)
-        with open(config.svg_path, "w", encoding="utf-8") as fh:
+        with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(doc)
     final = trace.final
-    if config.fmt == "table":
-        out.write(f"center: {_fmt_point(point)}\n")
-        out.write(f"fnorm: {final.fnorm:.3f}\n")
-        out.write(f"iterations: {final.iteration}\n")
-        out.write(f"converged: {'yes' if trace.converged else 'no'}\n")
-    elif config.fmt == "csv":
-        out.write(trace.to_csv())
-    else:
-        out.write(
-            json.dumps(
-                {
-                    "center": [float(v) for v in point],
-                    "fnorm": final.fnorm,
-                    "iterations": final.iteration,
-                    "converged": trace.converged,
-                }
-            )
-            + "\n"
-        )
+    result = {
+        "center": [float(v) for v in point],
+        "fnorm": final.fnorm,
+        "iterations": final.iteration,
+        "converged": trace.converged,
+    }
+    rows = [
+        f"center: {_fmt_point(point)}",
+        f"fnorm: {final.fnorm:.3f}",
+        f"iterations: {final.iteration}",
+        f"converged: {'yes' if trace.converged else 'no'}",
+    ]
+    status = EXIT_OK
     if not trace.converged:
         print(
             f"not converged after {final.iteration} iterations "
-            f"(fnorm {final.fnorm:.6g} > {config.stop_tol:.6g})",
+            f"(fnorm {final.fnorm:.6g} > {args.tol:.6g})",
             file=sys.stderr,
         )
-        return EXIT_MAXITER
-    return EXIT_OK
+        status = EXIT_MAXITER
+    return status, result, rows, csv_text
 
 
-def _cmd_point(config, poly, out):
-    p0 = _resolve_start(config, poly)
-    if config.axis is not None:
-        u = axis_direction(config.axis, poly.n)
+def _cmd_point(args, poly, p0):
+    if args.axis is not None:
+        u = axis_direction(args.axis, poly.n)
     else:
-        d = np.asarray(config.direction, dtype=float)
+        d = np.asarray(args.direction, dtype=float)
         if d.shape != (poly.n,):
             raise PolytopeFormatError(
                 f"direction has {d.size} components, polytope has n={poly.n}"
             )
         u = unit_direction(d)
-    q = harmonic_point_on_line(poly, p0, u, tol=config.inner_tol)
-    if config.fmt == "table":
-        out.write(f"point: {_fmt_point(q)}\n")
-    elif config.fmt == "csv":
-        out.write(_point_csv([f"x{j + 1}" for j in range(poly.n)], q))
-    else:
-        out.write(json.dumps({"point": [float(v) for v in q]}) + "\n")
-    return EXIT_OK
+    q = harmonic_point_on_line(poly, p0, u, tol=args.inner_tol)
+    result = {"point": [float(v) for v in q]}
+    csv_text = _csv([f"x{j + 1}" for j in range(poly.n)], result["point"])
+    return EXIT_OK, result, [f"point: {_fmt_point(q)}"], csv_text
 
 
-def _cmd_hyperplane(config, poly, out):
-    p0 = _resolve_start(config, poly)
+def _cmd_hyperplane(args, poly, p0):
     hp = harmonic_hyperplane(poly, p0)
-    if config.fmt == "table":
-        out.write(f"normal: {_fmt_point(hp.normal)}\n")
-        out.write(f"offset: {hp.offset:.2f}\n")
-    elif config.fmt == "csv":
-        names = [f"v{j + 1}" for j in range(poly.n)] + ["offset"]
-        out.write(_point_csv(names, list(hp.normal) + [hp.offset]))
-    else:
-        out.write(
-            json.dumps(
-                {
-                    "normal": [float(v) for v in hp.normal],
-                    "offset": hp.offset,
-                }
-            )
-            + "\n"
-        )
-    return EXIT_OK
+    result = {"normal": [float(v) for v in hp.normal], "offset": hp.offset}
+    rows = [f"normal: {_fmt_point(hp.normal)}", f"offset: {hp.offset:.2f}"]
+    names = [f"v{j + 1}" for j in range(poly.n)] + ["offset"]
+    return EXIT_OK, result, rows, _csv(names, result["normal"] + [hp.offset])
 
 
-def _cmd_compare_bi(config, poly, out):
-    p0 = _resolve_start(config, poly)
+def _cmd_compare_bi(args, poly, p0):
     hc, htrace = harmonic_center(
         poly,
         p0,
-        stop_tol=config.stop_tol,
-        max_iter=config.max_iter,
-        inner_tol=config.inner_tol,
+        stop_tol=args.tol,
+        max_iter=args.max_iter,
+        inner_tol=args.inner_tol,
     )
-    bc, btrace = bi_center(
-        poly, p0, stop_tol=config.stop_tol, max_iter=config.max_iter
-    )
+    bc, btrace = bi_center(poly, p0, stop_tol=args.tol, max_iter=args.max_iter)
     gap = float(np.linalg.norm(hc - bc))
-    if config.fmt == "table":
-        out.write(f"harmonic center: {_fmt_point(hc)}\n")
-        out.write(f"bisection center: {_fmt_point(bc)}\n")
-        out.write(f"gap: {gap:.2f}\n")
-    elif config.fmt == "csv":
-        names = ["which"] + [f"x{j + 1}" for j in range(poly.n)]
-        lines = [",".join(names)]
-        lines.append("harmonic," + ",".join(repr(float(v)) for v in hc))
-        lines.append("bisection," + ",".join(repr(float(v)) for v in bc))
-        out.write("\n".join(lines) + "\n")
-    else:
-        out.write(
-            json.dumps(
-                {
-                    "harmonic_center": [float(v) for v in hc],
-                    "bisection_center": [float(v) for v in bc],
-                    "gap": gap,
-                }
-            )
-            + "\n"
-        )
+    result = {
+        "harmonic_center": [float(v) for v in hc],
+        "bisection_center": [float(v) for v in bc],
+        "gap": gap,
+    }
+    rows = [
+        f"harmonic center: {_fmt_point(hc)}",
+        f"bisection center: {_fmt_point(bc)}",
+        f"gap: {gap:.2f}",
+    ]
+    csv_text = _csv(
+        ["which"] + [f"x{j + 1}" for j in range(poly.n)],
+        ["harmonic"] + result["harmonic_center"],
+        ["bisection"] + result["bisection_center"],
+    )
+    status = EXIT_OK
     if not (htrace.converged and btrace.converged):
         print("one or both searches hit the iteration cap", file=sys.stderr)
-        return EXIT_MAXITER
-    return EXIT_OK
+        status = EXIT_MAXITER
+    return status, result, rows, csv_text
 
 
-def _cmd_check(config, poly, out):
-    p0 = _resolve_start(config, poly)
+def _cmd_check(args, poly, p0):
+    # max over unit u of |u . f| is |f|, attained along f / |f|; the one
+    # directional sum there cross-checks that identity
     fn = f_norm(poly, p0)
-    rng = np.random.default_rng(_CHECK_SEED)
     worst = 0.0
-    for _ in range(_CHECK_DIRECTIONS):
-        u = rng.normal(size=poly.n)
-        u /= np.linalg.norm(u)
-        worst = max(worst, abs(directional_sum(poly, p0, u)))
-    ok = fn <= config.stop_tol and worst <= config.stop_tol
-    if config.fmt == "json":
-        out.write(
-            json.dumps(
-                {
-                    "fnorm": fn,
-                    "max_directional_sum": worst,
-                    "directions": _CHECK_DIRECTIONS,
-                    "pass": ok,
-                }
-            )
-            + "\n"
-        )
-    else:
-        out.write(f"fnorm: {fn:.6g}\n")
-        out.write(
-            f"max |directional sum| over {_CHECK_DIRECTIONS} random "
-            f"directions: {worst:.6g}\n"
-        )
-        out.write(
-            f"check: {'PASS' if ok else 'FAIL'} (tol {config.stop_tol:.6g})\n"
-        )
-    return EXIT_OK
+    if fn > 0.0:
+        worst = abs(directional_sum(poly, p0, f_vector(poly, p0) / fn))
+    ok = fn <= args.tol and worst <= args.tol
+    result = {"fnorm": fn, "max_directional_sum": worst, "pass": ok}
+    rows = [
+        f"fnorm: {fn:.6g}",
+        f"max |directional sum| (along f/|f|): {worst:.6g}",
+        f"check: {'PASS' if ok else 'FAIL'} (tol {args.tol:.6g})",
+    ]
+    return EXIT_OK, result, rows, None
 
 
 _COMMANDS = {
@@ -358,11 +303,24 @@ _COMMANDS = {
 }
 
 
-def run(config, out=None):
-    """Execute one command; returns the exit status."""
+def run(args, out=None):
+    """Execute one command from a namespace parsed by :func:`build_parser`.
+
+    Loads ``args.input``, resolves the start point, runs ``args.command``
+    and writes its result to ``out`` (default stdout) as ``args.fmt``.
+    Returns the exit status.
+    """
     out = out if out is not None else sys.stdout
-    poly = load_polytope(config.input_path)
-    return _COMMANDS[config.command](config, poly, out)
+    poly = load_polytope(args.input)
+    p0 = _resolve_start(args.start, poly)
+    status, result, rows, csv_text = _COMMANDS[args.command](args, poly, p0)
+    if args.fmt == "json":
+        out.write(json.dumps(result) + "\n")
+    elif args.fmt == "csv" and csv_text is not None:
+        out.write(csv_text)
+    else:
+        out.write("".join(row + "\n" for row in rows))
+    return status
 
 
 def main(argv=None):
@@ -373,24 +331,8 @@ def main(argv=None):
         # argparse reports usage problems itself; surface them as a
         # parse-error status instead of exiting the interpreter
         return EXIT_PARSE if exc.code else EXIT_OK
-    config = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        start=args.start,
-        stop_tol=getattr(args, "tol", 0.01),
-        inner_tol=args.inner_tol,
-        max_iter=getattr(args, "max_iter", 100),
-        fmt=args.fmt,
-        trace_path=getattr(args, "trace", None),
-        svg_path=getattr(args, "svg", None),
-        axis=getattr(args, "axis", None),
-        direction=getattr(args, "direction", None),
-    )
-    if config.stop_tol <= 0 or config.inner_tol <= 0:
-        print("error: tolerances must be positive", file=sys.stderr)
-        return EXIT_PARSE
     try:
-        return run(config)
+        return run(args)
     except (PolytopeFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

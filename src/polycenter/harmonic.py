@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketInvalidError
-from .lines import axis_direction, point_at, section
+from .lines import point_at, section
 
 
 @dataclass(frozen=True)
@@ -40,16 +40,11 @@ class HarmonicSolveResult:
 
 
 def _check_bracket(sec):
-    d = sec.finite_distances
     if not (sec.d_minus < 0.0 < sec.d_plus):
         raise BracketInvalidError(
             f"invalid bracket ({sec.d_minus}, {sec.d_plus}): must straddle 0"
         )
-    if not ((d > 0.0).any() and (d < 0.0).any()):
-        raise BracketInvalidError(
-            "bracket needs at least one positive and one negative distance"
-        )
-    return d
+    return sec.finite_distances
 
 
 def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
@@ -150,15 +145,3 @@ def harmonic_point_on_line(polytope, p, u, tol=1e-10):
     res = solve_harmonic_offset(sec, tol=tol)
     return point_at(p, u, res.h)
 
-
-def harmonic_point_on_axis(polytope, p, k, tol=1e-10):
-    """Harmonic point of the line through ``p`` parallel to axis ``k`` (1-based).
-
-    Only coordinate ``k`` changes; the others are returned bit-identical.
-    """
-    u = axis_direction(k, polytope.n)
-    sec = section(polytope, p, u)
-    res = solve_harmonic_offset(sec, tol=tol)
-    q = np.array(p, dtype=float)
-    q[k - 1] += res.h
-    return q

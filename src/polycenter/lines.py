@@ -87,11 +87,24 @@ class LineSection:
         d = np.where(par, np.inf, d)
         if np.any((d == 0.0) & ~par):
             raise BracketInvalidError("zero distance: point lies on a constraint")
+        return cls._from_bracket(d, par, BracketInvalidError)
+
+    @classmethod
+    def _from_bracket(cls, d, par, error):
+        """Freeze distances ``d`` and parallel mask ``par`` into a section.
+
+        The blocking rows are the nearest non-parallel contacts on each
+        side; ``error`` is raised when a side has none.
+        """
         pos = ~par & (d > 0.0)
         neg = ~par & (d < 0.0)
-        if not pos.any() or not neg.any():
-            raise BracketInvalidError(
-                "bracket needs at least one positive and one negative distance"
+        if not pos.any():
+            raise error(
+                "line has no forward intersection: polytope unbounded along it"
+            )
+        if not neg.any():
+            raise error(
+                "line has no backward intersection: polytope unbounded along it"
             )
         i_plus = int(np.argmin(np.where(pos, d, np.inf)))
         i_minus = int(np.argmax(np.where(neg, d, -np.inf)))
@@ -130,25 +143,4 @@ def section(polytope, p, u, parallel_eps=1e-12):
     g = polytope.A @ u
     par = np.abs(g) <= parallel_eps
     d = np.where(par, np.inf, s / np.where(par, 1.0, g))
-    pos = ~par & (d > 0.0)
-    neg = ~par & (d < 0.0)
-    if not pos.any():
-        raise UnboundedDirectionError(
-            "line has no forward intersection: polytope unbounded along it"
-        )
-    if not neg.any():
-        raise UnboundedDirectionError(
-            "line has no backward intersection: polytope unbounded along it"
-        )
-    i_plus = int(np.argmin(np.where(pos, d, np.inf)))
-    i_minus = int(np.argmax(np.where(neg, d, -np.inf)))
-    d.setflags(write=False)
-    par.setflags(write=False)
-    return LineSection(
-        distances=d,
-        parallel=par,
-        d_plus=float(d[i_plus]),
-        d_minus=float(d[i_minus]),
-        i_plus=i_plus,
-        i_minus=i_minus,
-    )
+    return LineSection._from_bracket(d, par, UnboundedDirectionError)

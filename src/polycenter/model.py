@@ -32,8 +32,9 @@ class Polytope:
 
     ``A`` and ``b`` are stored as read-only float arrays; ``labels``, when
     given, names each constraint row.  Construction requires more rows than
-    columns (``m > n``) and rejects zero rows.  It does not normalize rows
-    (see :func:`normalize_rows`) and does not verify boundedness.
+    columns (``m > n``) and rejects zero rows and non-finite entries.  It
+    does not normalize rows (see :func:`normalize_rows`) and does not
+    verify boundedness.
     """
 
     A: np.ndarray
@@ -56,6 +57,9 @@ class Polytope:
             raise PolytopeFormatError(
                 f"need more constraints than dimensions, got m={m} <= n={n}"
             )
+        bad = np.flatnonzero(~np.isfinite(A).all(axis=1) | ~np.isfinite(b))
+        if bad.size:
+            raise PolytopeFormatError(f"non-finite entry in row at index {bad[0]}")
         norms = np.linalg.norm(A, axis=1)
         zero = np.flatnonzero(norms <= _ZERO_ROW_TOL)
         if zero.size:
@@ -132,7 +136,8 @@ def parse_polytope(text):
     """Parse ``.poly`` file content into a row-normalized :class:`Polytope`.
 
     Raises :class:`PolytopeFormatError` (with the offending line number) on
-    syntax errors, zero rows, ``m <= n``, or row/dimension mismatches.
+    syntax errors, zero rows, non-finite values, ``m <= n``, or
+    row/dimension mismatches.
     """
     dims = None
     rows, rhs, labels = [], [], []

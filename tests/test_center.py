@@ -146,11 +146,21 @@ class TestHarmonicHyperplane:
 
 
 class TestCsStep:
-    def test_fixture_first_sweeps(self, example1):
+    def test_fixture_first_sweeps(self, example1, example2):
         q = cs_step(example1, (9.0, 6.0))
         assert np.allclose(q, TABLE1[(9.0, 6.0)][0], atol=TABLE_TOL)
         q = cs_step(example1, (3.0, 0.25))
         assert np.allclose(q, TABLE1[(3.0, 0.25)][0], atol=TABLE_TOL)
+        # a sweep is exactly n axis updates in turn, bit for bit
+        for poly, start in [
+            (example1, (9.0, 6.0)),
+            (example1, (3.0, 0.25)),
+            (example2, (1.0, 2.0, 2.5, 1.3)),
+        ]:
+            q = np.array(start)
+            for k in range(1, poly.n + 1):
+                q = harmonic_point_on_axis(poly, q, k)
+            assert np.array_equal(cs_step(poly, start), q)
 
     def test_square_fixed_point(self, square):
         q = cs_step(square, (0.5, 0.5))
@@ -222,6 +232,10 @@ class TestHarmonicCenter:
         assert not trace.converged
         assert trace.iterations == 2
         assert np.min(residuals(example2, point)) > 0.0
+        # a NaN f-norm stops the search at once, unconverged
+        _, trace = harmonic_center(example2, (np.nan, 2.0, 2.5, 1.3))
+        assert not trace.converged
+        assert trace.iterations == 0
 
     def test_bad_tolerance(self, square):
         with pytest.raises(ValueError):
@@ -305,6 +319,14 @@ class TestBiCenter:
         a, _ = bi_center(example1, (9.0, 6.0), stop_tol=1e-9)
         b, _ = bi_center(example1, (3.0, 0.25), stop_tol=1e-9)
         assert np.max(np.abs(a - b)) <= 1e-7
+        # one bisection sweep is exactly n axis midpoint moves in turn
+        for start in [(9.0, 6.0), (3.0, 0.25)]:
+            q = np.array(start)
+            for k in (1, 2):
+                q = bi_point_on_axis(example1, q, k)
+            point, trace = bi_center(example1, start, max_iter=1)
+            assert trace.iterations == 1
+            assert np.array_equal(point, q)
 
 
 class TestInvariances:

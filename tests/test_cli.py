@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -16,7 +17,7 @@ from polycenter.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNBOUNDED,
-    RunConfig,
+    build_parser,
     main,
     run,
 )
@@ -227,6 +228,16 @@ class TestCheckCommand:
         assert payload["pass"] is True
         assert payload["fnorm"] <= 1e-12
 
+    def test_max_directional_sum_is_exact(self, capsys):
+        # max over unit u of |u . f| is |f|, not a sampled lower bound
+        main(["check", EXAMPLE1, "--start", "3,0.25", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"fnorm", "max_directional_sum", "pass"}
+        assert payload["max_directional_sum"] == pytest.approx(
+            payload["fnorm"], abs=1e-12
+        )
+        assert payload["pass"] is False
+
 
 class TestExitCodes:
     def test_malformed_file(self, tmp_path, capsys):
@@ -277,16 +288,35 @@ class TestExitCodes:
 
     def test_negative_tolerance(self, capsys):
         assert main(["center", SQUARE, "--tol", "-1"]) == EXIT_PARSE
+        for flag in ("--tol", "--inner-tol"):
+            for value in ("0", "-1e-3", "nan"):
+                assert main(["center", SQUARE, flag, value]) == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "rows, start",
+        [
+            ("-1 0 0\n0 -1 0\n1 0 nan\n0 1 1\n", []),
+            ("1 -1 1\n-1 1 1\n-1 -1 0\n1 1 inf\n", ["--start", "0.5,0"]),
+        ],
+    )
+    def test_non_finite_input(self, tmp_path, capsys, rows, start):
+        path = tmp_path / "bad.poly"
+        path.write_text("dims 4 2\n" + rows)
+        assert main(["center", str(path), *start]) == EXIT_PARSE
+        assert "non-finite" in capsys.readouterr().err
 
 
 def test_run_with_config_object(capsys):
-    config = RunConfig(command="center", input_path=EXAMPLE1, start=(3.0, 0.25))
+    args = build_parser().parse_args(["center", EXAMPLE1, "--start", "3,0.25"])
     buf = io.StringIO()
-    assert run(config, out=buf) == EXIT_OK
+    assert run(args, out=buf) == EXIT_OK
     assert "center: (6.02, 5.55)" in buf.getvalue()
 
 
 def test_console_script_end_to_end():
+    env = dict(os.environ)
+    src = str(DATA.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -301,6 +331,7 @@ def test_console_script_end_to_end():
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)

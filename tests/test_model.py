@@ -103,6 +103,19 @@ class TestPolytopeInvariants:
         with pytest.raises(PolytopeFormatError):
             Polytope(A, np.array([1.0, 1.0, 1.0]))
 
+    def test_non_finite_rejected_at_construction(self):
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(PolytopeFormatError, match="non-finite"):
+                Polytope(A, np.array([1.0, bad, 0.0]))
+            A_bad = A.copy()
+            A_bad[1, 0] = bad
+            with pytest.raises(PolytopeFormatError, match="non-finite"):
+                Polytope(A_bad, np.array([1.0, 1.0, 0.0]))
+        for rhs in ("nan", "inf"):
+            with pytest.raises(PolytopeFormatError, match="non-finite"):
+                parse_polytope(f"dims 4 2\n-1 0 0\n0 -1 0\n1 0 {rhs}\n0 1 1\n")
+
     def test_rhs_length_mismatch(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
         with pytest.raises(PolytopeFormatError):
