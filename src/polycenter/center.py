@@ -20,8 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAtCenterError, NotInteriorError
-from .harmonic import solve_harmonic_offset
-from .lines import _UNIT_TOL, axis_direction, section
+
+# section and solve_harmonic_offset are not called here (the axis stage
+# reads its bracket from the slacks), but perfbench's tracer wraps them
+# under these module names.
+from .harmonic import newton_offset, solve_harmonic_offset  # noqa: F401
+from .lines import _UNIT_TOL, axis_bracket, interior_slacks, section  # noqa: F401
 from .model import residuals
 
 
@@ -157,26 +161,47 @@ def _record(polytope, iteration, p):
 
 
 def _axis_step(polytope, p, k, move):
-    """Copy of ``p`` with coordinate k moved by ``move(section)`` of the
-    axis-k line through ``p``."""
+    """One stage: ``p`` with coordinate k moved along the axis-k line.
+
+    ``move(d, d_minus, d_plus)`` returns the offset and whether it met its
+    tolerance; the stage returns the moved copy of ``p`` and that flag.  It
+    needs only the slacks at ``p`` and column k of ``A``, and computes the
+    same floats as ``section`` along ``axis_direction(k, n)``, raising the
+    same errors.
+    """
     q = np.array(p, dtype=float)
-    q[k - 1] += move(section(polytope, q, axis_direction(k, polytope.n)))
-    return q
+    h, exact = move(*axis_bracket(polytope, interior_slacks(polytope, q), k))
+    q[k - 1] += h
+    return q, exact
 
 
-def _sweep(polytope, p, move):
-    """n axis steps in turn, each from the point the previous one left."""
+def _sweep(polytope, p, move, inexact=None):
+    """n axis stages in turn, each from the point the previous one left.
+
+    The axis of every stage whose move missed its tolerance is appended to
+    ``inexact`` when a list is given.
+    """
     for k in range(1, polytope.n + 1):
-        p = _axis_step(polytope, p, k, move)
+        p, exact = _axis_step(polytope, p, k, move)
+        if not exact and inexact is not None:
+            inexact.append(k)
     return p
 
 
 def _harmonic_move(tol):
-    return lambda sec: solve_harmonic_offset(sec, tol=tol).h
+    def move(d, lo, hi):
+        h, _, _, converged = newton_offset(d, lo, hi, tol)
+        return h, converged
+
+    return move
 
 
-def _midpoint_move(sec):
-    return 0.5 * (sec.d_plus + sec.d_minus)
+def _midpoint(lo, hi):
+    return 0.5 * (hi + lo)
+
+
+def _midpoint_move(d, lo, hi):
+    return _midpoint(lo, hi), True
 
 
 def _search(polytope, p0, sweep, measure, stop_tol, max_iter):
@@ -204,17 +229,22 @@ def harmonic_point_on_axis(polytope, p, k, tol=1e-10):
 
     Only coordinate ``k`` changes; the others are returned bit-identical.
     """
-    return _axis_step(polytope, p, k, _harmonic_move(tol))
+    return _axis_step(polytope, p, k, _harmonic_move(tol))[0]
 
 
-def cs_step(polytope, p, tol=1e-10):
+def cs_step(polytope, p, tol=1e-10, inexact=None):
     """One coordinate-search sweep: n sequential axis updates.
 
     For k = 1..n, moves coordinate k of the current point to the harmonic
-    point of the axis-k line through it, re-evaluating slacks after every
-    stage.  Returns the point after stage n.
+    point of the axis-k line through it.  Each stage evaluates the slacks
+    once at the current point and takes the line's distances from them and
+    column k of ``A``, with no line section or direction vector; the result
+    is bit-identical to n chained :func:`harmonic_point_on_axis` calls.
+    If ``inexact`` is a list, the axis of every stage whose root solve ran
+    out of its iteration budget before meeting ``tol`` is appended to it.
+    Returns the point after stage n.
     """
-    return _sweep(polytope, p, _harmonic_move(tol))
+    return _sweep(polytope, p, _harmonic_move(tol), inexact)
 
 
 def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
@@ -222,19 +252,25 @@ def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
 
     Sweeps repeat while the f-norm of the current iterate exceeds
     ``stop_tol``; the trace records the start as iteration 0 and one row
-    per completed sweep.  On ``max_iter`` exhaustion the trace carries
-    ``converged=False`` and the best iterate is still returned.
+    per completed sweep.  When ``max_iter`` runs out, or a line solve runs
+    out of its own iteration budget (``inner_tol`` too tight to meet), the
+    trace carries ``converged=False`` and the best iterate is still
+    returned.
 
     Returns ``(center, trace)``.
     """
-    return _search(
+    inexact = []
+    point, trace = _search(
         polytope,
         p0,
-        lambda p: cs_step(polytope, p, tol=inner_tol),
+        lambda p: cs_step(polytope, p, tol=inner_tol, inexact=inexact),
         lambda p, fnorm: fnorm,
         stop_tol,
         max_iter,
     )
+    if inexact:
+        trace = CenterTrace(records=trace.records, converged=False)
+    return point, trace
 
 
 def bi_point_on_axis(polytope, p, k):
@@ -243,7 +279,7 @@ def bi_point_on_axis(polytope, p, k):
     Coordinate k moves by ``(d_plus + d_minus) / 2``; the others are
     unchanged.
     """
-    return _axis_step(polytope, p, k, _midpoint_move)
+    return _axis_step(polytope, p, k, _midpoint_move)[0]
 
 
 def bi_center(polytope, p0, stop_tol=0.01, max_iter=100):
@@ -260,8 +296,9 @@ def bi_center(polytope, p0, stop_tol=0.01, max_iter=100):
     n = polytope.n
 
     def largest_offset(p, fnorm):
+        s = interior_slacks(polytope, p)
         return max(
-            abs(_midpoint_move(section(polytope, p, axis_direction(k, n))))
+            abs(_midpoint(*axis_bracket(polytope, s, k)[1:]))
             for k in range(1, n + 1)
         )
 

@@ -52,11 +52,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _vector(text):
     try:
-        return tuple(float(tok) for tok in text.split(","))
+        values = tuple(float(tok) for tok in text.split(","))
+        if np.isfinite(values).all():
+            return values
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}"
-        ) from None
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected comma-separated finite numbers, got {text!r}"
+    )
 
 
 def _positive(text):
@@ -212,9 +215,12 @@ def _cmd_center(args, poly, p0):
     ]
     status = EXIT_OK
     if not trace.converged:
+        if final.fnorm > args.tol:
+            reason = f"fnorm {final.fnorm:.6g} > {args.tol:.6g}"
+        else:
+            reason = f"a line solve missed --inner-tol {args.inner_tol:.6g}"
         print(
-            f"not converged after {final.iteration} iterations "
-            f"(fnorm {final.fnorm:.6g} > {args.tol:.6g})",
+            f"not converged after {final.iteration} iterations ({reason})",
             file=sys.stderr,
         )
         status = EXIT_MAXITER
@@ -272,7 +278,7 @@ def _cmd_compare_bi(args, poly, p0):
     )
     status = EXIT_OK
     if not (htrace.converged and btrace.converged):
-        print("one or both searches hit the iteration cap", file=sys.stderr)
+        print("one or both searches did not converge", file=sys.stderr)
         status = EXIT_MAXITER
     return status, result, rows, csv_text
 

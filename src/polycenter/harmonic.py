@@ -8,11 +8,17 @@ harmonic point sits at the offset ``h`` solving
 where the sum runs over the constraints the line intersects.  On the
 feasible bracket ``F`` is strictly increasing (F'(h) = sum 1/(d_i - h)^2
 > 0) and runs from -inf at ``d_minus`` to +inf at ``d_plus``, so the root
-exists and is unique.  The primary solver is Newton's method with a
-bisection safeguard; a pure-bisection solver is kept as an independent
-cross-check.
+exists and is unique.
+
+:func:`newton_offset` is the one solver: Newton's method with a bisection
+safeguard on an array of distances and a bracket.  Arbitrary lines reach
+it through :func:`solve_harmonic_offset` on a :class:`LineSection`; the
+coordinate search calls it directly on each axis line's distances, which
+it takes from the slacks and one column of ``A``.  A pure-bisection solver
+is kept as an independent cross-check.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,15 +53,54 @@ def _check_bracket(sec):
     return sec.finite_distances
 
 
-def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
-    """Solve ``sum 1/(d_i - h) = 0`` on the feasible bracket.
+def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
+    """Root of ``sum 1/(d_i - h)`` in the bracket ``lo < 0 < hi``.
 
-    Safeguarded Newton iteration: starts at ``h = 0`` (always inside the
-    bracket, since the base point is interior), keeps a shrinking
-    sub-bracket using the sign of the sum, and replaces any Newton step
-    that leaves the sub-bracket by its midpoint.  Terminates when
+    The one Newton loop of the package: :func:`solve_harmonic_offset` runs
+    it on a section's finite distances, and the coordinate search on the
+    distances of each axis line.  Safeguarded Newton iteration: starts at
+    ``h = 0`` (inside the bracket, since the base point is interior), keeps
+    a shrinking sub-bracket using the sign of the sum, and replaces any
+    Newton step that leaves the sub-bracket by its midpoint.  Stops when
     ``|F(h)| <= tol`` or the sub-bracket is narrower than ``tol`` times
-    the full bracket width.
+    ``hi - lo``.
+
+    Returns ``(h, iterations, residual, converged)``; ``converged`` is
+    False only when ``max_iter`` ran out, and ``h`` is then the last
+    bracketed estimate.
+    """
+    width = hi - lo
+    h = 0.0
+    f = 0.0
+    converged = False
+    its = 0
+    for its in range(1, max_iter + 1):
+        r = d - h
+        f = float((1.0 / r).sum())
+        if abs(f) <= tol:
+            converged = True
+            break
+        if f > 0.0:
+            hi = h
+        else:
+            lo = h
+        if hi - lo <= tol * width:
+            converged = True
+            break
+        fp = float((1.0 / (r * r)).sum())
+        step = h - f / fp
+        if not math.isfinite(step) or step <= lo or step >= hi:
+            step = 0.5 * (lo + hi)
+        h = step
+    if not converged:
+        f = float((1.0 / (d - h)).sum())
+    return h, its, f, converged
+
+
+def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
+    """Solve ``sum 1/(d_i - h) = 0`` on the feasible bracket of ``sec``.
+
+    Runs :func:`newton_offset` on the section's finite distances.
 
     Parameters
     ----------
@@ -73,32 +118,7 @@ def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
     HarmonicSolveResult
     """
     d = _check_bracket(sec)
-    lo, hi = sec.d_minus, sec.d_plus
-    width = hi - lo
-    h = 0.0
-    f = 0.0
-    converged = False
-    its = 0
-    for its in range(1, max_iter + 1):
-        r = d - h
-        f = float(np.sum(1.0 / r))
-        if abs(f) <= tol:
-            converged = True
-            break
-        if f > 0.0:
-            hi = h
-        else:
-            lo = h
-        if hi - lo <= tol * width:
-            converged = True
-            break
-        fp = float(np.sum(1.0 / (r * r)))
-        step = h - f / fp
-        if not np.isfinite(step) or step <= lo or step >= hi:
-            step = 0.5 * (lo + hi)
-        h = step
-    if not converged:
-        f = float(np.sum(1.0 / (d - h)))
+    h, its, f, converged = newton_offset(d, sec.d_minus, sec.d_plus, tol, max_iter)
     return HarmonicSolveResult(
         h=h, iterations=its, residual=f, method="newton", converged=converged
     )

@@ -16,6 +16,9 @@ from .errors import BracketInvalidError, NotInteriorError, UnboundedDirectionErr
 from .model import residuals
 
 _UNIT_TOL = 1e-9
+_PARALLEL_EPS = 1e-12
+_NO_FORWARD = "line has no forward intersection: polytope unbounded along it"
+_NO_BACKWARD = "line has no backward intersection: polytope unbounded along it"
 
 
 def axis_direction(k, n):
@@ -99,13 +102,9 @@ class LineSection:
         pos = ~par & (d > 0.0)
         neg = ~par & (d < 0.0)
         if not pos.any():
-            raise error(
-                "line has no forward intersection: polytope unbounded along it"
-            )
+            raise error(_NO_FORWARD)
         if not neg.any():
-            raise error(
-                "line has no backward intersection: polytope unbounded along it"
-            )
+            raise error(_NO_BACKWARD)
         i_plus = int(np.argmin(np.where(pos, d, np.inf)))
         i_minus = int(np.argmax(np.where(neg, d, -np.inf)))
         d.setflags(write=False)
@@ -120,7 +119,43 @@ class LineSection:
         )
 
 
-def section(polytope, p, u, parallel_eps=1e-12):
+def interior_slacks(polytope, p):
+    """Slacks at ``p``, which must all be positive.
+
+    Raises :class:`NotInteriorError` naming the first rows whose slack is
+    not positive (NaN included).
+    """
+    s = residuals(polytope, p)
+    if not s.min() > 0.0:
+        bad = np.flatnonzero(~(s > 0.0))[:4]
+        names = ", ".join(polytope.label(int(i)) for i in bad)
+        raise NotInteriorError(f"point is not strictly interior (rows: {names})")
+    return s
+
+
+def axis_bracket(polytope, s, k):
+    """Finite distances and bracket of the axis-``k`` line (1-based) at slacks ``s``.
+
+    Returns ``(d, d_minus, d_plus)``: the same floats as
+    ``section(polytope, p, axis_direction(k, n))`` gives in
+    ``finite_distances``, ``d_minus`` and ``d_plus`` when ``s`` are the
+    slacks at ``p``, with column k of ``A`` in place of the product
+    ``A @ e_k`` (equal to it bit for bit).  Raises
+    :class:`UnboundedDirectionError` with ``section``'s messages.
+    """
+    g = polytope.A[:, k - 1]
+    keep = np.abs(g) > _PARALLEL_EPS
+    d = s[keep] / g[keep]
+    ahead = d[d > 0.0]
+    if not ahead.size:
+        raise UnboundedDirectionError(_NO_FORWARD)
+    behind = d[d < 0.0]
+    if not behind.size:
+        raise UnboundedDirectionError(_NO_BACKWARD)
+    return d, float(behind.max()), float(ahead.min())
+
+
+def section(polytope, p, u, parallel_eps=_PARALLEL_EPS):
     """Section of the line through interior point ``p`` with direction ``u``.
 
     ``u`` must be a unit vector.  A constraint whose normal is orthogonal
@@ -128,18 +163,14 @@ def section(polytope, p, u, parallel_eps=1e-12):
     near-parallel constraints beyond that threshold keep their huge finite
     distances, which downstream reciprocal sums handle naturally.
 
-    Raises :class:`NotInteriorError` if some slack at ``p`` is <= 0, and
+    Raises :class:`NotInteriorError` if some slack at ``p`` is not > 0, and
     :class:`UnboundedDirectionError` if the line never exits the polytope
     in one of the two directions (the polytope is not bounded along it).
     """
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > _UNIT_TOL:
         raise ValueError("direction must be a unit vector")
-    s = residuals(polytope, p)
-    bad = np.flatnonzero(s <= 0.0)
-    if bad.size:
-        names = ", ".join(polytope.label(int(i)) for i in bad[:4])
-        raise NotInteriorError(f"point is not strictly interior (rows: {names})")
+    s = interior_slacks(polytope, p)
     g = polytope.A @ u
     par = np.abs(g) <= parallel_eps
     d = np.where(par, np.inf, s / np.where(par, 1.0, g))

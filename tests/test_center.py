@@ -16,6 +16,7 @@ from polycenter import (
     DegenerateAtCenterError,
     NotInteriorError,
     Polytope,
+    UnboundedDirectionError,
     axis_direction,
     bi_center,
     bi_point_on_axis,
@@ -31,6 +32,7 @@ from polycenter import (
     parse_trace_csv,
     residuals,
     section,
+    solve_harmonic_offset,
 )
 
 THIRD = 1.0 / 3.0
@@ -241,6 +243,23 @@ class TestHarmonicCenter:
         with pytest.raises(ValueError):
             harmonic_center(square, (0.5, 0.5), stop_tol=0.0)
 
+    def test_inner_budget_flag(self, example2):
+        start = (1.0, 2.0, 2.5, 1.3)
+        _, trace = harmonic_center(example2, start)
+        assert trace.converged
+        # no line solve can meet 1e-300 within its budget: the f-norm
+        # still meets stop_tol, but the search is reported unconverged
+        point, trace = harmonic_center(example2, start, inner_tol=1e-300)
+        assert trace.final.fnorm <= 0.01
+        assert not trace.converged
+        assert np.min(residuals(example2, point)) > 0.0
+        inexact = []
+        cs_step(example2, start, tol=1e-300, inexact=inexact)
+        assert inexact and set(inexact) <= {1, 2, 3, 4}
+        inexact = []
+        cs_step(example2, start, inexact=inexact)
+        assert inexact == []
+
 
 class TestStageDiagnostics:
     def test_per_stage_fnorm_changes_logged(self, example1, example2, capsys):
@@ -327,6 +346,104 @@ class TestBiCenter:
             point, trace = bi_center(example1, start, max_iter=1)
             assert trace.iterations == 1
             assert np.array_equal(point, q)
+
+
+def _section_sweep(poly, p, move):
+    """One sweep through the generic path: n chained ``section`` calls
+    along ``axis_direction``, each followed by ``move(section)``."""
+    q = p
+    for k in range(1, poly.n + 1):
+        q = np.array(q, dtype=float)
+        q[k - 1] += move(section(poly, q, axis_direction(k, poly.n)))
+    return q
+
+
+def _harmonic_offset(sec):
+    return solve_harmonic_offset(sec).h
+
+
+def _chord_midpoint(sec):
+    return 0.5 * (sec.d_plus + sec.d_minus)
+
+
+class TestAxisStageMatchesSection:
+    """The axis stage reads its bracket from the slacks and one column of
+    ``A``; it must give the same floats as the generic ``section`` path."""
+
+    @pytest.mark.parametrize("n", [2, 10, 50])
+    def test_cs_step(self, n):
+        rng = np.random.default_rng([401, n])
+        for _ in range(5):
+            poly, anchor = random_polytope(rng, n, extra=2 * n)
+            p = random_interior_point(rng, poly, anchor)
+            assert np.array_equal(
+                cs_step(poly, p), _section_sweep(poly, p, _harmonic_offset)
+            )
+
+    @pytest.mark.parametrize("n", [2, 10, 50])
+    def test_bi_center_one_sweep(self, n):
+        rng = np.random.default_rng([409, n])
+        for _ in range(5):
+            poly, anchor = random_polytope(rng, n, extra=2 * n)
+            p = random_interior_point(rng, poly, anchor)
+            point, trace = bi_center(poly, p, stop_tol=1e-12, max_iter=1)
+            assert trace.iterations == 1
+            assert np.array_equal(
+                point, _section_sweep(poly, p, _chord_midpoint)
+            )
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_bi_center_stop_measure(self, n):
+        rng = np.random.default_rng([419, n])
+        poly, anchor = random_polytope(rng, n, extra=2 * n)
+        p = random_interior_point(rng, poly, anchor)
+        stop_tol = 1e-6
+        point, trace = bi_center(poly, p, stop_tol=stop_tol, max_iter=200)
+        # the same search with the largest chord-midpoint offset taken from
+        # n generic sections at each iterate
+        q, sweeps = np.asarray(p, dtype=float), 0
+        while sweeps < 200 and stop_tol < max(
+            abs(_chord_midpoint(section(poly, q, axis_direction(k, n))))
+            for k in range(1, n + 1)
+        ):
+            q = _section_sweep(poly, q, _chord_midpoint)
+            sweeps += 1
+        assert trace.converged
+        assert trace.iterations == sweeps
+        assert np.array_equal(point, q)
+
+    def _same_error(self, error, call, poly, p, k):
+        with pytest.raises(error) as ref:
+            section(poly, p, axis_direction(k, poly.n))
+        with pytest.raises(error) as got:
+            call(poly, p, k)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("call", [harmonic_point_on_axis, bi_point_on_axis])
+    def test_exterior_start(self, square, call):
+        for p in [(2.0, 0.5), (0.5, -1.0), (1.0, 1.0), (1.5, 1.5)]:
+            for k in (1, 2):
+                self._same_error(NotInteriorError, call, square, p, k)
+
+    @pytest.mark.parametrize("call", [harmonic_point_on_axis, bi_point_on_axis])
+    def test_open_axis(self, call):
+        # x in (0, 1); y bounded on one side only
+        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        for sign in (1.0, -1.0):
+            poly = Polytope(A * [1.0, sign], np.array([1.0, 0.0, 1.0]))
+            self._same_error(UnboundedDirectionError, call, poly, (0.5, 0.0), 2)
+
+    def test_searches_raise_like_section(self, square):
+        for search in (cs_step, harmonic_center, bi_center):
+            with pytest.raises(NotInteriorError):
+                search(square, (2.0, 0.5))
+
+    def test_nan_coordinate_is_not_interior(self, square):
+        for call in (harmonic_point_on_axis, bi_point_on_axis):
+            with pytest.raises(NotInteriorError):
+                call(square, (np.nan, 0.5), 1)
+        with pytest.raises(NotInteriorError):
+            section(square, (np.nan, 0.5), axis_direction(1, 2))
 
 
 class TestInvariances:

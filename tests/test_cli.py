@@ -305,6 +305,29 @@ class TestExitCodes:
         assert main(["center", str(path), *start]) == EXIT_PARSE
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["point", EXAMPLE1, "--start", "nan,1", "--axis", "1"],
+            ["point", EXAMPLE1, "--start", "9,6", "--dir", "nan,1"],
+            ["point", EXAMPLE1, "--start", "9,6", "--dir", "1,-inf"],
+            ["center", EXAMPLE1, "--start", "inf,1"],
+            ["center", EXAMPLE1, "--start", "9,nan"],
+        ],
+    )
+    def test_non_finite_vector_is_bad_usage(self, capsys, argv):
+        assert main(argv) == EXIT_PARSE
+        assert "finite numbers" in capsys.readouterr().err
+
+    def test_inner_solve_budget_exhausted(self, capsys):
+        # every outer sweep completes, but the line solves cannot meet
+        # an inner tolerance of 1e-300 within their iteration budget
+        code = main(["center", EXAMPLE1, "--start", "9,6", "--inner-tol", "1e-300"])
+        assert code == EXIT_MAXITER
+        captured = capsys.readouterr()
+        assert "converged: no" in captured.out
+        assert "--inner-tol" in captured.err
+
 
 def test_run_with_config_object(capsys):
     args = build_parser().parse_args(["center", EXAMPLE1, "--start", "3,0.25"])
