@@ -19,14 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAtCenterError, NotInteriorError
+from .errors import DegenerateAtCenterError
 
 # section and solve_harmonic_offset are not called here (the axis stage
 # reads its bracket from the slacks), but perfbench's tracer wraps them
 # under these module names.
 from .harmonic import newton_offset, solve_harmonic_offset  # noqa: F401
-from .lines import _UNIT_TOL, axis_bracket, interior_slacks, section  # noqa: F401
-from .model import residuals
+from .lines import (  # noqa: F401
+    _UNIT_TOL,
+    axis_bracket,
+    interior_slacks,
+    not_interior,
+    section,
+)
+from .model import BLOCK, block_product, block_products
 
 
 def f_vector(polytope, p):
@@ -35,10 +41,10 @@ def f_vector(polytope, p):
     Vanishes exactly at the harmonic center.  Rows parallel to an axis
     contribute nothing to that component (their coefficient is 0), and the
     whole vector is invariant to per-row rescaling of ``(A_i, b_i)``.
+    Raises :class:`NotInteriorError` when a slack at ``p`` is not positive
+    (NaN included), as does every function built on it.
     """
-    s = residuals(polytope, p)
-    if np.min(s) <= 0.0:
-        raise NotInteriorError("f-vector requires a strictly interior point")
+    s = interior_slacks(polytope, p)
     return (polytope.A / s[:, None]).sum(axis=0)
 
 
@@ -57,9 +63,7 @@ def directional_sum(polytope, p, u):
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > _UNIT_TOL:
         raise ValueError("direction must be a unit vector")
-    s = residuals(polytope, p)
-    if np.min(s) <= 0.0:
-        raise NotInteriorError("directional sum requires a strictly interior point")
+    s = interior_slacks(polytope, p)
     return float(((polytope.A @ u) / s).sum())
 
 
@@ -153,10 +157,11 @@ def parse_trace_csv(text):
 
 
 def _record(polytope, iteration, p):
+    # a NaN coordinate has no f-norm; a NaN in the record stops the search
     return TraceRecord(
         iteration=iteration,
         point=tuple(float(v) for v in p),
-        fnorm=f_norm(polytope, p),
+        fnorm=float("nan") if np.isnan(p).any() else f_norm(polytope, p),
     )
 
 
@@ -179,13 +184,35 @@ def _sweep(polytope, p, move, inexact=None):
     """n axis stages in turn, each from the point the previous one left.
 
     The axis of every stage whose move missed its tolerance is appended to
-    ``inexact`` when a list is given.
+    ``inexact`` when a list is given.  For ``n <= BLOCK`` every stage is
+    one :func:`_axis_step`.  For larger n the sweep builds the block
+    products of ``residuals`` once and, after each stage, recomputes only
+    the block holding the moved coordinate (``BLOCK`` columns of ``A``,
+    not n), so each stage still reads exactly the slacks ``residuals``
+    gives at its point.
     """
+    if polytope.n > BLOCK:
+        return _block_sweep(polytope, p, move, inexact)
     for k in range(1, polytope.n + 1):
         p, exact = _axis_step(polytope, p, k, move)
         if not exact and inexact is not None:
             inexact.append(k)
     return p
+
+
+def _block_sweep(polytope, p, move, inexact):
+    q = np.array(p, dtype=float)
+    parts = block_products(polytope, q)
+    for j in range(polytope.n):
+        s = polytope.b - parts.sum(axis=0)
+        if not s.min() > 0.0:
+            raise not_interior(polytope, s)
+        h, exact = move(*axis_bracket(polytope, s, j + 1))
+        q[j] += h
+        parts[j // BLOCK] = block_product(polytope, q, j // BLOCK)
+        if not exact and inexact is not None:
+            inexact.append(j + 1)
+    return q
 
 
 def _harmonic_move(tol):
@@ -210,10 +237,13 @@ def _search(polytope, p0, sweep, measure, stop_tol, max_iter):
     The trace records the start as iteration 0 and one row per sweep, at
     most ``max_iter`` of them.  ``converged`` holds when the measure of
     the last iterate is within ``stop_tol``; a NaN measure stops the
-    search unconverged.
+    search unconverged.  Raises ``ValueError`` for ``stop_tol <= 0`` or
+    ``max_iter < 0``.
     """
     if stop_tol <= 0.0:
         raise ValueError("stop_tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
     p = np.asarray(p0, dtype=float)
     records = [_record(polytope, 0, p)]
     value = measure(p, records[-1].fnorm)
@@ -236,10 +266,13 @@ def cs_step(polytope, p, tol=1e-10, inexact=None):
     """One coordinate-search sweep: n sequential axis updates.
 
     For k = 1..n, moves coordinate k of the current point to the harmonic
-    point of the axis-k line through it.  Each stage evaluates the slacks
-    once at the current point and takes the line's distances from them and
-    column k of ``A``, with no line section or direction vector; the result
-    is bit-identical to n chained :func:`harmonic_point_on_axis` calls.
+    point of the axis-k line through it.  Each stage reads the slacks at
+    the current point once, in :func:`~polycenter.model.residuals`'s
+    summation order, and takes the line's distances from them and column k
+    of ``A``, with no line section or direction vector.  For n > ``BLOCK``
+    a stage recomputes only the ``BLOCK``-column block of the slack sum
+    that the previous stage changed.  The result is bit-identical to n
+    chained :func:`harmonic_point_on_axis` calls.
     If ``inexact`` is a list, the axis of every stage whose root solve ran
     out of its iteration budget before meeting ``tol`` is appended to it.
     Returns the point after stage n.

@@ -33,7 +33,7 @@ from .errors import (
 from .harmonic import harmonic_point_on_line
 from .lines import axis_direction, unit_direction
 from .model import find_interior_point, load_polytope
-from .svg import emit_svg
+from .svg import emit_svg, require_plane
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -70,6 +70,18 @@ def _positive(text):
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+
+
+def _count(text):
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}"
+    )
 
 
 def build_parser():
@@ -111,7 +123,7 @@ def build_parser():
             )
             p.add_argument(
                 "--max-iter",
-                type=int,
+                type=_count,
                 default=100,
                 help="outer iteration cap (default 100)",
             )
@@ -185,6 +197,9 @@ def _resolve_start(start, poly):
 
 
 def _cmd_center(args, poly, p0):
+    if args.svg:
+        # fail before the search, and so before any output file is written
+        require_plane(poly)
     point, trace = harmonic_center(
         poly,
         p0,

@@ -127,10 +127,15 @@ def interior_slacks(polytope, p):
     """
     s = residuals(polytope, p)
     if not s.min() > 0.0:
-        bad = np.flatnonzero(~(s > 0.0))[:4]
-        names = ", ".join(polytope.label(int(i)) for i in bad)
-        raise NotInteriorError(f"point is not strictly interior (rows: {names})")
+        raise not_interior(polytope, s)
     return s
+
+
+def not_interior(polytope, s):
+    """The :class:`NotInteriorError` for slacks ``s`` with a row not > 0."""
+    bad = np.flatnonzero(~(s > 0.0))[:4]
+    names = ", ".join(polytope.label(int(i)) for i in bad)
+    return NotInteriorError(f"point is not strictly interior (rows: {names})")
 
 
 def axis_bracket(polytope, s, k):

@@ -25,6 +25,9 @@ from .errors import InteriorSearchError, PolytopeFormatError
 
 _ZERO_ROW_TOL = 1e-12
 
+# Columns per block of the slack sum (see residuals).
+BLOCK = 32
+
 
 @dataclass(frozen=True)
 class Polytope:
@@ -216,19 +219,40 @@ def load_polytope(path):
         return parse_polytope(fh.read())
 
 
+def block_product(polytope, p, i):
+    """``A[:, cols] @ p[cols]`` over the columns of block ``i`` (0-based)."""
+    cols = slice(i * BLOCK, (i + 1) * BLOCK)
+    return polytope.A[:, cols] @ p[cols]
+
+
+def block_products(polytope, p):
+    """The ``(ceil(n / BLOCK), m)`` array of every :func:`block_product`."""
+    return np.array(
+        [block_product(polytope, p, i) for i in range(-(-polytope.n // BLOCK))]
+    )
+
+
 def residuals(polytope, p):
     """Per-constraint slack ``S_i = b_i - A_i . p`` at point ``p``.
 
     Positive entries mean the point is strictly on the feasible side of the
     constraint; with unit-normalized rows each entry is the Euclidean
     distance to the constraint boundary.
+
+    The summation order is part of the definition.  For ``n <= BLOCK`` the
+    slacks are ``b - A @ p``.  For larger n they are ``b`` minus the sum,
+    row 0 first, of :func:`block_products`: one product per block of
+    ``BLOCK`` columns.  A change of coordinate k then changes one block
+    only, so a coordinate search stage recomputes that block and gets the
+    same floats this function gives at the moved point.
     """
     p = np.asarray(p, dtype=float)
-    if p.shape != (polytope.n,):
-        raise ValueError(
-            f"point has shape {p.shape}, expected ({polytope.n},)"
-        )
-    return polytope.b - polytope.A @ p
+    n = polytope.n
+    if p.shape != (n,):
+        raise ValueError(f"point has shape {p.shape}, expected ({n},)")
+    if n <= BLOCK:
+        return polytope.b - polytope.A @ p
+    return polytope.b - block_products(polytope, p).sum(axis=0)
 
 
 def classify_point(polytope, p, boundary_eps=1e-9):
@@ -264,7 +288,7 @@ def find_interior_point(polytope, max_iter=1000):
     after ``max_iter`` projections, which signals an empty or degenerate
     interior (or an unreasonably small budget).
     """
-    A, b = polytope.A, polytope.b
+    A = polytope.A
     sq = np.einsum("ij,ij->i", A, A)
     x = np.zeros(polytope.n)
     best = -np.inf
@@ -272,7 +296,7 @@ def find_interior_point(polytope, max_iter=1000):
     stall_limit = max(20, 2 * polytope.m)
     stalled = 0
     for _ in range(max_iter):
-        s = b - A @ x
+        s = residuals(polytope, x)
         worst = int(np.argmin(s))
         smin = float(s[worst])
         if smin > 0.0:

@@ -43,6 +43,14 @@ def _clip_line_to_box(a, c, box):
     return base + t_lo * v, base + t_hi * v
 
 
+def require_plane(polytope):
+    """Raise :class:`DimensionUnsupportedError` unless ``polytope.n == 2``."""
+    if polytope.n != 2:
+        raise DimensionUnsupportedError(
+            f"SVG rendering requires n = 2, got n = {polytope.n}"
+        )
+
+
 def emit_svg(traces, polytope, width=640, height=480, margin=40):
     """Render center-search traces over the polytope's constraint lines.
 
@@ -54,10 +62,7 @@ def emit_svg(traces, polytope, width=640, height=480, margin=40):
 
     Returns the SVG document as a string.
     """
-    if polytope.n != 2:
-        raise DimensionUnsupportedError(
-            f"SVG rendering requires n = 2, got n = {polytope.n}"
-        )
+    require_plane(polytope)
     if not traces:
         raise ValueError("need at least one trace")
     pts = np.array(

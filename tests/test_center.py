@@ -75,8 +75,16 @@ class TestFVector:
         assert f_norm(example2, p) == pytest.approx(1.013, abs=TABLE_TOL)
 
     def test_not_interior(self, square):
-        with pytest.raises(NotInteriorError):
-            f_vector(square, (1.0, 0.5))
+        # a NaN slack is not interior either
+        for p in [(1.0, 0.5), (np.nan, 0.5)]:
+            for call in (
+                f_vector,
+                f_norm,
+                harmonic_hyperplane,
+                lambda poly, q: directional_sum(poly, q, (1.0, 0.0)),
+            ):
+                with pytest.raises(NotInteriorError):
+                    call(square, p)
 
 
 class TestDirectionalSum:
@@ -242,6 +250,9 @@ class TestHarmonicCenter:
     def test_bad_tolerance(self, square):
         with pytest.raises(ValueError):
             harmonic_center(square, (0.5, 0.5), stop_tol=0.0)
+        for search in (harmonic_center, bi_center):
+            with pytest.raises(ValueError, match="max_iter"):
+                search(square, (0.5, 0.5), max_iter=-1)
 
     def test_inner_budget_flag(self, example2):
         start = (1.0, 2.0, 2.5, 1.3)
@@ -370,7 +381,8 @@ class TestAxisStageMatchesSection:
     """The axis stage reads its bracket from the slacks and one column of
     ``A``; it must give the same floats as the generic ``section`` path."""
 
-    @pytest.mark.parametrize("n", [2, 10, 50])
+    # 33 and 100 cross the 32-column blocks of the slack sum
+    @pytest.mark.parametrize("n", [2, 10, 33, 50, 100])
     def test_cs_step(self, n):
         rng = np.random.default_rng([401, n])
         for _ in range(5):
@@ -380,7 +392,7 @@ class TestAxisStageMatchesSection:
                 cs_step(poly, p), _section_sweep(poly, p, _harmonic_offset)
             )
 
-    @pytest.mark.parametrize("n", [2, 10, 50])
+    @pytest.mark.parametrize("n", [2, 10, 33, 50, 100])
     def test_bi_center_one_sweep(self, n):
         rng = np.random.default_rng([409, n])
         for _ in range(5):

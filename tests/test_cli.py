@@ -286,11 +286,22 @@ class TestExitCodes:
         )
         assert code == EXIT_PARSE
 
+    def test_svg_wrong_dimension_fails_before_search(self, tmp_path, capsys):
+        trace, svg = tmp_path / "t.csv", tmp_path / "x.svg"
+        argv = ["center", EXAMPLE2, "--start", "1,2,2.5,1.3"]
+        argv += ["--trace", str(trace), "--svg", str(svg)]
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert "n = 2" in captured.err
+        assert captured.out == ""
+        assert not trace.exists() and not svg.exists()
+
     def test_negative_tolerance(self, capsys):
         assert main(["center", SQUARE, "--tol", "-1"]) == EXIT_PARSE
         for flag in ("--tol", "--inner-tol"):
             for value in ("0", "-1e-3", "nan"):
                 assert main(["center", SQUARE, flag, value]) == EXIT_PARSE
+        assert main(["center", SQUARE, "--max-iter=-5"]) == EXIT_PARSE
 
     @pytest.mark.parametrize(
         "rows, start",

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_polytope
+from conftest import random_interior_point, random_polytope
 from polycenter import (
     InteriorSearchError,
     Polytope,
@@ -202,6 +202,32 @@ class TestResiduals:
     def test_dimension_mismatch(self, square):
         with pytest.raises(ValueError, match="shape"):
             residuals(square, (0.5, 0.5, 0.5))
+
+    def test_plain_product_up_to_block_width(self, square, example1, example2):
+        cases = [(square, (0.25, 0.5)), (example1, (9.0, 6.0))]
+        cases.append((example2, (1.0, 2.0, 2.5, 1.3)))
+        for n in (2, 10, 32):
+            rng = np.random.default_rng([31, n])
+            poly, anchor = random_polytope(rng, n, extra=2 * n)
+            cases.append((poly, random_interior_point(rng, poly, anchor)))
+        for poly, p in cases:
+            p = np.asarray(p)
+            assert np.array_equal(residuals(poly, p), poly.b - poly.A @ p)
+
+    @pytest.mark.parametrize("n", [33, 100, 200])
+    def test_block_sum_above_block_width(self, n):
+        rng = np.random.default_rng([37, n])
+        poly, anchor = random_polytope(rng, n, extra=2 * n)
+        p = random_interior_point(rng, poly, anchor)
+        s = residuals(poly, p)
+        # b minus the 32-column block products, summed in block order
+        total = poly.A[:, :32] @ p[:32]
+        for lo in range(32, n, 32):
+            total = total + poly.A[:, lo : lo + 32] @ p[lo : lo + 32]
+        assert np.array_equal(s, poly.b - total)
+        # and within rounding of the plain product
+        scale = np.abs(poly.b) + np.abs(poly.A) @ np.abs(p)
+        assert np.all(np.abs(s - (poly.b - poly.A @ p)) <= 1e-12 * scale)
 
 
 class TestClassifyPoint:
