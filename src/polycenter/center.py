@@ -170,9 +170,9 @@ def _axis_step(polytope, p, k, move):
 
     ``move(d, d_minus, d_plus)`` returns the offset and whether it met its
     tolerance; the stage returns the moved copy of ``p`` and that flag.  It
-    needs only the slacks at ``p`` and column k of ``A``, and computes the
-    same floats as ``section`` along ``axis_direction(k, n)``, raising the
-    same errors.
+    needs only the slacks at ``p`` and the axis-k entry of
+    ``polytope.axis_lines``, and computes the same floats as ``section``
+    along ``axis_direction(k, n)``, raising the same errors.
     """
     q = np.array(p, dtype=float)
     h, exact = move(*axis_bracket(polytope, interior_slacks(polytope, q), k))
@@ -184,32 +184,28 @@ def _sweep(polytope, p, move, inexact=None):
     """n axis stages in turn, each from the point the previous one left.
 
     The axis of every stage whose move missed its tolerance is appended to
-    ``inexact`` when a list is given.  For ``n <= BLOCK`` every stage is
-    one :func:`_axis_step`.  For larger n the sweep builds the block
+    ``inexact`` when a list is given.  Every stage reads exactly the slacks
+    ``residuals`` gives at its point, then brackets its line from
+    ``polytope.axis_lines`` as :func:`_axis_step` does.  For ``n <= BLOCK``
+    the slacks are ``b - A @ q``.  For larger n the sweep builds the block
     products of ``residuals`` once and, after each stage, recomputes only
     the block holding the moved coordinate (``BLOCK`` columns of ``A``,
-    not n), so each stage still reads exactly the slacks ``residuals``
-    gives at its point.
+    not n).
     """
-    if polytope.n > BLOCK:
-        return _block_sweep(polytope, p, move, inexact)
-    for k in range(1, polytope.n + 1):
-        p, exact = _axis_step(polytope, p, k, move)
-        if not exact and inexact is not None:
-            inexact.append(k)
-    return p
-
-
-def _block_sweep(polytope, p, move, inexact):
+    A, b = polytope.A, polytope.b
     q = np.array(p, dtype=float)
-    parts = block_products(polytope, q)
+    parts = block_products(polytope, q) if polytope.n > BLOCK else None
     for j in range(polytope.n):
-        s = polytope.b - parts.sum(axis=0)
-        if not s.min() > 0.0:
+        if parts is None:
+            s = b - A @ q
+        else:
+            s = b - np.add.reduce(parts, axis=0)
+        if not np.minimum.reduce(s) > 0.0:
             raise not_interior(polytope, s)
         h, exact = move(*axis_bracket(polytope, s, j + 1))
         q[j] += h
-        parts[j // BLOCK] = block_product(polytope, q, j // BLOCK)
+        if parts is not None:
+            parts[j // BLOCK] = block_product(polytope, q, j // BLOCK)
         if not exact and inexact is not None:
             inexact.append(j + 1)
     return q

@@ -76,7 +76,7 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     its = 0
     for its in range(1, max_iter + 1):
         r = d - h
-        f = float((1.0 / r).sum())
+        f = float(np.add.reduce(1.0 / r))
         if abs(f) <= tol:
             converged = True
             break
@@ -87,13 +87,13 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
         if hi - lo <= tol * width:
             converged = True
             break
-        fp = float((1.0 / (r * r)).sum())
+        fp = float(np.add.reduce(1.0 / (r * r)))
         step = h - f / fp
         if not math.isfinite(step) or step <= lo or step >= hi:
             step = 0.5 * (lo + hi)
         h = step
     if not converged:
-        f = float((1.0 / (d - h)).sum())
+        f = float(np.add.reduce(1.0 / (d - h)))
     return h, its, f, converged
 
 

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketInvalidError, NotInteriorError, UnboundedDirectionError
-from .model import residuals
+from .model import PARALLEL_EPS, residuals
 
 _UNIT_TOL = 1e-9
-_PARALLEL_EPS = 1e-12
 _NO_FORWARD = "line has no forward intersection: polytope unbounded along it"
 _NO_BACKWARD = "line has no backward intersection: polytope unbounded along it"
 
@@ -144,23 +143,38 @@ def axis_bracket(polytope, s, k):
     Returns ``(d, d_minus, d_plus)``: the same floats as
     ``section(polytope, p, axis_direction(k, n))`` gives in
     ``finite_distances``, ``d_minus`` and ``d_plus`` when ``s`` are the
-    slacks at ``p``, with column k of ``A`` in place of the product
-    ``A @ e_k`` (equal to it bit for bit).  Raises
-    :class:`UnboundedDirectionError` with ``section``'s messages.
+    slacks at ``p``.  The rows, coefficients and sign positions come from
+    ``polytope.axis_lines``, in place of ``A @ e_k`` (equal to column k
+    bit for bit) and its masks.  Raises :class:`UnboundedDirectionError`
+    with ``section``'s messages, the forward one first.
     """
-    g = polytope.A[:, k - 1]
-    keep = np.abs(g) > _PARALLEL_EPS
-    d = s[keep] / g[keep]
-    ahead = d[d > 0.0]
-    if not ahead.size:
-        raise UnboundedDirectionError(_NO_FORWARD)
-    behind = d[d < 0.0]
-    if not behind.size:
-        raise UnboundedDirectionError(_NO_BACKWARD)
-    return d, float(behind.max()), float(ahead.min())
+    rows, g, up, down = polytope.axis_lines[k - 1]
+    d = s.take(rows) / g
+    d_plus = _nearest(d, up, np.minimum, _NO_FORWARD)
+    return d, _nearest(d, down, np.maximum, _NO_BACKWARD), d_plus
 
 
-def section(polytope, p, u, parallel_eps=_PARALLEL_EPS):
+def _nearest(d, side, reduce, message):
+    """``reduce`` over the distances ``d`` at positions ``side``.
+
+    With positive slacks each of these distances has the sign of its
+    coefficient, except a quotient that underflowed to a signed zero:
+    ``section`` counts it on neither side of the bracket, and neither does
+    this.  Raises :class:`UnboundedDirectionError` with ``message`` when no
+    distance is left.
+    """
+    near = d.take(side)
+    if near.size:
+        x = float(reduce.reduce(near))
+        if x != 0.0:
+            return x
+        near = near[near != 0.0]
+        if near.size:
+            return float(reduce.reduce(near))
+    raise UnboundedDirectionError(message)
+
+
+def section(polytope, p, u, parallel_eps=PARALLEL_EPS):
     """Section of the line through interior point ``p`` with direction ``u``.
 
     ``u`` must be a unit vector.  A constraint whose normal is orthogonal

@@ -18,6 +18,8 @@ or scientific notation; parsing is locale-independent.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +27,29 @@ from .errors import InteriorSearchError, PolytopeFormatError
 
 _ZERO_ROW_TOL = 1e-12
 
+# A line whose direction meets row i with |A_i . u| at or below this is
+# parallel to constraint i: it never meets it.
+PARALLEL_EPS = 1e-12
+
 # Columns per block of the slack sum (see residuals).
 BLOCK = 32
+
+
+class AxisLine(NamedTuple):
+    """What the axis-k line meets, read from column k of ``A``.
+
+    ``rows`` are the rows with ``|A_ik| > PARALLEL_EPS`` in row order and
+    ``g`` their coefficients ``A[rows, k]``.  ``up`` and ``down`` are the
+    positions within ``rows`` of the positive and of the negative
+    coefficients: at an interior point the line meets those constraints
+    ahead of it and behind it.  All four are read-only views into the flat
+    arrays of :attr:`Polytope.axis_lines`.
+    """
+
+    rows: np.ndarray
+    g: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -37,7 +60,8 @@ class Polytope:
     given, names each constraint row.  Construction requires more rows than
     columns (``m > n``) and rejects zero rows and non-finite entries.  It
     does not normalize rows (see :func:`normalize_rows`) and does not
-    verify boundedness.
+    verify boundedness.  The per-axis table :attr:`axis_lines` is derived
+    from ``A`` on first use and kept; it is read-only too.
     """
 
     A: np.ndarray
@@ -89,6 +113,40 @@ class Polytope:
         """Number of variables."""
         return self.A.shape[1]
 
+    @cached_property
+    def axis_lines(self):
+        """One :class:`AxisLine` per axis, built on first use and then kept.
+
+        The whole table is three flat arrays, one word per nonzero of ``A``
+        each: row indices and coefficients, column by column, and the
+        positions of each column's positive then negative coefficients.
+        ``A`` never changes, so neither does the table.
+        """
+        AT = self.A.T
+        ahead, behind = AT > PARALLEL_EPS, AT < -PARALLEL_EPS
+        meets = ahead | behind
+        # column by column; the flat index of row i in column k is k * m + i
+        rows = np.flatnonzero(meets) % self.m
+        g = AT[meets]
+        # where each column's entries, positives and negatives start
+        starts = _offsets(meets.sum(axis=1))
+        ups = _offsets(ahead.sum(axis=1))
+        downs = ups[-1] + _offsets(behind.sum(axis=1))
+        # every positive's position within its column, then every negative's,
+        # written in place: no temporary as large as the table
+        pos = np.empty_like(rows)
+        for side, ends in ((g > 0.0, ups), (g < 0.0, downs)):
+            at = slice(ends[0], ends[-1])
+            pos[at] = np.flatnonzero(side)
+            pos[at] -= np.repeat(starts[:-1], np.diff(ends))
+        for flat in (rows, g, pos):
+            flat.setflags(write=False)
+        bounds = np.stack((starts, ups, downs), axis=1).tolist()
+        return tuple(
+            AxisLine(rows[a:c], g[a:c], pos[u:v], pos[w:x])
+            for (a, u, w), (c, v, x) in zip(bounds, bounds[1:])
+        )
+
     def label(self, i):
         """Display name of constraint ``i`` (0-based row index)."""
         if self.labels is not None:
@@ -120,6 +178,11 @@ class PointClass:
     @property
     def is_interior(self):
         return self.region is Region.INTERIOR
+
+
+def _offsets(counts):
+    """``[0, c0, c0 + c1, ...]``: where each of ``counts``' segments starts."""
+    return np.concatenate(([0], np.cumsum(counts)))
 
 
 def normalize_rows(polytope):

@@ -8,6 +8,8 @@ from conftest import (
     TABLE1,
     TABLE2,
     TABLE_TOL,
+    analytic_center,
+    barrier,
     random_interior_point,
     random_polytope,
     random_unit,
@@ -359,13 +361,19 @@ class TestBiCenter:
             assert np.array_equal(point, q)
 
 
+def _section_stage(poly, p, k, move):
+    """One axis-k stage through the generic path: ``section`` along
+    ``axis_direction(k, n)``, then ``move(section)``."""
+    q = np.array(p, dtype=float)
+    q[k - 1] += move(section(poly, q, axis_direction(k, poly.n)))
+    return q
+
+
 def _section_sweep(poly, p, move):
-    """One sweep through the generic path: n chained ``section`` calls
-    along ``axis_direction``, each followed by ``move(section)``."""
+    """One sweep through the generic path: n chained section stages."""
     q = p
     for k in range(1, poly.n + 1):
-        q = np.array(q, dtype=float)
-        q[k - 1] += move(section(poly, q, axis_direction(k, poly.n)))
+        q = _section_stage(poly, q, k, move)
     return q
 
 
@@ -445,6 +453,48 @@ class TestAxisStageMatchesSection:
             poly = Polytope(A * [1.0, sign], np.array([1.0, 0.0, 1.0]))
             self._same_error(UnboundedDirectionError, call, poly, (0.5, 0.0), 2)
 
+    def test_underflowed_distance(self):
+        # an unnormalized row (+-1e300, 0) with slack 1e-30 at x1 = 0: its
+        # axis-1 distance 1e-330 underflows to a signed zero, which section
+        # leaves out of the bracket (and keeps among the finite distances)
+        p = np.zeros(2)
+        for sign in (1.0, -1.0):
+            tiny = [sign * 1e300, 0.0]
+            y_box = [[0.0, 1.0], [0.0, -1.0]]
+            cases = [
+                ([tiny, [-1.0, 0.0], [1.0, 0.0], *y_box], [1e-30, 1.0, 1.0, 1.0, 1.0]),
+                # the zero is the only contact on its side: unbounded there
+                ([tiny, [-sign, 0.0], *y_box], [1e-30, 1.0, 1.0, 1.0]),
+            ]
+            # the row norm overflows and the zero distance is a pole
+            with np.errstate(all="ignore"):
+                for A, b in cases:
+                    poly = Polytope(np.array(A), np.array(b))
+                    assert poly.b[0] / poly.A[0, 0] == 0.0
+                    for call, move in [
+                        (harmonic_point_on_axis, _harmonic_offset),
+                        (bi_point_on_axis, _chord_midpoint),
+                    ]:
+                        self._same_outcome(
+                            lambda: call(poly, p, 1),
+                            lambda: _section_stage(poly, p, 1, move),
+                        )
+                    self._same_outcome(
+                        lambda: cs_step(poly, p),
+                        lambda: _section_sweep(poly, p, _harmonic_offset),
+                    )
+
+    @staticmethod
+    def _same_outcome(call, reference):
+        try:
+            want = reference()
+        except UnboundedDirectionError as exc:
+            with pytest.raises(UnboundedDirectionError) as got:
+                call()
+            assert str(got.value) == str(exc)
+        else:
+            assert np.array_equal(call(), want)
+
     def test_searches_raise_like_section(self, square):
         for search in (cs_step, harmonic_center, bi_center):
             with pytest.raises(NotInteriorError):
@@ -456,6 +506,51 @@ class TestAxisStageMatchesSection:
                 call(square, (np.nan, 0.5), 1)
         with pytest.raises(NotInteriorError):
             section(square, (np.nan, 0.5), axis_direction(1, 2))
+
+
+class TestBarrierOracle:
+    """Coordinate search is exact coordinate descent on the log barrier
+    ``phi = -sum log S_i``, whose gradient is the f-vector: the harmonic
+    center is the analytic center."""
+
+    STOP_TOL = 1e-8
+
+    @staticmethod
+    def _cases(square, simplex, example1, example2):
+        cases = [(square, (0.1, 0.8)), (simplex, (0.2, 0.3))]
+        cases += [(example1, start) for start in TABLE1]
+        cases.append((example2, (1.0, 2.0, 2.5, 1.3)))
+        for n in (2, 10, 50):
+            rng = np.random.default_rng([431, n])
+            for _ in range(3):
+                poly, anchor = random_polytope(rng, n, extra=2 * n)
+                cases.append((poly, random_interior_point(rng, poly, anchor)))
+        return cases
+
+    def _searches(self, square, simplex, example1, example2):
+        for poly, start in self._cases(square, simplex, example1, example2):
+            center, trace = harmonic_center(
+                poly, start, stop_tol=self.STOP_TOL, max_iter=1000
+            )
+            assert trace.converged
+            yield poly, start, center, trace
+
+    def test_barrier_non_increasing(self, square, simplex, example1, example2):
+        for poly, _, _, trace in self._searches(square, simplex, example1, example2):
+            phi = [barrier(poly, rec.point) for rec in trace.records]
+            for before, after in zip(phi, phi[1:]):
+                assert after <= before + 1e-12 * abs(before)
+
+    def test_center_is_analytic_center(self, square, simplex, example1, example2):
+        for poly, start, center, trace in self._searches(
+            square, simplex, example1, example2
+        ):
+            ref, hess = analytic_center(poly, start)
+            # the f-norm is the barrier's gradient norm, within STOP_TOL at
+            # the search's center; near the minimizer the distance is about
+            # that over the Hessian's smallest eigenvalue (2x for curvature)
+            bound = 2.0 * self.STOP_TOL / np.linalg.eigvalsh(hess)[0]
+            assert np.linalg.norm(center - ref) <= bound
 
 
 class TestInvariances:

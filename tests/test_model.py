@@ -11,8 +11,10 @@ from polycenter import (
     Polytope,
     PolytopeFormatError,
     Region,
+    bi_center,
     classify_point,
     find_interior_point,
+    harmonic_center,
     normalize_rows,
     parse_polytope,
     residuals,
@@ -91,6 +93,10 @@ class TestParse:
         poly = parse_polytope(SQUARE_TEXT)
         with pytest.raises(ValueError):
             poly.A[0, 0] = 5.0
+        # and so is the axis-line table derived from them
+        for array in poly.axis_lines[0]:
+            with pytest.raises(ValueError):
+                array[0] = 1
 
 
 class TestPolytopeInvariants:
@@ -120,6 +126,54 @@ class TestPolytopeInvariants:
         A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
         with pytest.raises(PolytopeFormatError):
             Polytope(A, np.array([1.0, 1.0]))
+
+
+class TestAxisLines:
+    @staticmethod
+    def _polytopes(square, simplex, example1, example2):
+        polys = [square, simplex, example1, example2]
+        for n in (1, 2, 10, 33, 100):
+            rng = np.random.default_rng([41, n])
+            polys.append(random_polytope(rng, n, extra=2 * n)[0])
+        # an unnormalized row with entries on both sides of the threshold
+        polys.append(
+            Polytope(
+                np.array([[1.0, 1e-12], [-1.0, -2e-12], [3.0, -1e-13], [0.0, 1.0]]),
+                np.ones(4),
+            )
+        )
+        return polys
+
+    def test_entries_match_columns(self, square, simplex, example1, example2):
+        for poly in self._polytopes(square, simplex, example1, example2):
+            assert len(poly.axis_lines) == poly.n
+            for k, (rows, g, up, down) in enumerate(poly.axis_lines):
+                column = poly.A[:, k]
+                want = np.flatnonzero(np.abs(column) > 1e-12)
+                assert np.array_equal(rows, want)
+                assert np.array_equal(g, column[want])
+                assert np.array_equal(up, np.flatnonzero(g > 0.0))
+                assert np.array_equal(down, np.flatnonzero(g < 0.0))
+
+    def test_flat_and_read_only(self, example2):
+        # one flat array per field, every entry a view into it
+        lines = example2.axis_lines
+        for field in range(3):
+            flat = lines[0][field].base
+            assert not flat.flags.writeable
+            for line in lines:
+                assert line[field].base is flat
+                assert not line[field].flags.writeable
+        assert all(line.down.base is lines[0].up.base for line in lines)
+
+    def test_built_once_per_polytope(self, example2):
+        poly = Polytope(example2.A, example2.b)
+        assert "axis_lines" not in vars(poly)
+        harmonic_center(poly, (1.0, 2.0, 2.5, 1.3))
+        table = poly.axis_lines
+        bi_center(poly, (1.0, 2.0, 2.5, 1.3))
+        harmonic_center(poly, (1.5, 2.5, 3.0, 1.5))
+        assert poly.axis_lines is table
 
 
 class TestNormalizeRows:
