@@ -28,11 +28,15 @@ from .harmonic import newton_offset, solve_harmonic_offset  # noqa: F401
 from .lines import (  # noqa: F401
     _UNIT_TOL,
     axis_bracket,
+    axis_index,
     interior_slacks,
     not_interior,
     section,
 )
-from .model import BLOCK, block_product, block_products
+from .model import stage_slacks
+
+# An f-norm at or below this has no hyperplane: the point is the center.
+_DEGENERATE_EPS = 1e-9
 
 
 def f_vector(polytope, p):
@@ -45,7 +49,7 @@ def f_vector(polytope, p):
     (NaN included), as does every function built on it.
     """
     s = interior_slacks(polytope, p)
-    return (polytope.A / s[:, None]).sum(axis=0)
+    return (1.0 / s) @ polytope.A
 
 
 def f_norm(polytope, p):
@@ -75,7 +79,7 @@ class Hyperplane:
     offset: float
 
 
-def harmonic_hyperplane(polytope, p, degenerate_eps=1e-9):
+def harmonic_hyperplane(polytope, p):
     """The unique hyperplane through ``p`` in which ``p`` is harmonic.
 
     Its normal is the f-vector at ``p``: any line through ``p`` with a
@@ -85,7 +89,7 @@ def harmonic_hyperplane(polytope, p, degenerate_eps=1e-9):
     :class:`DegenerateAtCenterError` (every direction is harmonic there).
     """
     v = f_vector(polytope, p)
-    if np.linalg.norm(v) <= degenerate_eps:
+    if np.linalg.norm(v) <= _DEGENERATE_EPS:
         raise DegenerateAtCenterError(
             "point is the harmonic center: hyperplane undefined"
         )
@@ -165,53 +169,40 @@ def _record(polytope, iteration, p):
     )
 
 
-def _axis_step(polytope, p, k, move):
-    """One stage: ``p`` with coordinate k moved along the axis-k line.
+def _sweep(polytope, p, move, axes=None, inexact=None):
+    """One coordinate-search stage per 0-based axis of ``axes`` (all n by
+    default), each from the point the previous one left.
 
-    ``move(d, d_minus, d_plus)`` returns the offset and whether it met its
-    tolerance; the stage returns the moved copy of ``p`` and that flag.  It
-    needs only the slacks at ``p`` and the axis-k entry of
-    ``polytope.axis_lines``, and computes the same floats as ``section``
-    along ``axis_direction(k, n)``, raising the same errors.
+    A stage reads the slacks at its point from
+    :func:`~polycenter.model.stage_slacks`, exactly the floats ``residuals``
+    gives there, brackets the axis line from ``polytope.axis_lines`` and
+    moves its coordinate by ``move(d, d_minus, d_plus)``, which returns the
+    offset and whether it met its tolerance.  The axis (1-based) of every
+    stage whose move missed it is appended to ``inexact`` when a list is
+    given.  A stage computes the same floats as ``section`` along the axis
+    direction and raises the same errors.  Returns the moved copy of ``p``.
     """
     q = np.array(p, dtype=float)
-    h, exact = move(*axis_bracket(polytope, interior_slacks(polytope, q), k))
-    q[k - 1] += h
-    return q, exact
-
-
-def _sweep(polytope, p, move, inexact=None):
-    """n axis stages in turn, each from the point the previous one left.
-
-    The axis of every stage whose move missed its tolerance is appended to
-    ``inexact`` when a list is given.  Every stage reads exactly the slacks
-    ``residuals`` gives at its point, then brackets its line from
-    ``polytope.axis_lines`` as :func:`_axis_step` does.  For ``n <= BLOCK``
-    the slacks are ``b - A @ q``.  For larger n the sweep builds the block
-    products of ``residuals`` once and, after each stage, recomputes only
-    the block holding the moved coordinate (``BLOCK`` columns of ``A``,
-    not n).
-    """
-    A, b = polytope.A, polytope.b
-    q = np.array(p, dtype=float)
-    parts = block_products(polytope, q) if polytope.n > BLOCK else None
-    for j in range(polytope.n):
-        if parts is None:
-            s = b - A @ q
-        else:
-            s = b - np.add.reduce(parts, axis=0)
+    axes = range(polytope.n) if axes is None else axes
+    for j, s in zip(axes, stage_slacks(polytope, q, axes)):
         if not np.minimum.reduce(s) > 0.0:
             raise not_interior(polytope, s)
         h, exact = move(*axis_bracket(polytope, s, j + 1))
         q[j] += h
-        if parts is not None:
-            parts[j // BLOCK] = block_product(polytope, q, j // BLOCK)
         if not exact and inexact is not None:
             inexact.append(j + 1)
     return q
 
 
+def _positive(name, value):
+    # NaN fails the comparison too
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive")
+
+
 def _harmonic_move(tol):
+    _positive("tol", tol)
+
     def move(d, lo, hi):
         h, _, _, converged = newton_offset(d, lo, hi, tol)
         return h, converged
@@ -233,11 +224,10 @@ def _search(polytope, p0, sweep, measure, stop_tol, max_iter):
     The trace records the start as iteration 0 and one row per sweep, at
     most ``max_iter`` of them.  ``converged`` holds when the measure of
     the last iterate is within ``stop_tol``; a NaN measure stops the
-    search unconverged.  Raises ``ValueError`` for ``stop_tol <= 0`` or
-    ``max_iter < 0``.
+    search unconverged.  Raises ``ValueError`` unless ``stop_tol > 0``
+    and ``max_iter >= 0``.
     """
-    if stop_tol <= 0.0:
-        raise ValueError("stop_tol must be positive")
+    _positive("stop_tol", stop_tol)
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
     p = np.asarray(p0, dtype=float)
@@ -254,8 +244,9 @@ def harmonic_point_on_axis(polytope, p, k, tol=1e-10):
     """Harmonic point of the line through ``p`` parallel to axis ``k`` (1-based).
 
     Only coordinate ``k`` changes; the others are returned bit-identical.
+    Raises ``ValueError`` for an axis outside ``1..n``.
     """
-    return _axis_step(polytope, p, k, _harmonic_move(tol))[0]
+    return _sweep(polytope, p, _harmonic_move(tol), (axis_index(k, polytope.n),))
 
 
 def cs_step(polytope, p, tol=1e-10, inexact=None):
@@ -263,17 +254,16 @@ def cs_step(polytope, p, tol=1e-10, inexact=None):
 
     For k = 1..n, moves coordinate k of the current point to the harmonic
     point of the axis-k line through it.  Each stage reads the slacks at
-    the current point once, in :func:`~polycenter.model.residuals`'s
-    summation order, and takes the line's distances from them and column k
-    of ``A``, with no line section or direction vector.  For n > ``BLOCK``
-    a stage recomputes only the ``BLOCK``-column block of the slack sum
-    that the previous stage changed.  The result is bit-identical to n
-    chained :func:`harmonic_point_on_axis` calls.
+    the current point in :func:`~polycenter.model.stage_slacks`' summation
+    order and takes the line's distances from them and the axis-k entry of
+    ``polytope.axis_lines``, with no line section or direction vector.
+    The result is bit-identical to n chained :func:`harmonic_point_on_axis`
+    calls, which are one-stage runs of the same loop.
     If ``inexact`` is a list, the axis of every stage whose root solve ran
     out of its iteration budget before meeting ``tol`` is appended to it.
     Returns the point after stage n.
     """
-    return _sweep(polytope, p, _harmonic_move(tol), inexact)
+    return _sweep(polytope, p, _harmonic_move(tol), inexact=inexact)
 
 
 def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
@@ -284,10 +274,12 @@ def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
     per completed sweep.  When ``max_iter`` runs out, or a line solve runs
     out of its own iteration budget (``inner_tol`` too tight to meet), the
     trace carries ``converged=False`` and the best iterate is still
-    returned.
+    returned.  Raises ``ValueError`` unless ``stop_tol`` and ``inner_tol``
+    are positive.
 
     Returns ``(center, trace)``.
     """
+    _positive("inner_tol", inner_tol)
     inexact = []
     point, trace = _search(
         polytope,
@@ -306,9 +298,9 @@ def bi_point_on_axis(polytope, p, k):
     """Midpoint of the nearest contacts of the axis-k line through ``p``.
 
     Coordinate k moves by ``(d_plus + d_minus) / 2``; the others are
-    unchanged.
+    unchanged.  Raises ``ValueError`` for an axis outside ``1..n``.
     """
-    return _axis_step(polytope, p, k, _midpoint_move)[0]
+    return _sweep(polytope, p, _midpoint_move, (axis_index(k, polytope.n),))
 
 
 def bi_center(polytope, p0, stop_tol=0.01, max_iter=100):

@@ -20,12 +20,20 @@ _NO_FORWARD = "line has no forward intersection: polytope unbounded along it"
 _NO_BACKWARD = "line has no backward intersection: polytope unbounded along it"
 
 
-def axis_direction(k, n):
-    """Unit vector along coordinate axis ``k`` (1-based) in ``n`` dimensions."""
+def axis_index(k, n):
+    """The column of axis ``k`` (1-based) in ``n`` dimensions, 0-based.
+
+    Raises ``ValueError`` unless ``1 <= k <= n``.
+    """
     if not 1 <= k <= n:
         raise ValueError(f"axis index {k} out of range 1..{n}")
+    return k - 1
+
+
+def axis_direction(k, n):
+    """Unit vector along coordinate axis ``k`` (1-based) in ``n`` dimensions."""
     u = np.zeros(n)
-    u[k - 1] = 1.0
+    u[axis_index(k, n)] = 1.0
     return u
 
 
@@ -174,11 +182,11 @@ def _nearest(d, side, reduce, message):
     raise UnboundedDirectionError(message)
 
 
-def section(polytope, p, u, parallel_eps=PARALLEL_EPS):
+def section(polytope, p, u):
     """Section of the line through interior point ``p`` with direction ``u``.
 
     ``u`` must be a unit vector.  A constraint whose normal is orthogonal
-    to ``u`` within ``parallel_eps`` is marked parallel (no intersection);
+    to ``u`` within ``PARALLEL_EPS`` is marked parallel (no intersection);
     near-parallel constraints beyond that threshold keep their huge finite
     distances, which downstream reciprocal sums handle naturally.
 
@@ -191,6 +199,6 @@ def section(polytope, p, u, parallel_eps=PARALLEL_EPS):
         raise ValueError("direction must be a unit vector")
     s = interior_slacks(polytope, p)
     g = polytope.A @ u
-    par = np.abs(g) <= parallel_eps
+    par = np.abs(g) <= PARALLEL_EPS
     d = np.where(par, np.inf, s / np.where(par, 1.0, g))
     return LineSection._from_bracket(d, par, UnboundedDirectionError)

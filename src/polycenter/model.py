@@ -42,8 +42,8 @@ class AxisLine(NamedTuple):
     ``g`` their coefficients ``A[rows, k]``.  ``up`` and ``down`` are the
     positions within ``rows`` of the positive and of the negative
     coefficients: at an interior point the line meets those constraints
-    ahead of it and behind it.  All four are read-only views into the flat
-    arrays of :attr:`Polytope.axis_lines`.
+    ahead of it and behind it.  All four are read-only; ``rows`` and ``g``
+    are views into the flat arrays of :attr:`Polytope.axis_lines`.
     """
 
     rows: np.ndarray
@@ -117,35 +117,27 @@ class Polytope:
     def axis_lines(self):
         """One :class:`AxisLine` per axis, built on first use and then kept.
 
-        The whole table is three flat arrays, one word per nonzero of ``A``
-        each: row indices and coefficients, column by column, and the
-        positions of each column's positive then negative coefficients.
-        ``A`` never changes, so neither does the table.
+        ``rows`` and ``g`` are views into two flat arrays, one word per
+        nonzero of ``A`` each, column by column.  Each axis derives ``up``
+        and ``down`` from the signs of its own ``g``.  ``A`` never changes,
+        so neither does the table.
         """
         AT = self.A.T
-        ahead, behind = AT > PARALLEL_EPS, AT < -PARALLEL_EPS
-        meets = ahead | behind
-        # column by column; the flat index of row i in column k is k * m + i
-        rows = np.flatnonzero(meets) % self.m
+        meets = np.abs(AT) > PARALLEL_EPS
+        rows = np.broadcast_to(np.arange(self.m), AT.shape)[meets]
         g = AT[meets]
-        # where each column's entries, positives and negatives start
-        starts = _offsets(meets.sum(axis=1))
-        ups = _offsets(ahead.sum(axis=1))
-        downs = ups[-1] + _offsets(behind.sum(axis=1))
-        # every positive's position within its column, then every negative's,
-        # written in place: no temporary as large as the table
-        pos = np.empty_like(rows)
-        for side, ends in ((g > 0.0, ups), (g < 0.0, downs)):
-            at = slice(ends[0], ends[-1])
-            pos[at] = np.flatnonzero(side)
-            pos[at] -= np.repeat(starts[:-1], np.diff(ends))
-        for flat in (rows, g, pos):
-            flat.setflags(write=False)
-        bounds = np.stack((starts, ups, downs), axis=1).tolist()
-        return tuple(
-            AxisLine(rows[a:c], g[a:c], pos[u:v], pos[w:x])
-            for (a, u, w), (c, v, x) in zip(bounds, bounds[1:])
-        )
+        rows.setflags(write=False)
+        g.setflags(write=False)
+        ends = np.cumsum(meets.sum(axis=1)).tolist()
+        lines = []
+        for a, c in zip([0, *ends], ends):
+            ahead = g[a:c] > 0.0
+            # every kept coefficient is nonzero: the others are negative
+            up, down = np.flatnonzero(ahead), np.flatnonzero(~ahead)
+            up.setflags(write=False)
+            down.setflags(write=False)
+            lines.append(AxisLine(rows[a:c], g[a:c], up, down))
+        return tuple(lines)
 
     def label(self, i):
         """Display name of constraint ``i`` (0-based row index)."""
@@ -178,11 +170,6 @@ class PointClass:
     @property
     def is_interior(self):
         return self.region is Region.INTERIOR
-
-
-def _offsets(counts):
-    """``[0, c0, c0 + c1, ...]``: where each of ``counts``' segments starts."""
-    return np.concatenate(([0], np.cumsum(counts)))
 
 
 def normalize_rows(polytope):
@@ -282,17 +269,36 @@ def load_polytope(path):
         return parse_polytope(fh.read())
 
 
-def block_product(polytope, p, i):
+def _block_product(polytope, p, i):
     """``A[:, cols] @ p[cols]`` over the columns of block ``i`` (0-based)."""
     cols = slice(i * BLOCK, (i + 1) * BLOCK)
     return polytope.A[:, cols] @ p[cols]
 
 
-def block_products(polytope, p):
-    """The ``(ceil(n / BLOCK), m)`` array of every :func:`block_product`."""
-    return np.array(
-        [block_product(polytope, p, i) for i in range(-(-polytope.n // BLOCK))]
-    )
+def stage_slacks(polytope, q, axes):
+    """The slacks at ``q`` before each stage of a coordinate search.
+
+    Yields once per 0-based axis ``j`` of ``axes``; the caller moves
+    ``q[j]`` in place before it asks for the next slacks.  This is the one
+    statement of the summation order, which is part of the result: for
+    ``n <= BLOCK`` the slacks are ``b - A @ q``.  For larger n they are
+    ``b`` minus the sum, row 0 first, of one product per block of
+    ``BLOCK`` columns.  A move of coordinate j changes one block only, so
+    the next slacks recompute that block (``BLOCK`` columns of ``A``, not
+    n) and are the same floats as a fresh start at the moved point.
+    Raises ``ValueError`` unless ``q`` has shape ``(n,)``.
+    """
+    A, b, n = polytope.A, polytope.b, polytope.n
+    if q.shape != (n,):
+        raise ValueError(f"point has shape {q.shape}, expected ({n},)")
+    if n <= BLOCK:
+        for _ in axes:
+            yield b - A @ q
+        return
+    parts = np.array([_block_product(polytope, q, i) for i in range(-(-n // BLOCK))])
+    for j in axes:
+        yield b - np.add.reduce(parts, axis=0)
+        parts[j // BLOCK] = _block_product(polytope, q, j // BLOCK)
 
 
 def residuals(polytope, p):
@@ -300,22 +306,11 @@ def residuals(polytope, p):
 
     Positive entries mean the point is strictly on the feasible side of the
     constraint; with unit-normalized rows each entry is the Euclidean
-    distance to the constraint boundary.
-
-    The summation order is part of the definition.  For ``n <= BLOCK`` the
-    slacks are ``b - A @ p``.  For larger n they are ``b`` minus the sum,
-    row 0 first, of :func:`block_products`: one product per block of
-    ``BLOCK`` columns.  A change of coordinate k then changes one block
-    only, so a coordinate search stage recomputes that block and gets the
-    same floats this function gives at the moved point.
+    distance to the constraint boundary.  The slacks are summed in
+    :func:`stage_slacks`' order: they are the first slacks it yields.
+    Raises ``ValueError`` unless ``p`` has shape ``(n,)``.
     """
-    p = np.asarray(p, dtype=float)
-    n = polytope.n
-    if p.shape != (n,):
-        raise ValueError(f"point has shape {p.shape}, expected ({n},)")
-    if n <= BLOCK:
-        return polytope.b - polytope.A @ p
-    return polytope.b - block_products(polytope, p).sum(axis=0)
+    return next(stage_slacks(polytope, np.asarray(p, dtype=float), (0,)))
 
 
 def classify_point(polytope, p, boundary_eps=1e-9):

@@ -255,6 +255,16 @@ class TestHarmonicCenter:
         for search in (harmonic_center, bi_center):
             with pytest.raises(ValueError, match="max_iter"):
                 search(square, (0.5, 0.5), max_iter=-1)
+            # NaN fails every comparison, so "<= 0" alone lets it through
+            with pytest.raises(ValueError, match="stop_tol"):
+                search(square, (0.5, 0.5), stop_tol=np.nan)
+        for inner_tol in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="inner_tol"):
+                harmonic_center(square, (0.5, 0.5), inner_tol=inner_tol)
+        with pytest.raises(ValueError, match="tol"):
+            cs_step(square, (0.5, 0.5), tol=-1.0)
+        with pytest.raises(ValueError, match="tol"):
+            harmonic_point_on_axis(square, (0.5, 0.5), 1, tol=np.nan)
 
     def test_inner_budget_flag(self, example2):
         start = (1.0, 2.0, 2.5, 1.3)
@@ -431,6 +441,30 @@ class TestAxisStageMatchesSection:
         assert trace.converged
         assert trace.iterations == sweeps
         assert np.array_equal(point, q)
+
+    @pytest.mark.parametrize("n", [2, 33, 100])
+    def test_one_axis_calls(self, n):
+        # one-stage runs of the sweep loop; at n > 32 they cross the
+        # 32-column blocks of the slack sum
+        rng = np.random.default_rng([431, n])
+        poly, anchor = random_polytope(rng, n, extra=2 * n)
+        p = random_interior_point(rng, poly, anchor)
+        for k in range(1, n + 1):
+            assert np.array_equal(
+                harmonic_point_on_axis(poly, p, k),
+                _section_stage(poly, p, k, _harmonic_offset),
+            )
+            assert np.array_equal(
+                bi_point_on_axis(poly, p, k),
+                _section_stage(poly, p, k, _chord_midpoint),
+            )
+
+    @pytest.mark.parametrize("call", [harmonic_point_on_axis, bi_point_on_axis])
+    def test_axis_out_of_range(self, square, call):
+        # axis_direction's check: no axis moves, whatever k wraps to
+        for k in (0, -1, 3):
+            with pytest.raises(ValueError, match=f"axis index {k} out of range 1..2"):
+                call(square, (0.25, 0.5), k)
 
     def _same_error(self, error, call, poly, p, k):
         with pytest.raises(error) as ref:

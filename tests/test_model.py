@@ -13,6 +13,7 @@ from polycenter import (
     Region,
     bi_center,
     classify_point,
+    cs_step,
     find_interior_point,
     harmonic_center,
     normalize_rows,
@@ -156,15 +157,17 @@ class TestAxisLines:
                 assert np.array_equal(down, np.flatnonzero(g < 0.0))
 
     def test_flat_and_read_only(self, example2):
-        # one flat array per field, every entry a view into it
+        # rows and g: one flat array each, every entry a view into it
         lines = example2.axis_lines
-        for field in range(3):
-            flat = lines[0][field].base
+        for field in ("rows", "g"):
+            flat = getattr(lines[0], field).base
             assert not flat.flags.writeable
             for line in lines:
-                assert line[field].base is flat
-                assert not line[field].flags.writeable
-        assert all(line.down.base is lines[0].up.base for line in lines)
+                assert getattr(line, field).base is flat
+        # up and down are each axis's own, and read-only like the rest
+        for line in lines:
+            for array in line:
+                assert not array.flags.writeable
 
     def test_built_once_per_polytope(self, example2):
         poly = Polytope(example2.A, example2.b)
@@ -256,6 +259,10 @@ class TestResiduals:
     def test_dimension_mismatch(self, square):
         with pytest.raises(ValueError, match="shape"):
             residuals(square, (0.5, 0.5, 0.5))
+        # a sweep reads its slacks in the same order, with the same check; a
+        # column point would otherwise broadcast the slacks to m x m
+        with pytest.raises(ValueError, match="shape"):
+            cs_step(square, [[0.5], [0.5]])
 
     def test_plain_product_up_to_block_width(self, square, example1, example2):
         cases = [(square, (0.25, 0.5)), (example1, (9.0, 6.0))]
