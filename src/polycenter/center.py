@@ -71,9 +71,9 @@ def directional_sum(polytope, p, u):
     return float(((polytope.A @ u) / s).sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hyperplane:
-    """Hyperplane ``normal . x = offset``."""
+    """Hyperplane ``normal . x = offset``; compares and hashes by identity."""
 
     normal: np.ndarray
     offset: float

@@ -42,14 +42,6 @@ EXIT_UNBOUNDED = 3
 EXIT_MAXITER = 4
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage problems are parse errors (exit 1); argparse's default of 2 is
-    # reserved for infeasible input
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
-
-
 def _vector(text):
     try:
         values = tuple(float(tok) for tok in text.split(","))
@@ -85,7 +77,7 @@ def _count(text):
 
 
 def build_parser():
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="polycenter",
         description="Harmonic centers, points, and hyperplanes of convex "
         "polytopes in halfspace form.",
@@ -176,14 +168,19 @@ def _csv(*rows):
     return "".join(",".join(str(v) for v in row) + "\n" for row in rows)
 
 
+def _sized(values, poly, name, parts):
+    """``values`` as an array of ``poly.n`` floats, or a parse error."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (poly.n,):
+        raise PolytopeFormatError(
+            f"{name} has {v.size} {parts}, polytope has n={poly.n}"
+        )
+    return v
+
+
 def _resolve_start(start, poly):
     if start is not None:
-        p0 = np.asarray(start, dtype=float)
-        if p0.shape != (poly.n,):
-            raise PolytopeFormatError(
-                f"start point has {p0.size} coordinates, polytope has n={poly.n}"
-            )
-        return p0
+        return _sized(start, poly, "start point", "coordinates")
     p0 = find_interior_point(poly)
     print(
         "start (auto): " + ",".join(repr(float(v)) for v in p0),
@@ -192,21 +189,27 @@ def _resolve_start(start, poly):
     return p0
 
 
-# Each command returns (status, JSON result, table lines, CSV text or None);
-# a command without its own CSV prints its table lines for --format csv.
+# Each command returns (JSON result, table lines, CSV text or None,
+# failure).  A command without its own CSV prints its table lines for
+# --format csv.  ``failure`` is the stderr line of a search that did not
+# converge, or None; run() turns it into the exit status.
 
 
-def _cmd_center(args, poly, p0):
-    if args.svg:
-        # fail before the search, and so before any output file is written
-        require_plane(poly)
-    point, trace = harmonic_center(
+def _harmonic_center(args, poly, p0):
+    return harmonic_center(
         poly,
         p0,
         stop_tol=args.tol,
         max_iter=args.max_iter,
         inner_tol=args.inner_tol,
     )
+
+
+def _cmd_center(args, poly, p0):
+    if args.svg:
+        # fail before the search, and so before any output file is written
+        require_plane(poly)
+    point, trace = _harmonic_center(args, poly, p0)
     csv_text = trace.to_csv()
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -228,34 +231,25 @@ def _cmd_center(args, poly, p0):
         f"iterations: {final.iteration}",
         f"converged: {'yes' if trace.converged else 'no'}",
     ]
-    status = EXIT_OK
+    failure = None
     if not trace.converged:
         if final.fnorm > args.tol:
             reason = f"fnorm {final.fnorm:.6g} > {args.tol:.6g}"
         else:
             reason = f"a line solve missed --inner-tol {args.inner_tol:.6g}"
-        print(
-            f"not converged after {final.iteration} iterations ({reason})",
-            file=sys.stderr,
-        )
-        status = EXIT_MAXITER
-    return status, result, rows, csv_text
+        failure = f"not converged after {final.iteration} iterations ({reason})"
+    return result, rows, csv_text, failure
 
 
 def _cmd_point(args, poly, p0):
     if args.axis is not None:
         u = axis_direction(args.axis, poly.n)
     else:
-        d = np.asarray(args.direction, dtype=float)
-        if d.shape != (poly.n,):
-            raise PolytopeFormatError(
-                f"direction has {d.size} components, polytope has n={poly.n}"
-            )
-        u = unit_direction(d)
+        u = unit_direction(_sized(args.direction, poly, "direction", "components"))
     q = harmonic_point_on_line(poly, p0, u, tol=args.inner_tol)
     result = {"point": [float(v) for v in q]}
     csv_text = _csv([f"x{j + 1}" for j in range(poly.n)], result["point"])
-    return EXIT_OK, result, [f"point: {_fmt_point(q)}"], csv_text
+    return result, [f"point: {_fmt_point(q)}"], csv_text, None
 
 
 def _cmd_hyperplane(args, poly, p0):
@@ -263,17 +257,11 @@ def _cmd_hyperplane(args, poly, p0):
     result = {"normal": [float(v) for v in hp.normal], "offset": hp.offset}
     rows = [f"normal: {_fmt_point(hp.normal)}", f"offset: {hp.offset:.2f}"]
     names = [f"v{j + 1}" for j in range(poly.n)] + ["offset"]
-    return EXIT_OK, result, rows, _csv(names, result["normal"] + [hp.offset])
+    return result, rows, _csv(names, result["normal"] + [hp.offset]), None
 
 
 def _cmd_compare_bi(args, poly, p0):
-    hc, htrace = harmonic_center(
-        poly,
-        p0,
-        stop_tol=args.tol,
-        max_iter=args.max_iter,
-        inner_tol=args.inner_tol,
-    )
+    hc, htrace = _harmonic_center(args, poly, p0)
     bc, btrace = bi_center(poly, p0, stop_tol=args.tol, max_iter=args.max_iter)
     gap = float(np.linalg.norm(hc - bc))
     result = {
@@ -291,11 +279,10 @@ def _cmd_compare_bi(args, poly, p0):
         ["harmonic"] + result["harmonic_center"],
         ["bisection"] + result["bisection_center"],
     )
-    status = EXIT_OK
+    failure = None
     if not (htrace.converged and btrace.converged):
-        print("one or both searches did not converge", file=sys.stderr)
-        status = EXIT_MAXITER
-    return status, result, rows, csv_text
+        failure = "one or both searches did not converge"
+    return result, rows, csv_text, failure
 
 
 def _cmd_check(args, poly, p0):
@@ -312,7 +299,7 @@ def _cmd_check(args, poly, p0):
         f"max |directional sum| (along f/|f|): {worst:.6g}",
         f"check: {'PASS' if ok else 'FAIL'} (tol {args.tol:.6g})",
     ]
-    return EXIT_OK, result, rows, None
+    return result, rows, None, None
 
 
 _COMMANDS = {
@@ -329,19 +316,24 @@ def run(args, out=None):
 
     Loads ``args.input``, resolves the start point, runs ``args.command``
     and writes its result to ``out`` (default stdout) as ``args.fmt``.
-    Returns the exit status.
+    Returns the exit status, which is decided here for every command that
+    completes: 4 when its search did not converge (the reason goes to
+    stderr and the result is still written), else 0.  Errors propagate as
+    exceptions, which :func:`main` maps to their exit codes.
     """
     out = out if out is not None else sys.stdout
     poly = load_polytope(args.input)
     p0 = _resolve_start(args.start, poly)
-    status, result, rows, csv_text = _COMMANDS[args.command](args, poly, p0)
+    result, rows, csv_text, failure = _COMMANDS[args.command](args, poly, p0)
+    if failure is not None:
+        print(failure, file=sys.stderr)
     if args.fmt == "json":
         out.write(json.dumps(result) + "\n")
     elif args.fmt == "csv" and csv_text is not None:
         out.write(csv_text)
     else:
         out.write("".join(row + "\n" for row in rows))
-    return status
+    return EXIT_OK if failure is None else EXIT_MAXITER
 
 
 def main(argv=None):
@@ -349,8 +341,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse reports usage problems itself; surface them as a
-        # parse-error status instead of exiting the interpreter
+        # argparse prints usage problems itself and exits 2, which is
+        # reserved for infeasible input: they are parse errors (exit 1)
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
         return run(args)

@@ -55,7 +55,7 @@ def point_at(p, u, t):
     return p + t * u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineSection:
     """Intersection distances of one line with all m constraints.
 
@@ -64,7 +64,7 @@ class LineSection:
     (mask in ``parallel``).  ``d_minus < 0 < d_plus`` bound the feasible
     bracket; ``i_plus`` / ``i_minus`` are the blocking row indices
     (lowest index wins ties).  No finite distance lies strictly inside
-    the bracket.
+    the bracket.  Sections compare and hash by identity.
     """
 
     distances: np.ndarray

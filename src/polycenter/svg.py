@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import DimensionUnsupportedError
 
+WIDTH, HEIGHT, MARGIN = 640, 480, 40
+
 _PALETTE = (
     "#1f77b4",
     "#d62728",
@@ -51,14 +53,15 @@ def require_plane(polytope):
         )
 
 
-def emit_svg(traces, polytope, width=640, height=480, margin=40):
+def emit_svg(traces, polytope):
     """Render center-search traces over the polytope's constraint lines.
 
-    Only n = 2 is supported.  The view covers the bounding box of all trace
-    points, expanded 10% per side (1 unit when degenerate); constraint
-    lines are clipped to it.  Each trace becomes a colored polyline with a
-    filled marker at its final point; single-point traces draw only the
-    marker.
+    Only n = 2 is supported.  The canvas is ``WIDTH`` x ``HEIGHT`` pixels
+    with a ``MARGIN`` on every side.  The view covers the bounding box of
+    all trace points, expanded 10% per side (1 unit when degenerate);
+    constraint lines are clipped to it.  Each trace becomes a colored
+    polyline with a filled marker at its final point; single-point traces
+    draw only the marker.
 
     Returns the SVG document as a string.
     """
@@ -76,21 +79,21 @@ def emit_svg(traces, polytope, width=640, height=480, margin=40):
     hi = hi + pad
     box = (lo[0], hi[0], lo[1], hi[1])
 
-    inner_w = width - 2 * margin
-    inner_h = height - 2 * margin
+    inner_w = WIDTH - 2 * MARGIN
+    inner_h = HEIGHT - 2 * MARGIN
     scale = min(inner_w / (hi[0] - lo[0]), inner_h / (hi[1] - lo[1]))
-    off_x = margin + 0.5 * (inner_w - scale * (hi[0] - lo[0]))
-    off_y = margin + 0.5 * (inner_h - scale * (hi[1] - lo[1]))
+    off_x = MARGIN + 0.5 * (inner_w - scale * (hi[0] - lo[0]))
+    off_y = MARGIN + 0.5 * (inner_h - scale * (hi[1] - lo[1]))
 
     def px(pt):
         x = off_x + (pt[0] - lo[0]) * scale
-        y = height - off_y - (pt[1] - lo[1]) * scale
+        y = HEIGHT - off_y - (pt[1] - lo[1]) * scale
         return f"{x:.2f},{y:.2f}"
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     for row, rhs in zip(polytope.A, polytope.b):
         seg = _clip_line_to_box(row, rhs, box)

@@ -205,6 +205,14 @@ class TestCompareBiCommand:
         gap = float(out.split("gap: ")[1])
         assert gap > 1.0
 
+    def test_not_converged(self, capsys):
+        code = main(["compare-bi", EXAMPLE1, "--start", "9,6", "--max-iter", "1"])
+        assert code == EXIT_MAXITER
+        captured = capsys.readouterr()
+        # the partial result is still reported
+        assert "gap: " in captured.out
+        assert captured.err == "one or both searches did not converge\n"
+
     def test_json(self, capsys):
         main(["compare-bi", SQUARE, "--start", "0.3,0.4", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
@@ -269,6 +277,12 @@ class TestExitCodes:
 
     def test_wrong_start_dimension(self, capsys):
         assert main(["center", SQUARE, "--start", "0.5"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == "error: start point has 1 coordinates, polytope has n=2\n"
+        argv = ["point", SQUARE, "--start", "0.25,0.5", "--dir", "1,0,0"]
+        assert main(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == "error: direction has 3 components, polytope has n=2\n"
 
     def test_bad_start_token(self, capsys):
         assert main(["center", SQUARE, "--start", "a,b"]) == EXIT_PARSE
@@ -299,9 +313,10 @@ class TestExitCodes:
     def test_negative_tolerance(self, capsys):
         assert main(["center", SQUARE, "--tol", "-1"]) == EXIT_PARSE
         for flag in ("--tol", "--inner-tol"):
-            for value in ("0", "-1e-3", "nan"):
+            for value in ("0", "-1e-3", "nan", "abc"):
                 assert main(["center", SQUARE, flag, value]) == EXIT_PARSE
-        assert main(["center", SQUARE, "--max-iter=-5"]) == EXIT_PARSE
+        for value in ("-5", "x", "1.5"):
+            assert main(["center", SQUARE, f"--max-iter={value}"]) == EXIT_PARSE
 
     @pytest.mark.parametrize(
         "rows, start",

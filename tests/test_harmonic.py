@@ -92,6 +92,16 @@ class TestSolverBehavior:
         # the far term only nudges the root off zero by ~1/1e14
         assert res.h == pytest.approx(0.0, abs=1e-12)
 
+    def test_bracket_width_stop(self):
+        # a pole 3e-13 behind the point is too steep for |F| <= tol in
+        # float64: the solve stops once the sub-bracket is tol times as
+        # wide as the bracket, and counts that as converged
+        sec = LineSection.from_distances([-3e-13, -11.7, 1.7e-10, 32.9])
+        res = solve_harmonic_offset(sec)
+        assert res.converged
+        assert abs(res.residual) > 1e3 * 1e-10
+        assert sec.d_minus < res.h < sec.d_plus
+
     def test_iteration_budget_flag(self):
         sec = LineSection.from_distances([-1.0, 5.0, 6.0])
         res = solve_harmonic_offset(sec, tol=1e-14, max_iter=1)

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_interior_point, random_polytope
 from polycenter import (
     InteriorSearchError,
+    LineSection,
     Polytope,
     PolytopeFormatError,
     Region,
@@ -16,6 +17,7 @@ from polycenter import (
     cs_step,
     find_interior_point,
     harmonic_center,
+    harmonic_hyperplane,
     normalize_rows,
     parse_polytope,
     residuals,
@@ -67,6 +69,17 @@ class TestParse:
     def test_bad_header(self):
         with pytest.raises(PolytopeFormatError, match="line 1"):
             parse_polytope("size 4 2\n")
+        for text, match in (
+            ("dims 0 2\n", "line 1: dims must be positive"),
+            ("dims a b\n", "line 1: dims header takes two integers"),
+            ("# no header\n\n", "missing 'dims <m> <n>' header"),
+        ):
+            with pytest.raises(PolytopeFormatError, match=match):
+                parse_polytope(text)
+
+    def test_non_numeric_field(self):
+        with pytest.raises(PolytopeFormatError, match="line 3: could not convert"):
+            parse_polytope("dims 3 2\n1 0 1\n0 one 1\n-1 -1 0\n")
 
     def test_wrong_field_count(self):
         with pytest.raises(PolytopeFormatError, match="line 2.*fields"):
@@ -120,13 +133,23 @@ class TestPolytopeInvariants:
             with pytest.raises(PolytopeFormatError, match="non-finite"):
                 Polytope(A_bad, np.array([1.0, 1.0, 0.0]))
         for rhs in ("nan", "inf"):
-            with pytest.raises(PolytopeFormatError, match="non-finite"):
+            with pytest.raises(PolytopeFormatError, match="line 4: non-finite"):
                 parse_polytope(f"dims 4 2\n-1 0 0\n0 -1 0\n1 0 {rhs}\n0 1 1\n")
+        # a coefficient, and a literal that overflows to inf
+        for row in ("nan -1 0", "0 -1e400 0"):
+            with pytest.raises(PolytopeFormatError, match="line 3: non-finite"):
+                parse_polytope(f"dims 4 2\n-1 0 0\n{row}\n1 0 1\n0 1 1\n")
 
     def test_rhs_length_mismatch(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
         with pytest.raises(PolytopeFormatError):
             Polytope(A, np.array([1.0, 1.0]))
+
+    def test_matrix_shape(self):
+        with pytest.raises(PolytopeFormatError, match="two-dimensional"):
+            Polytope(np.ones(3), np.ones(3))
+        with pytest.raises(PolytopeFormatError, match="at least 1"):
+            Polytope(np.ones((3, 0)), np.ones(3))
 
 
 class TestAxisLines:
@@ -156,18 +179,15 @@ class TestAxisLines:
                 assert np.array_equal(up, np.flatnonzero(g > 0.0))
                 assert np.array_equal(down, np.flatnonzero(g < 0.0))
 
-    def test_flat_and_read_only(self, example2):
-        # rows and g: one flat array each, every entry a view into it
-        lines = example2.axis_lines
-        for field in ("rows", "g"):
-            flat = getattr(lines[0], field).base
-            assert not flat.flags.writeable
-            for line in lines:
-                assert getattr(line, field).base is flat
-        # up and down are each axis's own, and read-only like the rest
-        for line in lines:
-            for array in line:
-                assert not array.flags.writeable
+    def test_read_only_and_disjoint(self, example2):
+        # every field of every axis is read-only and overlaps neither A
+        # nor any other field
+        arrays = [array for line in example2.axis_lines for array in line]
+        for i, array in enumerate(arrays):
+            assert not array.flags.writeable
+            assert not np.shares_memory(array, example2.A)
+            for other in arrays[i + 1 :]:
+                assert not np.shares_memory(array, other)
 
     def test_built_once_per_polytope(self, example2):
         poly = Polytope(example2.A, example2.b)
@@ -339,3 +359,20 @@ class TestFindInteriorPoint:
             poly, _ = random_polytope(rng, n)
             p = find_interior_point(poly)
             assert np.min(residuals(poly, p)) > 0.0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda sq: Polytope(sq.A, sq.b),
+        lambda sq: LineSection.from_distances([-0.5, 0.5]),
+        lambda sq: harmonic_hyperplane(sq, (0.25, 0.5)),
+    ],
+    ids=["Polytope", "LineSection", "Hyperplane"],
+)
+def test_array_types_compare_and_hash_by_identity(square, make):
+    # equal fields hold arrays, whose == is elementwise: compare identities
+    one, twin = make(square), make(square)
+    assert one == one and one != twin
+    assert one in [twin, one] and twin not in [one]
+    assert {one: 1, twin: 2}[twin] == 2
