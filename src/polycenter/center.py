@@ -24,7 +24,7 @@ from .errors import DegenerateAtCenterError
 # section and solve_harmonic_offset are not called here (the axis stage
 # reads its bracket from the slacks), but perfbench's tracer wraps them
 # under these module names.
-from .harmonic import newton_offset, solve_harmonic_offset  # noqa: F401
+from .harmonic import _positive, newton_offset, solve_harmonic_offset  # noqa: F401
 from .lines import (  # noqa: F401
     _UNIT_TOL,
     axis_bracket,
@@ -192,12 +192,6 @@ def _sweep(polytope, p, move, axes=None, inexact=None):
         if not exact and inexact is not None:
             inexact.append(j + 1)
     return q
-
-
-def _positive(name, value):
-    # NaN fails the comparison too
-    if not value > 0.0:
-        raise ValueError(f"{name} must be positive")
 
 
 def _harmonic_move(tol):

@@ -30,8 +30,11 @@ from .errors import (
     PolytopeFormatError,
     UnboundedDirectionError,
 )
-from .harmonic import harmonic_point_on_line
-from .lines import axis_direction, unit_direction
+from . import harmonic
+# not called here (point needs the line solve's converged flag), but
+# perfbench's tracer wraps it under this module name
+from .harmonic import harmonic_point_on_line  # noqa: F401
+from .lines import axis_direction, point_at, unit_direction
 from .model import find_interior_point, load_polytope
 from .svg import emit_svg, require_plane
 
@@ -91,7 +94,8 @@ def build_parser():
             type=_vector,
             default=None,
             metavar="X1,...,XN",
-            help="interior start point (default: search for one)",
+            help="interior start point (default: search for one); write one "
+            "with a negative first coordinate as --start=-1,0.5",
         )
         p.add_argument(
             "--inner-tol",
@@ -138,7 +142,8 @@ def build_parser():
         dest="direction",
         type=_vector,
         metavar="V1,...,VN",
-        help="line direction (normalized on ingestion)",
+        help="line direction (normalized on ingestion); write one with a "
+        "negative first component as --dir=-1,0",
     )
 
     p_hyp = sub.add_parser(
@@ -246,10 +251,20 @@ def _cmd_point(args, poly, p0):
         u = axis_direction(args.axis, poly.n)
     else:
         u = unit_direction(_sized(args.direction, poly, "direction", "components"))
-    q = harmonic_point_on_line(poly, p0, u, tol=args.inner_tol)
+    # through the harmonic module's names, which perfbench's tracer wraps
+    res = harmonic.solve_harmonic_offset(
+        harmonic.section(poly, p0, u), tol=args.inner_tol
+    )
+    q = point_at(p0, u, res.h)
     result = {"point": [float(v) for v in q]}
     csv_text = _csv([f"x{j + 1}" for j in range(poly.n)], result["point"])
-    return result, [f"point: {_fmt_point(q)}"], csv_text, None
+    failure = None
+    if not res.converged:
+        failure = (
+            f"not converged after {res.iterations} iterations "
+            f"(the line solve missed --inner-tol {args.inner_tol:.6g})"
+        )
+    return result, [f"point: {_fmt_point(q)}"], csv_text, failure
 
 
 def _cmd_hyperplane(args, poly, p0):

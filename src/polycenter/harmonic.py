@@ -11,11 +11,17 @@ feasible bracket ``F`` is strictly increasing (F'(h) = sum 1/(d_i - h)^2
 exists and is unique.
 
 :func:`newton_offset` is the one solver: Newton's method with a bisection
-safeguard on an array of distances and a bracket.  Arbitrary lines reach
-it through :func:`solve_harmonic_offset` on a :class:`LineSection`; the
-coordinate search calls it directly on each axis line's distances, which
-it takes from the slacks and one column of ``A``.  A pure-bisection solver
-is kept as an independent cross-check.
+safeguard on an array of distances and a bracket.  Each iteration takes
+one reciprocal per distance, ``1 / (d_i - h)``, and reads both ``F`` (its
+sum) and ``F'`` (its dot product with itself) from it.  The sums follow
+the order of the array, so that order is part of the result; it is
+stated once, in :func:`~polycenter.model.ahead_first`: the distances ahead
+of the point, then those behind it, each group in row order.  Arbitrary
+lines reach the solver through :func:`solve_harmonic_offset`, which orders
+a :class:`LineSection`'s finite distances that way; the coordinate search
+calls it directly on each axis line's distances, which the axis table
+already gives in that order.  A pure-bisection solver is kept as an
+independent cross-check.
 """
 
 import math
@@ -25,6 +31,7 @@ import numpy as np
 
 from .errors import BracketInvalidError
 from .lines import point_at, section
+from .model import ahead_first
 
 
 @dataclass(frozen=True)
@@ -53,6 +60,12 @@ def _check_bracket(sec):
     return sec.finite_distances
 
 
+def _positive(name, value):
+    """Raise ``ValueError`` unless ``value > 0`` (NaN fails too)."""
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive")
+
+
 def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     """Root of ``sum 1/(d_i - h)`` in the bracket ``lo < 0 < hi``.
 
@@ -65,18 +78,24 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     ``|F(h)| <= tol`` or the sub-bracket is narrower than ``tol`` times
     ``hi - lo``.
 
+    Each iteration computes ``inv = 1 / (d - h)`` once, into one buffer
+    (``1 / d`` at the start, ``h = 0``), and takes ``F = sum(inv)`` and
+    ``F' = inv @ inv`` from it.  Both sums follow the order of ``d``; the
+    package passes every line's distances ahead-then-behind (see
+    :func:`~polycenter.model.ahead_first`), so that equal lines give equal
+    floats.
+
     Returns ``(h, iterations, residual, converged)``; ``converged`` is
     False only when ``max_iter`` ran out, and ``h`` is then the last
     bracketed estimate.
     """
     width = hi - lo
     h = 0.0
-    f = 0.0
+    inv = np.reciprocal(d)
     converged = False
     its = 0
     for its in range(1, max_iter + 1):
-        r = d - h
-        f = float(np.add.reduce(1.0 / r))
+        f = float(np.add.reduce(inv))
         if abs(f) <= tol:
             converged = True
             break
@@ -87,20 +106,24 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
         if hi - lo <= tol * width:
             converged = True
             break
-        fp = float(np.add.reduce(1.0 / (r * r)))
-        step = h - f / fp
+        # inv.dot(inv) is inv @ inv, one BLAS dot, with less call overhead
+        step = h - f / float(inv.dot(inv))
         if not math.isfinite(step) or step <= lo or step >= hi:
             step = 0.5 * (lo + hi)
         h = step
+        np.reciprocal(np.subtract(d, h, out=inv), out=inv)
     if not converged:
-        f = float(np.add.reduce(1.0 / (d - h)))
+        f = float(np.add.reduce(inv))
     return h, its, f, converged
 
 
 def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
     """Solve ``sum 1/(d_i - h) = 0`` on the feasible bracket of ``sec``.
 
-    Runs :func:`newton_offset` on the section's finite distances.
+    Runs :func:`newton_offset` on the section's finite distances, ordered
+    by :func:`~polycenter.model.ahead_first` (by sign bit: at positive
+    slacks, the sign of each row's coefficient along the line), so that an
+    axis line gives the coordinate search's floats bit for bit.
 
     Parameters
     ----------
@@ -118,6 +141,7 @@ def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
     HarmonicSolveResult
     """
     d = _check_bracket(sec)
+    d = d.take(ahead_first(d))
     h, its, f, converged = newton_offset(d, sec.d_minus, sec.d_plus, tol, max_iter)
     return HarmonicSolveResult(
         h=h, iterations=its, residual=f, method="newton", converged=converged
@@ -159,9 +183,12 @@ def harmonic_point_on_line(polytope, p, u, tol=1e-10):
     """Harmonic point of the line through interior point ``p`` along unit ``u``.
 
     The result is strictly interior and is a property of the line, not of
-    its orientation: ``u`` and ``-u`` give the same point.
+    its orientation: ``u`` and ``-u`` give the same point.  Raises
+    ``ValueError`` unless ``tol > 0``.  The point is returned even when the
+    line solve runs out of its budget; call :func:`solve_harmonic_offset`
+    on the :func:`section` to see whether it converged.
     """
+    _positive("tol", tol)
     sec = section(polytope, p, u)
     res = solve_harmonic_offset(sec, tol=tol)
     return point_at(p, u, res.h)
-

@@ -148,22 +148,25 @@ def not_interior(polytope, s):
 def axis_bracket(polytope, s, k):
     """Finite distances and bracket of the axis-``k`` line (1-based) at slacks ``s``.
 
-    Returns ``(d, d_minus, d_plus)``: the same floats as
-    ``section(polytope, p, axis_direction(k, n))`` gives in
-    ``finite_distances``, ``d_minus`` and ``d_plus`` when ``s`` are the
-    slacks at ``p``.  The rows, coefficients and sign positions come from
-    ``polytope.axis_lines``, in place of ``A @ e_k`` (equal to column k
-    bit for bit) and its masks.  Raises :class:`UnboundedDirectionError`
-    with ``section``'s messages, the forward one first.
+    Returns ``(d, d_minus, d_plus)``: the floats of
+    ``section(polytope, p, axis_direction(k, n))``'s ``finite_distances``
+    in the table's ahead-then-behind order (see
+    :func:`~polycenter.model.ahead_first`), and its ``d_minus`` and
+    ``d_plus``, when ``s`` are the slacks at ``p``.  The rows and
+    coefficients come from ``polytope.axis_lines``, in place of ``A @ e_k``
+    (equal to column k bit for bit) and its masks.  Raises
+    :class:`UnboundedDirectionError` with ``section``'s messages, the
+    forward one first.
     """
-    rows, g, up, down = polytope.axis_lines[k - 1]
-    d = s.take(rows) / g
-    d_plus = _nearest(d, up, np.minimum, _NO_FORWARD)
-    return d, _nearest(d, down, np.maximum, _NO_BACKWARD), d_plus
+    rows, g, ahead = polytope.axis_lines[k - 1]
+    d = s.take(rows)
+    d /= g
+    d_plus = _nearest(d[:ahead], np.minimum, _NO_FORWARD)
+    return d, _nearest(d[ahead:], np.maximum, _NO_BACKWARD), d_plus
 
 
-def _nearest(d, side, reduce, message):
-    """``reduce`` over the distances ``d`` at positions ``side``.
+def _nearest(near, reduce, message):
+    """``reduce`` over the distances ``near`` on one side of the line.
 
     With positive slacks each of these distances has the sign of its
     coefficient, except a quotient that underflowed to a signed zero:
@@ -171,7 +174,6 @@ def _nearest(d, side, reduce, message):
     this.  Raises :class:`UnboundedDirectionError` with ``message`` when no
     distance is left.
     """
-    near = d.take(side)
     if near.size:
         x = float(reduce.reduce(near))
         if x != 0.0:

@@ -35,42 +35,53 @@ PARALLEL_EPS = 1e-12
 BLOCK = 32
 
 
+def ahead_first(x):
+    """Positions of ``x`` with a clear sign bit, then those with it set.
+
+    Each group keeps its order.  This is the one statement of the order in
+    which a line's distances are summed, which is part of the result: the
+    axis table stores its rows ahead-then-behind (see :class:`AxisLine`),
+    and ``solve_harmonic_offset`` orders a section's finite distances the
+    same way.  With positive slacks a distance has the sign bit of its
+    coefficient, an underflowed signed zero included, so both give the
+    root solve the same array.
+    """
+    return np.argsort(np.signbit(x), kind="stable")
+
+
 class AxisLine(NamedTuple):
     """What the axis-k line meets, read from column k of ``A``.
 
-    ``rows`` are the rows with ``|A_ik| > PARALLEL_EPS`` in row order and
-    ``g`` their coefficients ``A[rows, k]``.  ``up`` and ``down`` are the
-    positions within ``rows`` of the positive and of the negative
-    coefficients: at an interior point the line meets those constraints
-    ahead of it and behind it.  All four are read-only; ``rows``, ``up``
-    and ``down`` are disjoint parts of one index array per axis.
+    ``rows`` are the rows with ``|A_ik| > PARALLEL_EPS``, ordered by
+    :func:`ahead_first` on their coefficients ``g = A[rows, k]``: first the
+    ``ahead`` rows with a positive coefficient, then those with a negative
+    one, each group in row order.  At an interior point the line meets the
+    first group ahead of it and the second behind it.  ``rows`` and ``g``
+    are read-only, 2 words per nonzero of the column.
     """
 
     rows: np.ndarray
     g: np.ndarray
-    up: np.ndarray
-    down: np.ndarray
+    ahead: int
 
 
 def _axis_line(column):
-    """The :class:`AxisLine` of one column of ``A``, all of it read-only."""
+    """The :class:`AxisLine` of one column of ``A``, its arrays read-only."""
     meets = abs(column) > PARALLEL_EPS
     k = int(np.count_nonzero(meets))
-    # rows, up and down are parts of one index array, allocated before the
-    # temporaries and filled in place: four arrays allocated apart left the
-    # heap fragmented once a table was freed, which raised the peak RSS of
-    # a stream of n = 200 polytopes (the sweep_large benchmark) by 1.1 MB
-    index = np.empty(2 * k, dtype=np.intp)
-    index[:k] = meets.nonzero()[0]
-    g = column[index[:k]]
-    ahead = g > 0.0
-    # every kept coefficient is nonzero: the others are negative
-    up = k + int(np.count_nonzero(ahead))
-    index[k:up] = ahead.nonzero()[0]
-    index[up:] = (~ahead).nonzero()[0]
-    index.setflags(write=False)
+    # rows and g are allocated before the temporaries and filled in place:
+    # per-axis arrays allocated after their temporaries once left the heap
+    # fragmented when a table was freed, which raised the peak RSS of a
+    # stream of n = 200 polytopes (the sweep_large benchmark) by 1.1 MB
+    rows = np.empty(k, dtype=np.intp)
+    g = np.empty(k)
+    kept = meets.nonzero()[0]
+    kept.take(ahead_first(column.take(kept)), out=rows)
+    column.take(rows, out=g)
+    rows.setflags(write=False)
     g.setflags(write=False)
-    return AxisLine(index[:k], g, index[k:up], index[up:])
+    # every kept coefficient is nonzero: the others are negative
+    return AxisLine(rows, g, int(np.count_nonzero(g > 0.0)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -265,6 +265,9 @@ class TestHarmonicCenter:
             cs_step(square, (0.5, 0.5), tol=-1.0)
         with pytest.raises(ValueError, match="tol"):
             harmonic_point_on_axis(square, (0.5, 0.5), 1, tol=np.nan)
+        for tol in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                harmonic_point_on_line(square, (0.25, 0.5), (1.0, 0.0), tol=tol)
 
     def test_inner_budget_flag(self, example2):
         start = (1.0, 2.0, 2.5, 1.3)

@@ -166,6 +166,27 @@ class TestPointCommand:
         code = main(["point", SQUARE, "--start", "0.25,0.5", "--axis", "5"])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [EXAMPLE1, "--start", "9,6", "--axis", "2"],
+            [EXAMPLE2, "--start", "1,2,2.5,1.3", "--dir", "1,1,0,0"],
+        ],
+    )
+    def test_line_solve_budget_exhausted(self, capsys, argv):
+        # no root solve of these lines meets 1e-300 within its budget: the
+        # point is still printed, and the exit status says it is inexact
+        assert main(["point", *argv]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["point", *argv, "--inner-tol", "1e-300"])
+        assert code == EXIT_MAXITER
+        captured = capsys.readouterr()
+        assert captured.out.startswith("point: (")
+        assert captured.err == (
+            "not converged after 100 iterations "
+            "(the line solve missed --inner-tol 1e-300)\n"
+        )
+
     def test_json(self, capsys):
         main(
             [
@@ -344,6 +365,24 @@ class TestExitCodes:
     def test_non_finite_vector_is_bad_usage(self, capsys, argv):
         assert main(argv) == EXIT_PARSE
         assert "finite numbers" in capsys.readouterr().err
+
+    def test_negative_first_component(self, tmp_path, capsys):
+        # argparse reads "-0.5,0.25" as an option, not as a value; the
+        # "=" form passes it as the flag's value
+        box = tmp_path / "box.poly"
+        box.write_text("dims 4 2\n1 0 1\n-1 0 1\n0 1 1\n0 -1 1\n")
+        argv = ["compare-bi", str(box)]
+        assert main([*argv, "--start=-0.5,0.25"]) == EXIT_OK
+        assert "bisection center: (0.00, 0.00)" in capsys.readouterr().out
+        assert main([*argv, "--start", "-0.5,0.25"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "argument --start: expected one argument" in err
+        argv = ["point", str(box), "--start=-0.5,0.25", "--format", "json"]
+        assert main([*argv, "--dir=-1,0"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert np.allclose(payload["point"], (0.0, 0.25), atol=1e-12)
+        assert main([*argv, "--dir", "-1,0"]) == EXIT_PARSE
+        assert "argument --dir: expected one argument" in capsys.readouterr().err
 
     def test_inner_solve_budget_exhausted(self, capsys):
         # every outer sweep completes, but the line solves cannot meet

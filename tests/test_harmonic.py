@@ -9,13 +9,18 @@ from conftest import random_interior_point, random_polytope, random_section, ran
 from polycenter import (
     BracketInvalidError,
     LineSection,
+    Polytope,
+    axis_direction,
     bisection_oracle,
     harmonic_point_on_axis,
     harmonic_point_on_line,
     residuals,
+    section,
     solve_harmonic_offset,
     unit_direction,
 )
+from polycenter.harmonic import newton_offset
+from polycenter.lines import axis_bracket
 
 # root of 1/(-1-h) + 1/(1-h) + 1/(2-h) = 0 inside (-1, 1): the equation
 # clears to 3h^2 - 4h - 1 = 0, and only this quadratic root is bracketed
@@ -181,3 +186,60 @@ class TestHarmonicPoints:
             q1 = harmonic_point_on_line(poly, p, u, tol=1e-10)
             q2 = harmonic_point_on_line(poly, q1, u, tol=1e-10)
             assert np.linalg.norm(q2 - q1) < 1e-10
+
+
+def _ahead_then_behind(d):
+    behind = np.signbit(d)
+    return np.concatenate((d[~behind], d[behind]))
+
+
+class TestSummationOrder:
+    """``solve_harmonic_offset`` sums a section's distances ahead, then
+    behind, each in row order: the order of the axis table, so that both
+    paths give the root solve the same array."""
+
+    @staticmethod
+    def _check(poly, p, u):
+        sec = section(poly, p, u)
+        # at positive slacks the sign bit of a distance is its coefficient's
+        g = (poly.A @ u)[~sec.parallel]
+        assert np.array_equal(np.signbit(sec.finite_distances), g < 0.0)
+        d = _ahead_then_behind(sec.finite_distances)
+        res = solve_harmonic_offset(sec)
+        want = newton_offset(d, sec.d_minus, sec.d_plus)
+        assert repr((res.h, res.iterations, res.residual, res.converged)) == repr(
+            want
+        )
+        return d
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_random_lines(self, n):
+        rng = np.random.default_rng([137, n])
+        for _ in range(5):
+            poly, anchor = random_polytope(rng, n, extra=2 * n)
+            p = random_interior_point(rng, poly, anchor)
+            self._check(poly, p, random_unit(rng, n))
+            s = residuals(poly, p)
+            for k in range(1, n + 1):
+                d = self._check(poly, p, axis_direction(k, n))
+                # the axis stage's distances, bit for bit
+                assert axis_bracket(poly, s, k)[0].tobytes() == d.tobytes()
+
+    def test_underflowed_signed_zero(self):
+        # the row (+-1e300, 0) with slack 1e-30 at the origin: its axis-1
+        # distance underflows to +0.0 (summed ahead, first) or -0.0 (behind,
+        # after the 4 rows ahead); the other rows cross the x axis at
+        # distances whose sum rounds differently in another order
+        p = np.zeros(2)
+        xs = [(-1, 1.0), (1, 1.0), (1, 1.7), (-1, 2.9), (1, 0.3), (-1, 0.45), (1, 5.5)]
+        for sign, where in [(1.0, 0), (-1.0, 4)]:
+            x_rows = [[a, 0.0] for a, _ in xs]
+            A = [[sign * 1e300, 0.0], *x_rows, [0.0, 1.0], [0.0, -1.0]]
+            b = [1e-30, *(v for _, v in xs), 1.0, 1.0]
+            with np.errstate(all="ignore"):
+                poly = Polytope(np.array(A, dtype=float), np.array(b))
+                d = self._check(poly, p, np.array([1.0, 0.0]))
+                got = axis_bracket(poly, residuals(poly, p), 1)[0]
+            assert list(np.flatnonzero(d == 0.0)) == [where]
+            assert np.signbit(d[where]) == (sign < 0.0)
+            assert got.tobytes() == d.tobytes()

@@ -108,9 +108,12 @@ class TestParse:
         with pytest.raises(ValueError):
             poly.A[0, 0] = 5.0
         # and so is the axis-line table derived from them
-        for array in poly.axis_lines[0]:
-            with pytest.raises(ValueError):
-                array[0] = 1
+        for line in poly.axis_lines:
+            for array in (line.rows, line.g):
+                with pytest.raises(ValueError):
+                    array[0] = 1
+            with pytest.raises(AttributeError):
+                line.ahead = 0
 
 
 class TestPolytopeInvariants:
@@ -171,18 +174,32 @@ class TestAxisLines:
     def test_entries_match_columns(self, square, simplex, example1, example2):
         for poly in self._polytopes(square, simplex, example1, example2):
             assert len(poly.axis_lines) == poly.n
-            for k, (rows, g, up, down) in enumerate(poly.axis_lines):
+            for k, (rows, g, ahead) in enumerate(poly.axis_lines):
                 column = poly.A[:, k]
+                # every row the axis line meets, exactly once
                 want = np.flatnonzero(np.abs(column) > 1e-12)
-                assert np.array_equal(rows, want)
-                assert np.array_equal(g, column[want])
-                assert np.array_equal(up, np.flatnonzero(g > 0.0))
-                assert np.array_equal(down, np.flatnonzero(g < 0.0))
+                assert len(rows) == len(want)
+                assert np.array_equal(np.sort(rows), want)
+                assert np.array_equal(g, column[rows])
+                # the rows ahead (positive coefficient), then those behind,
+                # each in increasing row order
+                assert np.all(g[:ahead] > 0.0) and np.all(g[ahead:] < 0.0)
+                assert np.all(np.diff(rows[:ahead]) > 0)
+                assert np.all(np.diff(rows[ahead:]) > 0)
+
+    def test_two_words_per_nonzero(self, square, simplex, example1, example2):
+        # each axis owns its rows and coefficients and keeps nothing else
+        for poly in self._polytopes(square, simplex, example1, example2):
+            nonzeros = np.count_nonzero(np.abs(poly.A) > 1e-12)
+            arrays = [a for line in poly.axis_lines for a in (line.rows, line.g)]
+            assert all(array.base is None for array in arrays)
+            assert sum(array.nbytes for array in arrays) == 16 * nonzeros
 
     def test_read_only_and_disjoint(self, example2):
-        # every field of every axis is read-only and overlaps neither A
-        # nor any other field
-        arrays = [array for line in example2.axis_lines for array in line]
+        # both arrays of every axis are read-only and overlap neither A nor
+        # any other array of the table
+        arrays = [a for line in example2.axis_lines for a in (line.rows, line.g)]
+        assert len(arrays) == 2 * example2.n
         for i, array in enumerate(arrays):
             assert not array.flags.writeable
             assert not np.shares_memory(array, example2.A)
