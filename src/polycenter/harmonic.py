@@ -13,15 +13,15 @@ exists and is unique.
 :func:`newton_offset` is the one solver: Newton's method with a bisection
 safeguard on an array of distances and a bracket.  Each iteration takes
 one reciprocal per distance, ``1 / (d_i - h)``, and reads both ``F`` (its
-sum) and ``F'`` (its dot product with itself) from it.  The sums follow
-the order of the array, so that order is part of the result; it is
-stated once, in :func:`~polycenter.model.ahead_first`: the distances ahead
-of the point, then those behind it, each group in row order.  Arbitrary
-lines reach the solver through :func:`solve_harmonic_offset`, which orders
-a :class:`LineSection`'s finite distances that way; the coordinate search
-calls it directly on each axis line's distances, which the axis table
-already gives in that order.  A pure-bisection solver is kept as an
-independent cross-check.
+dot product with ones) and ``F'`` (its dot product with itself) from it.
+The sums follow the order of the array, so that order is part of the
+result; it is stated once, in :func:`~polycenter.model.ahead_first`: the
+distances ahead of the point, then those behind it, each group in row
+order.  Arbitrary lines reach the solver through
+:func:`solve_harmonic_offset`, which orders a :class:`LineSection`'s
+finite distances that way; the coordinate search calls it directly on each
+axis line's distances, which the axis table already gives in that order.
+A pure-bisection solver is kept as an independent cross-check.
 """
 
 import math
@@ -79,9 +79,10 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     ``hi - lo``.
 
     Each iteration computes ``inv = 1 / (d - h)`` once, into one buffer
-    (``1 / d`` at the start, ``h = 0``), and takes ``F = sum(inv)`` and
-    ``F' = inv @ inv`` from it.  Both sums follow the order of ``d``; the
-    package passes every line's distances ahead-then-behind (see
+    (``1 / d`` at the start, ``h = 0``), and takes ``F = inv @ ones`` and
+    ``F' = inv @ inv`` from it, each one BLAS dot.  Both sums follow the
+    order of ``d`` and the BLAS library's order of additions; the package
+    passes every line's distances ahead-then-behind (see
     :func:`~polycenter.model.ahead_first`), so that equal lines give equal
     floats.
 
@@ -92,10 +93,11 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     width = hi - lo
     h = 0.0
     inv = np.reciprocal(d)
+    ones = np.ones(d.size)
     converged = False
     its = 0
     for its in range(1, max_iter + 1):
-        f = float(np.add.reduce(inv))
+        f = float(inv.dot(ones))
         if abs(f) <= tol:
             converged = True
             break
@@ -113,7 +115,7 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
         h = step
         np.reciprocal(np.subtract(d, h, out=inv), out=inv)
     if not converged:
-        f = float(np.add.reduce(inv))
+        f = float(inv.dot(ones))
     return h, its, f, converged
 
 

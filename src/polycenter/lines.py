@@ -154,13 +154,20 @@ def axis_bracket(polytope, s, k):
     :func:`~polycenter.model.ahead_first`), and its ``d_minus`` and
     ``d_plus``, when ``s`` are the slacks at ``p``.  The rows and
     coefficients come from ``polytope.axis_lines``, in place of ``A @ e_k``
-    (equal to column k bit for bit) and its masks.  Raises
+    (equal to column k bit for bit) and its masks.  Each end is one
+    reduction over its side; :func:`_nearest` reads it again only when a
+    side is empty or its nearest distance is a signed zero.  Raises
     :class:`UnboundedDirectionError` with ``section``'s messages, the
     forward one first.
     """
     rows, g, ahead = polytope.axis_lines[k - 1]
     d = s.take(rows)
     d /= g
+    if 0 < ahead < d.size:
+        d_plus = np.minimum.reduce(d[:ahead])
+        d_minus = np.maximum.reduce(d[ahead:])
+        if d_plus and d_minus:
+            return d, float(d_minus), float(d_plus)
     d_plus = _nearest(d[:ahead], np.minimum, _NO_FORWARD)
     return d, _nearest(d[ahead:], np.maximum, _NO_BACKWARD), d_plus
 

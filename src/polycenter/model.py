@@ -84,11 +84,23 @@ def _axis_line(column):
     return AxisLine(rows, g, int(np.count_nonzero(g > 0.0)))
 
 
+def _check_rows(finite, nonzero):
+    """Raise for the first row not ``finite``, else the first not ``nonzero``."""
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise PolytopeFormatError(f"non-finite entry in row at index {bad[0]}")
+    zero = np.flatnonzero(~nonzero)
+    if zero.size:
+        raise PolytopeFormatError(f"zero coefficient row at index {zero[0]}")
+
+
 @dataclass(frozen=True, eq=False)
 class Polytope:
     """Closed convex polytope ``{x : A @ x <= b}``.
 
-    ``A`` and ``b`` are stored as read-only float arrays; ``labels``, when
+    ``A`` and ``b`` are stored as read-only float arrays, copied from the
+    arguments; ``A`` is column-major, so that a block of its columns, as
+    :func:`stage_slacks` reads it, is one contiguous slab.  ``labels``, when
     given, names each constraint row.  Construction requires more rows than
     columns (``m > n``) and rejects zero rows and non-finite entries.  It
     does not normalize rows (see :func:`normalize_rows`) and does not
@@ -102,7 +114,7 @@ class Polytope:
     labels: tuple | None = None
 
     def __post_init__(self):
-        A = np.array(self.A, dtype=float)
+        A = np.array(self.A, dtype=float, order="F")
         b = np.array(self.b, dtype=float).ravel()
         if A.ndim != 2:
             raise PolytopeFormatError("coefficient matrix must be two-dimensional")
@@ -117,13 +129,10 @@ class Polytope:
             raise PolytopeFormatError(
                 f"need more constraints than dimensions, got m={m} <= n={n}"
             )
-        bad = np.flatnonzero(~np.isfinite(A).all(axis=1) | ~np.isfinite(b))
-        if bad.size:
-            raise PolytopeFormatError(f"non-finite entry in row at index {bad[0]}")
-        norms = np.linalg.norm(A, axis=1)
-        zero = np.flatnonzero(norms <= _ZERO_ROW_TOL)
-        if zero.size:
-            raise PolytopeFormatError(f"zero coefficient row at index {zero[0]}")
+        _check_rows(
+            np.isfinite(A).all(axis=1) & np.isfinite(b),
+            np.linalg.norm(A, axis=1) > _ZERO_ROW_TOL,
+        )
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != m:
@@ -131,10 +140,26 @@ class Polytope:
                     f"{len(labels)} labels for {m} constraints"
                 )
             object.__setattr__(self, "labels", labels)
+        self._freeze(A, b)
+
+    def _freeze(self, A, b):
         A.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+
+    @classmethod
+    def _adopt(cls, A, b, labels):
+        """A polytope that keeps ``A`` and ``b`` themselves.
+
+        For arrays the caller made and validated and holds no other
+        reference to: ``A`` must be column-major float64, ``labels`` a
+        tuple or None.  Nothing is copied or checked.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "labels", labels)
+        poly._freeze(A, b)
+        return poly
 
     @property
     def m(self):
@@ -192,12 +217,16 @@ def normalize_rows(polytope):
 
     The right-hand side entry is divided by the same norm, so the feasible
     set is unchanged.  Already-normalized polytopes come back unchanged up
-    to floating-point rounding.
+    to floating-point rounding.  The new polytope keeps the quotient
+    ``A / norms[:, None]`` itself, column-major like ``A``, so the call
+    holds at most one m x n array beyond ``polytope.A`` at a time.
     """
     norms = np.linalg.norm(polytope.A, axis=1)
-    return Polytope(
-        polytope.A / norms[:, None], polytope.b / norms, polytope.labels
-    )
+    b = polytope.b / norms
+    # the rows of a polytope are finite and nonzero, so the quotients are
+    # too, unless the norm (a zero row) or an entry of b overflowed
+    _check_rows(np.isfinite(b), np.isfinite(norms))
+    return Polytope._adopt(polytope.A / norms[:, None], b, polytope.labels)
 
 
 def parse_polytope(text):
@@ -286,36 +315,41 @@ def load_polytope(path):
         return parse_polytope(fh.read())
 
 
-def _block_product(polytope, p, i):
-    """``A[:, cols] @ p[cols]`` over the columns of block ``i`` (0-based)."""
-    cols = slice(i * BLOCK, (i + 1) * BLOCK)
-    return polytope.A[:, cols] @ p[cols]
-
-
 def stage_slacks(polytope, q, axes):
     """The slacks at ``q`` before each stage of a coordinate search.
 
     Yields once per 0-based axis ``j`` of ``axes``; the caller moves
     ``q[j]`` in place before it asks for the next slacks.  This is the one
-    statement of the summation order, which is part of the result: for
-    ``n <= BLOCK`` the slacks are ``b - A @ q``.  For larger n they are
-    ``b`` minus the sum, row 0 first, of one product per block of
-    ``BLOCK`` columns.  A move of coordinate j changes one block only, so
-    the next slacks recompute that block (``BLOCK`` columns of ``A``, not
-    n) and are the same floats as a fresh start at the moved point.
-    Raises ``ValueError`` unless ``q`` has shape ``(n,)``.
+    statement of the summation order, which is part of the result.  The
+    rows of ``terms`` are ``b`` and then, per block of ``BLOCK`` columns,
+    that block's product ``A[:, cols] @ q[cols]``; each block of the
+    column-major ``A`` is one contiguous slab.  The slacks are
+    ``signs @ terms`` with ``signs = (1, -1, ..., -1)``: one BLAS
+    matrix-vector product, whose order of additions is the library's.
+    With one block (``n <= BLOCK``) that is ``b - A @ q`` exactly, since
+    a product by 1 or -1 is exact.  A move of coordinate j changes one
+    block only, so the next slacks recompute that block (``BLOCK`` columns
+    of ``A``, not n) and are the same floats as a fresh start at the
+    moved point.  Raises ``ValueError`` unless ``q`` has shape ``(n,)``.
     """
-    A, b, n = polytope.A, polytope.b, polytope.n
+    A, n = polytope.A, polytope.n
     if q.shape != (n,):
         raise ValueError(f"point has shape {q.shape}, expected ({n},)")
-    if n <= BLOCK:
-        for _ in axes:
-            yield b - A @ q
-        return
-    parts = np.array([_block_product(polytope, q, i) for i in range(-(-n // BLOCK))])
+    starts = range(0, n, BLOCK)
+    terms = np.empty((len(starts) + 1, polytope.m))
+    terms[0] = polytope.b
+    # per block: its slab of A, its coordinates (a view of q) and its term
+    blocks = [
+        (A[:, lo : lo + BLOCK], q[lo : lo + BLOCK], terms[i])
+        for i, lo in enumerate(starts, start=1)
+    ]
+    for slab, x, term in blocks:
+        slab.dot(x, out=term)
+    signs = np.array([1.0] + [-1.0] * len(blocks))
     for j in axes:
-        yield b - np.add.reduce(parts, axis=0)
-        parts[j // BLOCK] = _block_product(polytope, q, j // BLOCK)
+        yield signs.dot(terms)
+        slab, x, term = blocks[j // BLOCK]
+        slab.dot(x, out=term)
 
 
 def residuals(polytope, p):
@@ -324,7 +358,10 @@ def residuals(polytope, p):
     Positive entries mean the point is strictly on the feasible side of the
     constraint; with unit-normalized rows each entry is the Euclidean
     distance to the constraint boundary.  The slacks are summed in
-    :func:`stage_slacks`' order: they are the first slacks it yields.
+    :func:`stage_slacks`' order, one ``(1, -1, ..., -1)``-weighted dot
+    over ``b`` and the products of ``BLOCK``-column blocks of ``A`` (for
+    ``n <= BLOCK`` exactly ``b - A @ p``): they are the first slacks it
+    yields.
     Raises ``ValueError`` unless ``p`` has shape ``(n,)``.
     """
     return next(stage_slacks(polytope, np.asarray(p, dtype=float), (0,)))
@@ -335,9 +372,10 @@ def classify_point(polytope, p, boundary_eps=1e-9):
 
     INTERIOR requires every slack above ``boundary_eps``; EXTERIOR means a
     slack below ``-boundary_eps`` (violated rows reported); everything else
-    is BOUNDARY with the near-contact rows reported.
+    is BOUNDARY with the near-contact rows reported.  Raises
+    ``ValueError`` unless ``boundary_eps >= 0`` (NaN fails too).
     """
-    if boundary_eps < 0:
+    if not boundary_eps >= 0.0:
         raise ValueError("boundary_eps must be nonnegative")
     s = residuals(polytope, p)
     violated = np.flatnonzero(s < -boundary_eps)
@@ -360,8 +398,11 @@ def find_interior_point(polytope, max_iter=1000):
     This is a convenience for callers without a known interior point; a
     user-supplied start is preferred.  Raises :class:`InteriorSearchError`
     after ``max_iter`` projections, which signals an empty or degenerate
-    interior (or an unreasonably small budget).
+    interior (or an unreasonably small budget), and ``ValueError`` unless
+    ``max_iter >= 0``.
     """
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
     A = polytope.A
     sq = np.einsum("ij,ij->i", A, A)
     x = np.zeros(polytope.n)

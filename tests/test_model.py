@@ -1,6 +1,7 @@
 """Polytope construction, parsing, residuals, classification, interior search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,25 @@ class TestPolytopeInvariants:
         with pytest.raises(PolytopeFormatError, match="at least 1"):
             Polytope(np.ones((3, 0)), np.ones(3))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda A: A,
+            np.asfortranarray,
+            lambda A: A.astype(int),
+            lambda A: A.tolist(),
+        ],
+        ids=["C-order", "F-order", "int", "list"],
+    )
+    def test_column_major_read_only_copy(self, make):
+        given = make(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -2.0]]))
+        poly = Polytope(given, [1.0, 1.0, 0.0])
+        assert poly.A.flags.f_contiguous and not poly.A.flags.writeable
+        assert poly.A.dtype == np.float64
+        assert np.array_equal(poly.A, np.asarray(given))
+        if isinstance(given, np.ndarray):
+            assert not np.shares_memory(poly.A, given)
+
 
 class TestAxisLines:
     @staticmethod
@@ -254,6 +274,46 @@ class TestNormalizeRows:
         assert np.max(np.abs(twice.A - once.A)) <= 1e-15
         assert np.max(np.abs(twice.b - once.b)) <= 1e-15
 
+    def test_quotient_kept_column_major(self):
+        rng = np.random.default_rng(13)
+        raw, _ = random_polytope(rng, 40, extra=60)
+        raw = Polytope(raw.A * rng.uniform(0.5, 3.0, size=(raw.m, 1)), raw.b)
+        out = normalize_rows(raw)
+        norms = np.linalg.norm(raw.A, axis=1)
+        assert np.array_equal(out.A, raw.A / norms[:, None])
+        assert np.array_equal(out.b, raw.b / norms)
+        assert out.A.flags.f_contiguous and not out.A.flags.writeable
+        assert not out.b.flags.writeable
+        assert not np.shares_memory(out.A, raw.A)
+
+    def test_one_copy_of_A(self):
+        # the sweep_large shape: the quotient is the only m x n array kept
+        # or made beyond the input's (the parent made three: 3.0x)
+        rng = np.random.default_rng(17)
+        raw = Polytope(rng.normal(size=(1000, 200)), rng.uniform(1, 2, 1000))
+        tracemalloc.start()
+        try:
+            out = normalize_rows(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.A.nbytes == raw.A.nbytes
+        assert peak <= 2 * raw.A.nbytes
+
+    def test_overflow_keeps_construction_errors(self):
+        # a row norm that overflows leaves a zero row, a tiny norm can
+        # overflow b: the errors Polytope raises, non-finite first
+        A = [[1.0, 0.0], [1e200, 1e200], [0.0, 1.0], [1e-11, -1e-11]]
+        cases = [
+            ([1.0, 1.0, 1.0, 1.0], "zero coefficient row at index 1"),
+            ([1.0, 1.0, 1.0, 1e300], "non-finite entry in row at index 3"),
+        ]
+        for b, message in cases:
+            with np.errstate(over="ignore"):
+                raw = Polytope(A, b)
+                with pytest.raises(PolytopeFormatError, match=message):
+                    normalize_rows(raw)
+
     def test_feasible_set_preserved(self):
         rng = np.random.default_rng(11)
         raw = Polytope(
@@ -318,11 +378,13 @@ class TestResiduals:
         poly, anchor = random_polytope(rng, n, extra=2 * n)
         p = random_interior_point(rng, poly, anchor)
         s = residuals(poly, p)
-        # b minus the 32-column block products, summed in block order
-        total = poly.A[:, :32] @ p[:32]
-        for lo in range(32, n, 32):
-            total = total + poly.A[:, lo : lo + 32] @ p[lo : lo + 32]
-        assert np.array_equal(s, poly.b - total)
+        # one (1, -1, ..., -1)-weighted dot over b and the 32-column block
+        # products, rebuilt here
+        terms = [poly.b]
+        for lo in range(0, n, 32):
+            terms.append(poly.A[:, lo : lo + 32] @ p[lo : lo + 32])
+        signs = np.array([1.0] + [-1.0] * (len(terms) - 1))
+        assert np.array_equal(s, signs.dot(np.array(terms)))
         # and within rounding of the plain product
         scale = np.abs(poly.b) + np.abs(poly.A) @ np.abs(p)
         assert np.all(np.abs(s - (poly.b - poly.A @ p)) <= 1e-12 * scale)
@@ -349,6 +411,11 @@ class TestClassifyPoint:
         with pytest.raises(ValueError):
             classify_point(square, (0.5, 0.5), -1.0)
 
+    def test_nan_eps_rejected(self, square):
+        # an exterior point, which a NaN eps used to call BOUNDARY
+        with pytest.raises(ValueError, match="boundary_eps"):
+            classify_point(square, (5.0, 5.0), boundary_eps=math.nan)
+
 
 class TestFindInteriorPoint:
     def test_square(self, square):
@@ -369,6 +436,12 @@ class TestFindInteriorPoint:
         b = np.array([0.0, -1.0, 5.0, 5.0])
         with pytest.raises(InteriorSearchError):
             find_interior_point(Polytope(A, b), max_iter=400)
+
+    def test_negative_max_iter(self, square):
+        with pytest.raises(ValueError, match="max_iter must be non-negative"):
+            find_interior_point(square, max_iter=-3)
+        with pytest.raises(InteriorSearchError, match="in 0 projection steps"):
+            find_interior_point(square, max_iter=0)
 
     def test_random_polytopes(self):
         rng = np.random.default_rng(23)
