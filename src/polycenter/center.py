@@ -15,6 +15,7 @@ midpoint moves, and its own stopping rule (largest axis midpoint offset).
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .lines import (  # noqa: F401
     interior_slacks,
     not_interior,
     section,
+    smallest,
 )
 from .model import stage_slacks
 
@@ -53,8 +55,13 @@ def f_vector(polytope, p):
 
 
 def f_norm(polytope, p):
-    """Euclidean norm of the f-vector: the closeness-to-center indicator."""
-    return float(np.linalg.norm(f_vector(polytope, p)))
+    """Euclidean norm of the f-vector: the closeness-to-center indicator.
+
+    ``sqrt(v . v)``: what ``np.linalg.norm`` computes for a 1-D float
+    vector ``v``, float for float, without its dispatch.
+    """
+    v = f_vector(polytope, p)
+    return math.sqrt(v.dot(v))
 
 
 def directional_sum(polytope, p, u):
@@ -65,7 +72,7 @@ def directional_sum(polytope, p, u):
     harmonic center and for every in-hyperplane ``u`` at any point.
     """
     u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > _UNIT_TOL:
+    if not abs(np.linalg.norm(u) - 1.0) <= _UNIT_TOL:
         raise ValueError("direction must be a unit vector")
     s = interior_slacks(polytope, p)
     return float(((polytope.A @ u) / s).sum())
@@ -162,11 +169,8 @@ def parse_trace_csv(text):
 
 def _record(polytope, iteration, p):
     # a NaN coordinate has no f-norm; a NaN in the record stops the search
-    return TraceRecord(
-        iteration=iteration,
-        point=tuple(float(v) for v in p),
-        fnorm=float("nan") if np.isnan(p).any() else f_norm(polytope, p),
-    )
+    fnorm = float("nan") if np.isnan(p).any() else f_norm(polytope, p)
+    return TraceRecord(iteration=iteration, point=tuple(p.tolist()), fnorm=fnorm)
 
 
 def _sweep(polytope, p, move, axes=None, inexact=None):
@@ -185,7 +189,7 @@ def _sweep(polytope, p, move, axes=None, inexact=None):
     q = np.array(p, dtype=float)
     axes = range(polytope.n) if axes is None else axes
     for j, s in zip(axes, stage_slacks(polytope, q, axes)):
-        if not np.minimum.reduce(s) > 0.0:
+        if not smallest(s) > 0.0:
             raise not_interior(polytope, s)
         h, exact = move(*axis_bracket(polytope, s, j + 1))
         q[j] += h

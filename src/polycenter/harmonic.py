@@ -33,6 +33,11 @@ from .errors import BracketInvalidError
 from .lines import point_at, section
 from .model import ahead_first
 
+# F is the dot of the reciprocals with ones; a line's ones are a slice of
+# this buffer, allocated once, or a fresh array for a longer line
+_ONES = np.ones(4096)
+_ONES.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class HarmonicSolveResult:
@@ -80,7 +85,9 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
 
     Each iteration computes ``inv = 1 / (d - h)`` once, into one buffer
     (``1 / d`` at the start, ``h = 0``), and takes ``F = inv @ ones`` and
-    ``F' = inv @ inv`` from it, each one BLAS dot.  Both sums follow the
+    ``F' = inv @ inv`` from it, each one BLAS dot.  ``ones`` is a slice of
+    a read-only module buffer of 4096 ones (``np.ones(d.size)`` for a
+    longer line), so a solve allocates only ``inv``.  Both sums follow the
     order of ``d`` and the BLAS library's order of additions; the package
     passes every line's distances ahead-then-behind (see
     :func:`~polycenter.model.ahead_first`), so that equal lines give equal
@@ -93,7 +100,7 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     width = hi - lo
     h = 0.0
     inv = np.reciprocal(d)
-    ones = np.ones(d.size)
+    ones = _ONES[: d.size] if d.size <= _ONES.size else np.ones(d.size)
     converged = False
     its = 0
     for its in range(1, max_iter + 1):

@@ -38,8 +38,13 @@ def axis_direction(k, n):
 
 
 def unit_direction(v):
-    """Normalize ``v`` to unit Euclidean norm."""
+    """Normalize ``v`` to unit Euclidean norm.
+
+    Raises ``ValueError`` for a zero or non-finite vector.
+    """
     v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError("direction must be finite")
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
@@ -126,6 +131,25 @@ class LineSection:
         )
 
 
+def smallest(x):
+    """The smallest entry of the non-empty array ``x``, or its first NaN.
+
+    Read at the argmin, which numpy vectorises: the value of
+    ``np.minimum.reduce(x)`` at about half the cost, except that of
+    several zeros it returns the first, whichever its sign.  Every
+    minimum a coordinate-search stage reads goes through here.
+    """
+    return x[x.argmin()]
+
+
+def largest(x):
+    """The largest entry of the non-empty array ``x``, or its first NaN.
+
+    The mirror of :func:`smallest`: ``np.maximum.reduce(x)`` by value.
+    """
+    return x[x.argmax()]
+
+
 def interior_slacks(polytope, p):
     """Slacks at ``p``, which must all be positive.
 
@@ -133,7 +157,7 @@ def interior_slacks(polytope, p):
     not positive (NaN included).
     """
     s = residuals(polytope, p)
-    if not s.min() > 0.0:
+    if not smallest(s) > 0.0:
         raise not_interior(polytope, s)
     return s
 
@@ -155,8 +179,9 @@ def axis_bracket(polytope, s, k):
     ``d_plus``, when ``s`` are the slacks at ``p``.  The rows and
     coefficients come from ``polytope.axis_lines``, in place of ``A @ e_k``
     (equal to column k bit for bit) and its masks.  Each end is one
-    reduction over its side; :func:`_nearest` reads it again only when a
-    side is empty or its nearest distance is a signed zero.  Raises
+    :func:`smallest` or :func:`largest` read over its side;
+    :func:`_nearest` reads it again only when a side is empty or its
+    nearest distance is zero.  Raises
     :class:`UnboundedDirectionError` with ``section``'s messages, the
     forward one first.
     """
@@ -164,16 +189,17 @@ def axis_bracket(polytope, s, k):
     d = s.take(rows)
     d /= g
     if 0 < ahead < d.size:
-        d_plus = np.minimum.reduce(d[:ahead])
-        d_minus = np.maximum.reduce(d[ahead:])
+        d_plus = smallest(d[:ahead])
+        d_minus = largest(d[ahead:])
         if d_plus and d_minus:
             return d, float(d_minus), float(d_plus)
-    d_plus = _nearest(d[:ahead], np.minimum, _NO_FORWARD)
-    return d, _nearest(d[ahead:], np.maximum, _NO_BACKWARD), d_plus
+    d_plus = _nearest(d[:ahead], smallest, _NO_FORWARD)
+    return d, _nearest(d[ahead:], largest, _NO_BACKWARD), d_plus
 
 
 def _nearest(near, reduce, message):
-    """``reduce`` over the distances ``near`` on one side of the line.
+    """``reduce`` (:func:`smallest` or :func:`largest`) of the distances
+    ``near`` on one side of the line.
 
     With positive slacks each of these distances has the sign of its
     coefficient, except a quotient that underflowed to a signed zero:
@@ -182,29 +208,30 @@ def _nearest(near, reduce, message):
     distance is left.
     """
     if near.size:
-        x = float(reduce.reduce(near))
+        x = float(reduce(near))
         if x != 0.0:
             return x
         near = near[near != 0.0]
         if near.size:
-            return float(reduce.reduce(near))
+            return float(reduce(near))
     raise UnboundedDirectionError(message)
 
 
 def section(polytope, p, u):
     """Section of the line through interior point ``p`` with direction ``u``.
 
-    ``u`` must be a unit vector.  A constraint whose normal is orthogonal
-    to ``u`` within ``PARALLEL_EPS`` is marked parallel (no intersection);
-    near-parallel constraints beyond that threshold keep their huge finite
-    distances, which downstream reciprocal sums handle naturally.
+    ``u`` must be a unit vector (a NaN entry is not).  A constraint whose
+    normal is orthogonal to ``u`` within ``PARALLEL_EPS`` is marked parallel
+    (no intersection); near-parallel constraints beyond that threshold keep
+    their huge finite distances, which downstream reciprocal sums handle
+    naturally.
 
     Raises :class:`NotInteriorError` if some slack at ``p`` is not > 0, and
     :class:`UnboundedDirectionError` if the line never exits the polytope
     in one of the two directions (the polytope is not bounded along it).
     """
     u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > _UNIT_TOL:
+    if not abs(np.linalg.norm(u) - 1.0) <= _UNIT_TOL:
         raise ValueError("direction must be a unit vector")
     s = interior_slacks(polytope, p)
     g = polytope.A @ u

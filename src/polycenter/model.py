@@ -18,7 +18,7 @@ or scientific notation; parsing is locale-independent.
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -66,22 +66,27 @@ class AxisLine(NamedTuple):
 
 
 def _axis_line(column):
-    """The :class:`AxisLine` of one column of ``A``, its arrays read-only."""
-    meets = abs(column) > PARALLEL_EPS
-    k = int(np.count_nonzero(meets))
-    # rows and g are allocated before the temporaries and filled in place:
-    # per-axis arrays allocated after their temporaries once left the heap
-    # fragmented when a table was freed, which raised the peak RSS of a
-    # stream of n = 200 polytopes (the sweep_large benchmark) by 1.1 MB
-    rows = np.empty(k, dtype=np.intp)
-    g = np.empty(k)
-    kept = meets.nonzero()[0]
-    kept.take(ahead_first(column.take(kept)), out=rows)
+    """The :class:`AxisLine` of one column of ``A``, its arrays read-only.
+
+    The rows with a coefficient above ``PARALLEL_EPS`` and then those below
+    ``-PARALLEL_EPS``, each in row order: the :func:`ahead_first` order of
+    the kept coefficients (a kept coefficient is nonzero, so its sign bit
+    is its sign) without a sort.
+    """
+    above = column > PARALLEL_EPS
+    below = column < -PARALLEL_EPS
+    ahead = int(np.count_nonzero(above))
+    # rows and g are allocated before the index temporaries and filled in
+    # place: per-axis arrays allocated after them left the heap fragmented
+    # when a table was freed, which raised the peak RSS of a stream of
+    # n = 200 polytopes (the sweep_large benchmark) by 1.1 to 1.6 MB
+    rows = np.empty(ahead + int(np.count_nonzero(below)), dtype=np.intp)
+    g = np.empty(rows.size)
+    np.concatenate((above.nonzero()[0], below.nonzero()[0]), out=rows)
     column.take(rows, out=g)
     rows.setflags(write=False)
     g.setflags(write=False)
-    # every kept coefficient is nonzero: the others are negative
-    return AxisLine(rows, g, int(np.count_nonzero(g > 0.0)))
+    return AxisLine(rows, g, ahead)
 
 
 def _check_rows(finite, nonzero):
@@ -315,37 +320,59 @@ def load_polytope(path):
         return parse_polytope(fh.read())
 
 
-def stage_slacks(polytope, q, axes):
-    """The slacks at ``q`` before each stage of a coordinate search.
+@lru_cache(maxsize=None)
+def _signs(blocks):
+    """The read-only weights ``(1, -1, ..., -1)`` of ``b`` and ``blocks``
+    block products in the slack sum."""
+    signs = np.full(blocks + 1, -1.0)
+    signs[0] = 1.0
+    signs.setflags(write=False)
+    return signs
 
-    Yields once per 0-based axis ``j`` of ``axes``; the caller moves
-    ``q[j]`` in place before it asks for the next slacks.  This is the one
-    statement of the summation order, which is part of the result.  The
-    rows of ``terms`` are ``b`` and then, per block of ``BLOCK`` columns,
-    that block's product ``A[:, cols] @ q[cols]``; each block of the
-    column-major ``A`` is one contiguous slab.  The slacks are
-    ``signs @ terms`` with ``signs = (1, -1, ..., -1)``: one BLAS
-    matrix-vector product, whose order of additions is the library's.
-    With one block (``n <= BLOCK``) that is ``b - A @ q`` exactly, since
-    a product by 1 or -1 is exact.  A move of coordinate j changes one
-    block only, so the next slacks recompute that block (``BLOCK`` columns
-    of ``A``, not n) and are the same floats as a fresh start at the
-    moved point.  Raises ``ValueError`` unless ``q`` has shape ``(n,)``.
+
+def _slack_terms(polytope, q):
+    """``(signs, terms, blocks)``: the set-up of the slack sum at ``q``.
+
+    The rows of ``terms`` are ``b`` and then, per block of ``BLOCK``
+    columns, that block's product ``A[:, cols] @ q[cols]``; each block of
+    the column-major ``A`` is one contiguous slab.  ``blocks`` holds, per
+    block, its slab of ``A``, its coordinates (a view of ``q``) and its
+    row of ``terms``; ``signs`` are the block count's :func:`_signs`.
+    Raises ``ValueError`` unless ``q`` has shape ``(n,)``.
     """
-    A, n = polytope.A, polytope.n
+    A = polytope.A
+    m, n = A.shape
     if q.shape != (n,):
         raise ValueError(f"point has shape {q.shape}, expected ({n},)")
     starts = range(0, n, BLOCK)
-    terms = np.empty((len(starts) + 1, polytope.m))
+    terms = np.empty((len(starts) + 1, m))
     terms[0] = polytope.b
-    # per block: its slab of A, its coordinates (a view of q) and its term
     blocks = [
         (A[:, lo : lo + BLOCK], q[lo : lo + BLOCK], terms[i])
         for i, lo in enumerate(starts, start=1)
     ]
     for slab, x, term in blocks:
         slab.dot(x, out=term)
-    signs = np.array([1.0] + [-1.0] * len(blocks))
+    return _signs(len(blocks)), terms, blocks
+
+
+def stage_slacks(polytope, q, axes):
+    """The slacks at ``q`` before each stage of a coordinate search.
+
+    Yields once per 0-based axis ``j`` of ``axes``; the caller moves
+    ``q[j]`` in place before it asks for the next slacks.  This is the one
+    statement of the summation order, which is part of the result: the
+    slacks are ``signs @ terms`` over :func:`_slack_terms`' rows, ``b``
+    and the ``BLOCK``-column block products, with ``signs = (1, -1, ...,
+    -1)``: one BLAS matrix-vector product, whose order of additions is the
+    library's.  With one block (``n <= BLOCK``) that is ``b - A @ q``
+    exactly, since a product by 1 or -1 is exact.  A move of coordinate j
+    changes one block only, so the next slacks recompute that block
+    (``BLOCK`` columns of ``A``, not n) and are the same floats as a fresh
+    start at the moved point.  Raises ``ValueError`` unless ``q`` has
+    shape ``(n,)``.
+    """
+    signs, terms, blocks = _slack_terms(polytope, q)
     for j in axes:
         yield signs.dot(terms)
         slab, x, term = blocks[j // BLOCK]
@@ -357,14 +384,14 @@ def residuals(polytope, p):
 
     Positive entries mean the point is strictly on the feasible side of the
     constraint; with unit-normalized rows each entry is the Euclidean
-    distance to the constraint boundary.  The slacks are summed in
-    :func:`stage_slacks`' order, one ``(1, -1, ..., -1)``-weighted dot
-    over ``b`` and the products of ``BLOCK``-column blocks of ``A`` (for
-    ``n <= BLOCK`` exactly ``b - A @ p``): they are the first slacks it
-    yields.
+    distance to the constraint boundary.  The slacks are the first that
+    :func:`stage_slacks` would yield, in its summation order (for
+    ``n <= BLOCK`` exactly ``b - A @ p``), from the same set-up,
+    :func:`_slack_terms`, without a generator.
     Raises ``ValueError`` unless ``p`` has shape ``(n,)``.
     """
-    return next(stage_slacks(polytope, np.asarray(p, dtype=float), (0,)))
+    signs, terms, _ = _slack_terms(polytope, np.asarray(p, dtype=float))
+    return signs.dot(terms)
 
 
 def classify_point(polytope, p, boundary_eps=1e-9):

@@ -121,6 +121,38 @@ class TestDirectionalSum:
         with pytest.raises(ValueError):
             directional_sum(square, (0.5, 0.5), (1.0, 1.0))
 
+    @pytest.mark.parametrize("u", [(np.nan, 0.0), (0.0, np.nan)])
+    def test_nan_direction_rejected(self, square, u):
+        # it used to return nan
+        with pytest.raises(ValueError, match="unit vector"):
+            directional_sum(square, (0.5, 0.5), u)
+
+
+class TestFNorm:
+    def test_is_linalg_norm_of_f_vector(self, square, simplex, example1, example2):
+        cases = [
+            (square, (0.3, 0.6)),
+            (simplex, (0.2, 0.3)),
+            (example1, (9.0, 6.0)),
+            (example1, (3.0, 0.25)),
+            (example2, (1.0, 2.0, 2.5, 1.3)),
+        ]
+        for n in range(2, 201, 11):
+            rng = np.random.default_rng([463, n])
+            poly, anchor = random_polytope(rng, n, extra=2 * n)
+            cases += [(poly, random_interior_point(rng, poly, anchor)) for _ in range(3)]
+        for poly, p in cases:
+            got = f_norm(poly, p)
+            assert type(got) is float
+            assert got == float(np.linalg.norm(f_vector(poly, p)))
+
+    def test_trace_records_hold_python_floats(self, example2):
+        for search in (harmonic_center, bi_center):
+            _, trace = search(example2, np.array((1.0, 2.0, 2.5, 1.3)))
+            for rec in trace.records:
+                assert all(type(v) is float for v in rec.point)
+                assert type(rec.fnorm) is float
+
 
 class TestHarmonicHyperplane:
     def test_square_off_center(self, square):

@@ -19,7 +19,7 @@ from polycenter import (
     solve_harmonic_offset,
     unit_direction,
 )
-from polycenter.harmonic import newton_offset
+from polycenter.harmonic import _ONES, newton_offset
 from polycenter.lines import axis_bracket
 
 # root of 1/(-1-h) + 1/(1-h) + 1/(2-h) = 0 inside (-1, 1): the equation
@@ -60,6 +60,28 @@ class TestClosedForms:
         other = bisection_oracle(sec)
         assert other.method == "bisection"
         assert other.converged
+
+
+class TestOnesBuffer:
+    """``newton_offset`` reads F against a slice of a read-only buffer of
+    ones, or a fresh array for a line longer than the buffer."""
+
+    @pytest.mark.parametrize("size", [4095, 4096, 4097, 5000])
+    def test_long_line(self, size):
+        before = _ONES.copy()
+        rng = np.random.default_rng([467, size])
+        ahead = size // 2 + 37
+        values = np.concatenate(
+            [rng.uniform(0.05, 3.0, ahead), -rng.uniform(0.05, 3.0, size - ahead)]
+        )
+        sec = LineSection.from_distances(rng.permutation(values))
+        d = sec.finite_distances
+        h, its, f, converged = newton_offset(d, sec.d_minus, sec.d_plus)
+        assert converged and abs(f) <= 1e-10
+        assert abs(h - bisection_oracle(sec).h) <= 1e-10
+        assert solve_harmonic_offset(sec).converged
+        assert not _ONES.flags.writeable
+        assert np.array_equal(_ONES, before)
 
 
 class TestSolverBehavior:

@@ -16,6 +16,7 @@ from polycenter import (
     section,
     unit_direction,
 )
+from polycenter.lines import largest, smallest
 
 
 class TestAxisDirection:
@@ -51,6 +52,62 @@ class TestUnitDirection:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             unit_direction((0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "v", [(np.nan, 1.0), (np.inf, 1.0), (1.0, -np.inf), (np.nan, np.nan)]
+    )
+    def test_non_finite_rejected(self, v):
+        # NaN has no norm to compare with 0, and inf / inf is NaN
+        with pytest.raises(ValueError, match="finite"):
+            unit_direction(v)
+
+
+class TestExtremes:
+    """``smallest``/``largest`` read the argmin/argmax: the value of
+    ``np.minimum.reduce``/``np.maximum.reduce``, NaN included."""
+
+    CASES = [
+        [np.nan, 1.0, -2.0],
+        [1.0, -2.0, np.nan],
+        [1.0, np.nan, -2.0, np.nan],
+        [np.inf, -np.inf, 3.0],
+        [-np.inf, 2.0, np.inf],
+        [0.0, -0.0, 1.0],
+        [-0.0, 0.0, -1.0],
+        [0.0, -0.0],
+        [-0.0, 0.0],
+        [-0.0],
+        [5.0],
+        [np.nan],
+    ]
+
+    @staticmethod
+    def _check(x):
+        for helper, ufunc in ((smallest, np.minimum), (largest, np.maximum)):
+            got, want = helper(x), ufunc.reduce(x)
+            assert np.array_equal(got, want, equal_nan=True)
+            if got == 0.0:
+                # of several zeros the first, whichever its sign
+                first = x[x == 0.0][0]
+                assert np.signbit(got) == np.signbit(first)
+            else:
+                assert got.tobytes() == want.tobytes()
+
+    # 37 copies take numpy's vectorised loops past their unrolled blocks
+    @pytest.mark.parametrize("copies", [1, 37])
+    @pytest.mark.parametrize("values", CASES)
+    def test_equal_to_reduce(self, values, copies):
+        self._check(np.array(values * copies))
+
+    def test_random(self):
+        rng = np.random.default_rng(461)
+        for _ in range(300):
+            x = rng.normal(size=int(rng.integers(1, 300)))
+            if rng.random() < 0.3:
+                x[rng.integers(x.size)] = np.nan
+            if rng.random() < 0.3:
+                x[rng.integers(x.size)] = rng.choice([np.inf, -np.inf, 0.0, -0.0])
+            self._check(x)
 
 
 class TestSection:
@@ -90,6 +147,13 @@ class TestSection:
     def test_non_unit_direction_rejected(self, square):
         with pytest.raises(ValueError):
             section(square, (0.5, 0.5), (1.0, 1.0))
+
+    @pytest.mark.parametrize("u", [(np.nan, 0.0), (0.0, np.nan), (np.nan, np.nan)])
+    def test_nan_direction_rejected(self, square, u):
+        # NaN fails the unit check; it used to pass it and raise
+        # UnboundedDirectionError
+        with pytest.raises(ValueError, match="unit vector"):
+            section(square, (0.25, 0.5), u)
 
     def test_tie_breaks_to_lowest_index(self):
         # duplicate x <= 1 rows produce exactly equal forward distances

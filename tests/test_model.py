@@ -23,6 +23,7 @@ from polycenter import (
     parse_polytope,
     residuals,
 )
+from polycenter.model import PARALLEL_EPS, _axis_line, ahead_first
 
 SQUARE_TEXT = """\
 # unit square
@@ -225,6 +226,32 @@ class TestAxisLines:
             assert not np.shares_memory(array, example2.A)
             for other in arrays[i + 1 :]:
                 assert not np.shares_memory(array, other)
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            # exact zeros of both signs
+            [0.0, 1.0, -2.0, 0.0, 3.0, -0.0, -4.0, 0.0],
+            # at, just inside and just beyond +-PARALLEL_EPS
+            [PARALLEL_EPS, -PARALLEL_EPS, 2e-12, -2e-12, 5e-13, 1.0, -1.0, 1.1e-12],
+            # one sign only
+            [1.0, 2.0, 0.0, 3.0],
+            [-1.0, 0.0, -2.0, -1e-13],
+            # meets no row
+            [0.0, -0.0, 1e-13],
+        ],
+    )
+    def test_matches_ahead_first_construction(self, column):
+        column = np.array(column)
+        kept = np.flatnonzero(np.abs(column) > PARALLEL_EPS)
+        rows = kept[ahead_first(column[kept])]
+        g = column[rows]
+        line = _axis_line(column)
+        assert line.rows.dtype == rows.dtype
+        assert line.rows.tobytes() == rows.tobytes()
+        assert line.g.tobytes() == g.tobytes()
+        assert type(line.ahead) is int
+        assert line.ahead == np.count_nonzero(g > 0.0)
 
     def test_built_once_per_polytope(self, example2):
         poly = Polytope(example2.A, example2.b)
