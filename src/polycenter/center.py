@@ -27,10 +27,10 @@ from .errors import DegenerateAtCenterError
 # under these module names.
 from .harmonic import _positive, newton_offset, solve_harmonic_offset  # noqa: F401
 from .lines import (  # noqa: F401
-    _UNIT_TOL,
-    axis_bracket,
     axis_index,
+    checked_unit,
     interior_slacks,
+    line_bracket,
     not_interior,
     section,
     smallest,
@@ -71,9 +71,7 @@ def directional_sum(polytope, p, u):
     equals ``u . f_vector(p)``, so it is zero for every ``u`` at the
     harmonic center and for every in-hyperplane ``u`` at any point.
     """
-    u = np.asarray(u, dtype=float)
-    if not abs(np.linalg.norm(u) - 1.0) <= _UNIT_TOL:
-        raise ValueError("direction must be a unit vector")
+    u = checked_unit(u)
     s = interior_slacks(polytope, p)
     return float(((polytope.A @ u) / s).sum())
 
@@ -179,11 +177,11 @@ def _sweep(polytope, p, move, axes=None, inexact=None):
 
     A stage reads the slacks at its point from
     :func:`~polycenter.model.stage_slacks`, exactly the floats ``residuals``
-    gives there, brackets the axis line from ``polytope.axis_lines`` and
-    moves its coordinate by ``move(d, d_minus, d_plus)``, which returns the
-    offset and whether it met its tolerance.  The axis (1-based) of every
-    stage whose move missed it is appended to ``inexact`` when a list is
-    given.  A stage computes the same floats as ``section`` along the axis
+    gives there, reads the bracket of its ``polytope.axis_lines`` table
+    with :func:`~polycenter.lines.line_bracket` and moves its coordinate by
+    ``move(d, d_minus, d_plus)``, which returns the offset and whether it
+    met its tolerance.  The axis (1-based) of every stage whose move
+    missed it is appended to ``inexact`` when a list is given.  A stage computes the same floats as ``section`` along the axis
     direction and raises the same errors.  Returns the moved copy of ``p``.
     """
     q = np.array(p, dtype=float)
@@ -191,7 +189,7 @@ def _sweep(polytope, p, move, axes=None, inexact=None):
     for j, s in zip(axes, stage_slacks(polytope, q, axes)):
         if not smallest(s) > 0.0:
             raise not_interior(polytope, s)
-        h, exact = move(*axis_bracket(polytope, s, j + 1))
+        h, exact = move(*line_bracket(polytope.axis_lines[j], s))
         q[j] += h
         if not exact and inexact is not None:
             inexact.append(j + 1)
@@ -312,13 +310,12 @@ def bi_center(polytope, p0, stop_tol=0.01, max_iter=100):
 
     Returns ``(point, trace)``.
     """
-    n = polytope.n
 
     def largest_offset(p, fnorm):
         s = interior_slacks(polytope, p)
         return max(
-            abs(_midpoint(*axis_bracket(polytope, s, k)[1:]))
-            for k in range(1, n + 1)
+            abs(_midpoint(*line_bracket(line, s)[1:]))
+            for line in polytope.axis_lines
         )
 
     return _search(

@@ -17,11 +17,12 @@ dot product with ones) and ``F'`` (its dot product with itself) from it.
 The sums follow the order of the array, so that order is part of the
 result; it is stated once, in :func:`~polycenter.model.ahead_first`: the
 distances ahead of the point, then those behind it, each group in row
-order.  Arbitrary lines reach the solver through
-:func:`solve_harmonic_offset`, which orders a :class:`LineSection`'s
-finite distances that way; the coordinate search calls it directly on each
-axis line's distances, which the axis table already gives in that order.
-A pure-bisection solver is kept as an independent cross-check.
+order.  Every line's distances come in that order from one reader,
+:func:`~polycenter.lines.line_bracket`, which the coordinate search passes
+on as they are.  A :class:`LineSection` keeps them in row order (it can
+also be built from its fields), so :func:`solve_harmonic_offset` orders
+its finite distances again.  A pure-bisection solver is kept as an
+independent cross-check.
 """
 
 import math

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketInvalidError, NotInteriorError, UnboundedDirectionError
-from .model import PARALLEL_EPS, residuals
+from .model import _axis_line, residuals
 
 _UNIT_TOL = 1e-9
 _NO_FORWARD = "line has no forward intersection: polytope unbounded along it"
@@ -40,15 +40,29 @@ def axis_direction(k, n):
 def unit_direction(v):
     """Normalize ``v`` to unit Euclidean norm.
 
-    Raises ``ValueError`` for a zero or non-finite vector.
+    ``v / np.linalg.norm(v)``, unless that norm under- or overflows: then
+    ``v`` is first divided by its largest magnitude.  Raises ``ValueError``
+    for a zero or non-finite vector.
     """
     v = np.asarray(v, dtype=float)
     if not np.isfinite(v).all():
         raise ValueError("direction must be finite")
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
+    if not v.any():
         raise ValueError("direction must be nonzero")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not 0.0 < norm < np.inf:
+        v = v / np.abs(v).max()
+        norm = np.linalg.norm(v)
     return v / norm
+
+
+def checked_unit(u):
+    """``u`` as floats; ``ValueError`` unless a unit vector (NaN is not)."""
+    u = np.asarray(u, dtype=float)
+    if not abs(np.linalg.norm(u) - 1.0) <= _UNIT_TOL:
+        raise ValueError("direction must be a unit vector")
+    return u
 
 
 def point_at(p, u, t):
@@ -99,36 +113,30 @@ class LineSection:
         """
         d = np.array(values, dtype=float).ravel()
         par = ~np.isfinite(d)
-        d = np.where(par, np.inf, d)
-        if np.any((d == 0.0) & ~par):
+        if (d == 0.0).any():
             raise BracketInvalidError("zero distance: point lies on a constraint")
-        return cls._from_bracket(d, par, BracketInvalidError)
+        # slacks |d| and coefficients sign(d) (0: parallel): |d| / +-1 == d
+        line = _axis_line(np.where(par, 0.0, np.sign(d)))
+        return cls._of_line(line, np.abs(d), BracketInvalidError)
 
     @classmethod
-    def _from_bracket(cls, d, par, error):
-        """Freeze distances ``d`` and parallel mask ``par`` into a section.
-
-        The blocking rows are the nearest non-parallel contacts on each
-        side; ``error`` is raised when a side has none.
+    def _of_line(cls, line, s, error):
+        """The section of the line with table ``line`` at slacks ``s``:
+        :func:`line_bracket`'s distances, scattered into m rows, and its
+        bracket.  A blocking row is the first row on its side at that
+        end's distance (lowest index wins ties).
         """
-        pos = ~par & (d > 0.0)
-        neg = ~par & (d < 0.0)
-        if not pos.any():
-            raise error(_NO_FORWARD)
-        if not neg.any():
-            raise error(_NO_BACKWARD)
-        i_plus = int(np.argmin(np.where(pos, d, np.inf)))
-        i_minus = int(np.argmax(np.where(neg, d, -np.inf)))
-        d.setflags(write=False)
-        par.setflags(write=False)
-        return cls(
-            distances=d,
-            parallel=par,
-            d_plus=float(d[i_plus]),
-            d_minus=float(d[i_minus]),
-            i_plus=i_plus,
-            i_minus=i_minus,
-        )
+        rows, _, ahead = line
+        d, d_minus, d_plus = line_bracket(line, s, error)
+        distances = np.full(s.size, np.inf)
+        distances[rows] = d
+        parallel = np.ones(s.size, dtype=bool)
+        parallel[rows] = False
+        distances.setflags(write=False)
+        parallel.setflags(write=False)
+        i_plus = int(rows[(d[:ahead] == d_plus).argmax()])
+        i_minus = int(rows[ahead + (d[ahead:] == d_minus).argmax()])
+        return cls(distances, parallel, d_plus, d_minus, i_plus, i_minus)
 
 
 def smallest(x):
@@ -169,23 +177,17 @@ def not_interior(polytope, s):
     return NotInteriorError(f"point is not strictly interior (rows: {names})")
 
 
-def axis_bracket(polytope, s, k):
-    """Finite distances and bracket of the axis-``k`` line (1-based) at slacks ``s``.
+def line_bracket(line, s, error=UnboundedDirectionError):
+    """Distances and bracket of the line with table ``line`` (an
+    :class:`~polycenter.model.AxisLine`) at slacks ``s``.
 
-    Returns ``(d, d_minus, d_plus)``: the floats of
-    ``section(polytope, p, axis_direction(k, n))``'s ``finite_distances``
-    in the table's ahead-then-behind order (see
-    :func:`~polycenter.model.ahead_first`), and its ``d_minus`` and
-    ``d_plus``, when ``s`` are the slacks at ``p``.  The rows and
-    coefficients come from ``polytope.axis_lines``, in place of ``A @ e_k``
-    (equal to column k bit for bit) and its masks.  Each end is one
-    :func:`smallest` or :func:`largest` read over its side;
-    :func:`_nearest` reads it again only when a side is empty or its
-    nearest distance is zero.  Raises
-    :class:`UnboundedDirectionError` with ``section``'s messages, the
-    forward one first.
+    Returns ``(d, d_minus, d_plus)``: ``s[rows] / g``, ahead then behind,
+    and the nearest of them on each side.  Each end is one :func:`smallest`
+    or :func:`largest` read over its side; :func:`_nearest` reads it again
+    only when a side is empty or its nearest distance is zero.  Raises
+    ``error`` when a side has no distance, the forward one first.
     """
-    rows, g, ahead = polytope.axis_lines[k - 1]
+    rows, g, ahead = line
     d = s.take(rows)
     d /= g
     if 0 < ahead < d.size:
@@ -193,48 +195,44 @@ def axis_bracket(polytope, s, k):
         d_minus = largest(d[ahead:])
         if d_plus and d_minus:
             return d, float(d_minus), float(d_plus)
-    d_plus = _nearest(d[:ahead], smallest, _NO_FORWARD)
-    return d, _nearest(d[ahead:], largest, _NO_BACKWARD), d_plus
+    d_plus = _nearest(d[:ahead], smallest, error, _NO_FORWARD)
+    return d, _nearest(d[ahead:], largest, error, _NO_BACKWARD), d_plus
 
 
-def _nearest(near, reduce, message):
-    """``reduce`` (:func:`smallest` or :func:`largest`) of the distances
-    ``near`` on one side of the line.
+def axis_bracket(polytope, s, k):
+    """:func:`line_bracket` of the axis-``k`` line (1-based) at slacks ``s``."""
+    return line_bracket(polytope.axis_lines[k - 1], s)
+
+
+def _nearest(near, reduce, error, message):
+    """``reduce`` (:func:`smallest` or :func:`largest`) of the nonzero
+    distances ``near`` on one side of the line.
 
     With positive slacks each of these distances has the sign of its
-    coefficient, except a quotient that underflowed to a signed zero:
-    ``section`` counts it on neither side of the bracket, and neither does
-    this.  Raises :class:`UnboundedDirectionError` with ``message`` when no
-    distance is left.
+    coefficient, except a quotient that underflowed to a signed zero,
+    which lies on neither side of the bracket.  Raises ``error`` with
+    ``message`` when no distance is left.
     """
-    if near.size:
-        x = float(reduce(near))
-        if x != 0.0:
-            return x
-        near = near[near != 0.0]
-        if near.size:
-            return float(reduce(near))
-    raise UnboundedDirectionError(message)
+    near = near[near != 0.0]
+    if not near.size:
+        raise error(message)
+    return float(reduce(near))
 
 
 def section(polytope, p, u):
     """Section of the line through interior point ``p`` with direction ``u``.
 
-    ``u`` must be a unit vector (a NaN entry is not).  A constraint whose
-    normal is orthogonal to ``u`` within ``PARALLEL_EPS`` is marked parallel
-    (no intersection); near-parallel constraints beyond that threshold keep
-    their huge finite distances, which downstream reciprocal sums handle
-    naturally.
+    ``u`` must be a unit vector (a NaN entry is not).  The line's table is
+    ``_axis_line(A @ u)``, so a constraint whose normal is orthogonal to
+    ``u`` within ``PARALLEL_EPS`` is marked parallel (no intersection);
+    near-parallel constraints beyond that threshold keep their huge
+    finite distances, which downstream reciprocal sums handle naturally.
 
     Raises :class:`NotInteriorError` if some slack at ``p`` is not > 0, and
     :class:`UnboundedDirectionError` if the line never exits the polytope
     in one of the two directions (the polytope is not bounded along it).
     """
-    u = np.asarray(u, dtype=float)
-    if not abs(np.linalg.norm(u) - 1.0) <= _UNIT_TOL:
-        raise ValueError("direction must be a unit vector")
+    u = checked_unit(u)
     s = interior_slacks(polytope, p)
-    g = polytope.A @ u
-    par = np.abs(g) <= PARALLEL_EPS
-    d = np.where(par, np.inf, s / np.where(par, 1.0, g))
-    return LineSection._from_bracket(d, par, UnboundedDirectionError)
+    line = _axis_line(polytope.A @ u)
+    return LineSection._of_line(line, s, UnboundedDirectionError)

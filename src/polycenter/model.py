@@ -50,14 +50,15 @@ def ahead_first(x):
 
 
 class AxisLine(NamedTuple):
-    """What the axis-k line meets, read from column k of ``A``.
+    """What the line along ``u`` meets, read from ``A @ u`` (column k of
+    ``A`` for the axis-k line): the table of every line.
 
-    ``rows`` are the rows with ``|A_ik| > PARALLEL_EPS``, ordered by
-    :func:`ahead_first` on their coefficients ``g = A[rows, k]``: first the
+    ``rows`` are the rows with ``|A_i . u| > PARALLEL_EPS``, ordered by
+    :func:`ahead_first` on their coefficients ``g = A[rows] @ u``: first the
     ``ahead`` rows with a positive coefficient, then those with a negative
     one, each group in row order.  At an interior point the line meets the
     first group ahead of it and the second behind it.  ``rows`` and ``g``
-    are read-only, 2 words per nonzero of the column.
+    are read-only, 2 words per row the line meets.
     """
 
     rows: np.ndarray
@@ -66,7 +67,7 @@ class AxisLine(NamedTuple):
 
 
 def _axis_line(column):
-    """The :class:`AxisLine` of one column of ``A``, its arrays read-only.
+    """The :class:`AxisLine` of coefficients ``column``, arrays read-only.
 
     The rows with a coefficient above ``PARALLEL_EPS`` and then those below
     ``-PARALLEL_EPS``, each in row order: the :func:`ahead_first` order of

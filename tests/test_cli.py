@@ -156,6 +156,21 @@ class TestPointCommand:
         )
         assert "point: (0.50, 0.50)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "extreme, ordinary", [("1e-320,0", "1,0"), ("1e308,1e308", "1,1")]
+    )
+    def test_direction_norm_under_and_overflow(self, capsys, extreme, ordinary):
+        # the norm of the first underflows to 0 and of the second overflows
+        # to inf; both are still the ordinary direction
+        outputs = []
+        for v in (extreme, ordinary):
+            argv = ["point", SQUARE, "--start", "0.5,0.5", "--dir", v]
+            assert main([*argv, "--format", "json"]) == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+
     def test_axis_and_dir_mutually_exclusive(self, capsys):
         code = main(
             ["point", SQUARE, "--start", "0.25,0.5", "--axis", "1", "--dir", "1,0"]

@@ -54,6 +54,28 @@ class TestUnitDirection:
             unit_direction((0.0, 0.0))
 
     @pytest.mark.parametrize(
+        "v, want",
+        [
+            ((1e-320, 0.0), (1.0, 0.0)),
+            ((0.0, -5e-324), (0.0, -1.0)),
+            ((1e308, 1e308), (1.0, 1.0)),
+            ((-1.7e308, 0.0, 1.7e308), (-1.0, 0.0, 1.0)),
+        ],
+    )
+    def test_norm_under_and_overflow(self, v, want):
+        # the norm of v is 0 or inf; v / max|v| has the same direction
+        want = np.asarray(want)
+        assert np.array_equal(unit_direction(v), want / np.linalg.norm(want))
+
+    def test_ordinary_vectors_divided_by_norm(self):
+        rng = np.random.default_rng(83)
+        for _ in range(200):
+            v = rng.normal(size=int(rng.integers(1, 50))) * 10.0 ** rng.integers(
+                -150, 150
+            )
+            assert np.array_equal(unit_direction(v), v / np.linalg.norm(v))
+
+    @pytest.mark.parametrize(
         "v", [(np.nan, 1.0), (np.inf, 1.0), (1.0, -np.inf), (np.nan, np.nan)]
     )
     def test_non_finite_rejected(self, v):
@@ -154,6 +176,21 @@ class TestSection:
         # UnboundedDirectionError
         with pytest.raises(ValueError, match="unit vector"):
             section(square, (0.25, 0.5), u)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_blocking_rows_not_parallel_when_distances_overflow(self, sign):
+        # along +-x, row 0 is parallel and row 1 (coefficient +-1e-11, slack
+        # 1e300) is the only row on its side, at a distance that overflows
+        # to +-inf; the blocking row on that side is row 1
+        A = np.array([[0.0, 1.0], [1e-11, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        poly = Polytope(A, np.array([1.0, 1e300, 1.0, 1.0]))
+        with np.errstate(over="ignore"):
+            sec = section(poly, (0.0, 0.0), (sign, 0.0))
+        assert not sec.parallel[sec.i_plus]
+        assert not sec.parallel[sec.i_minus]
+        assert (sec.i_plus, sec.i_minus) == ((1, 2) if sign > 0 else (2, 1))
+        ends = (-1.0, np.inf) if sign > 0 else (-np.inf, 1.0)
+        assert (sec.d_minus, sec.d_plus) == ends
 
     def test_tie_breaks_to_lowest_index(self):
         # duplicate x <= 1 rows produce exactly equal forward distances
