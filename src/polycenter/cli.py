@@ -10,6 +10,7 @@ budget exhausted.
 import argparse
 import json
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -79,89 +80,45 @@ def _count(text):
     )
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="polycenter",
-        description="Harmonic centers, points, and hyperplanes of convex "
-        "polytopes in halfspace form.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_loop=True):
-        p.add_argument("input", help="path to a .poly file")
-        p.add_argument(
-            "--start",
-            type=_vector,
-            default=None,
-            metavar="X1,...,XN",
-            help="interior start point (default: search for one); write one "
-            "with a negative first coordinate as --start=-1,0.5",
-        )
-        p.add_argument(
-            "--inner-tol",
-            type=_positive,
-            default=1e-10,
-            help="tolerance of the per-line root solver (default 1e-10)",
-        )
-        p.add_argument(
-            "--format",
-            dest="fmt",
-            choices=("table", "csv", "json"),
-            default="table",
-            help="output format (default table)",
-        )
-        if with_loop:
-            p.add_argument(
-                "--tol",
-                type=_positive,
-                default=0.01,
-                help="stopping tolerance of the outer loop (default 0.01)",
-            )
-            p.add_argument(
-                "--max-iter",
-                type=_count,
-                default=100,
-                help="outer iteration cap (default 100)",
-            )
-
-    p_center = sub.add_parser("center", help="compute the harmonic center")
-    common(p_center)
-    p_center.add_argument("--trace", default=None, help="write iteration CSV here")
-    p_center.add_argument(
-        "--svg", default=None, help="write an SVG of the trajectory (n = 2 only)"
-    )
-
-    p_point = sub.add_parser(
-        "point", help="harmonic point of one line through the start"
-    )
-    common(p_point, with_loop=False)
-    group = p_point.add_mutually_exclusive_group(required=True)
-    group.add_argument("--axis", type=int, help="1-based coordinate axis")
-    group.add_argument(
-        "--dir",
+# Every option once, by flag: its argparse arguments.
+_OPTIONS = {
+    "--start": dict(
+        type=_vector,
+        metavar="X1,...,XN",
+        help="interior start point (default: search for one); write one "
+        "with a negative first coordinate as --start=-1,0.5",
+    ),
+    "--inner-tol": dict(
+        type=_positive,
+        default=1e-10,
+        help="tolerance of the per-line root solver (default 1e-10)",
+    ),
+    "--format": dict(
+        dest="fmt",
+        choices=("table", "csv", "json"),
+        default="table",
+        help="output format (default table)",
+    ),
+    "--tol": dict(
+        type=_positive,
+        default=0.01,
+        help="tolerance of the outer search, or check's pass threshold "
+        "(default 0.01)",
+    ),
+    "--max-iter": dict(
+        type=_count, default=100, help="outer iteration cap (default 100)"
+    ),
+    "--trace": dict(help="write iteration CSV here"),
+    "--svg": dict(help="write an SVG of the trajectory (n = 2 only)"),
+    "--axis": dict(type=int, help="1-based coordinate axis"),
+    "--dir": dict(
         dest="direction",
         type=_vector,
         metavar="V1,...,VN",
         help="line direction (normalized on ingestion); write one with a "
         "negative first component as --dir=-1,0",
-    )
-
-    p_hyp = sub.add_parser(
-        "hyperplane", help="harmonic hyperplane of the start point"
-    )
-    common(p_hyp, with_loop=False)
-
-    p_cmp = sub.add_parser(
-        "compare-bi", help="harmonic center vs bisection center from one start"
-    )
-    common(p_cmp)
-
-    p_check = sub.add_parser(
-        "check", help="test whether the start point is the harmonic center"
-    )
-    common(p_check)
-
-    return parser
+    ),
+}
 
 
 def _fmt_point(p):
@@ -187,26 +144,13 @@ def _resolve_start(start, poly):
     if start is not None:
         return _sized(start, poly, "start point", "coordinates")
     p0 = find_interior_point(poly)
-    print(
-        "start (auto): " + ",".join(repr(float(v)) for v in p0),
-        file=sys.stderr,
-    )
+    print("start (auto): " + ",".join(repr(float(v)) for v in p0), file=sys.stderr)
     return p0
-
-
-# Each command returns (JSON result, table lines, CSV text or None,
-# failure).  A command without its own CSV prints its table lines for
-# --format csv.  ``failure`` is the stderr line of a search that did not
-# converge, or None; run() turns it into the exit status.
 
 
 def _harmonic_center(args, poly, p0):
     return harmonic_center(
-        poly,
-        p0,
-        stop_tol=args.tol,
-        max_iter=args.max_iter,
-        inner_tol=args.inner_tol,
+        poly, p0, stop_tol=args.tol, max_iter=args.max_iter, inner_tol=args.inner_tol
     )
 
 
@@ -317,29 +261,78 @@ def _cmd_check(args, poly, p0):
     return result, rows, None, None
 
 
-_COMMANDS = {
-    "center": _cmd_center,
-    "point": _cmd_point,
-    "hyperplane": _cmd_hyperplane,
-    "compare-bi": _cmd_compare_bi,
-    "check": _cmd_check,
+# A command's handler, help line, the options it reads (in usage order) and
+# those of which it needs exactly one.  A handler returns (JSON result, table
+# lines, CSV text or None for the table, failure: the stderr line of a search
+# that did not converge, or None).
+_Command = namedtuple("_Command", "handler help options one_of", defaults=("",))
+
+_COMMAND_TABLE = {
+    "center": _Command(
+        _cmd_center,
+        "compute the harmonic center",
+        "--start --inner-tol --format --tol --max-iter --trace --svg",
+    ),
+    "point": _Command(
+        _cmd_point,
+        "harmonic point of one line through the start",
+        "--start --inner-tol --format",
+        one_of="--axis --dir",
+    ),
+    "hyperplane": _Command(
+        _cmd_hyperplane, "harmonic hyperplane of the start point", "--start --format"
+    ),
+    "compare-bi": _Command(
+        _cmd_compare_bi,
+        "harmonic center vs bisection center from one start",
+        "--start --inner-tol --format --tol --max-iter",
+    ),
+    "check": _Command(
+        _cmd_check,
+        "test whether the start point is the harmonic center",
+        "--start --format --tol",
+    ),
 }
+
+
+def build_parser():
+    """One subcommand per command, with only the options its handler reads."""
+    parser = argparse.ArgumentParser(
+        prog="polycenter",
+        description="Harmonic centers, points, and hyperplanes of convex "
+        "polytopes in halfspace form.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMAND_TABLE.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("input", help="path to a .poly file")
+        for flag in command.options.split():
+            p.add_argument(flag, **_OPTIONS[flag])
+        if command.one_of:
+            group = p.add_mutually_exclusive_group(required=True)
+            for flag in command.one_of.split():
+                group.add_argument(flag, **_OPTIONS[flag])
+    return parser
 
 
 def run(args, out=None):
     """Execute one command from a namespace parsed by :func:`build_parser`.
 
-    Loads ``args.input``, resolves the start point, runs ``args.command``
-    and writes its result to ``out`` (default stdout) as ``args.fmt``.
-    Returns the exit status, which is decided here for every command that
-    completes: 4 when its search did not converge (the reason goes to
-    stderr and the result is still written), else 0.  Errors propagate as
-    exceptions, which :func:`main` maps to their exit codes.
+    Loads ``args.input``, resolves the start point, runs the handler of
+    ``args.command`` with numpy's overflow warnings off (the library handles
+    an overflowed distance or norm as a value) and writes its result to
+    ``out`` (default stdout) as ``args.fmt``.  Returns the exit status, which
+    is decided here for every command that completes: 4 when its search did
+    not converge (the reason goes to stderr and the result is still
+    written), else 0.  Errors propagate as exceptions, which :func:`main`
+    maps to their exit codes.
     """
     out = out if out is not None else sys.stdout
-    poly = load_polytope(args.input)
-    p0 = _resolve_start(args.start, poly)
-    result, rows, csv_text, failure = _COMMANDS[args.command](args, poly, p0)
+    handler = _COMMAND_TABLE[args.command].handler
+    with np.errstate(over="ignore"):
+        poly = load_polytope(args.input)
+        p0 = _resolve_start(args.start, poly)
+        result, rows, csv_text, failure = handler(args, poly, p0)
     if failure is not None:
         print(failure, file=sys.stderr)
     if args.fmt == "json":
@@ -352,9 +345,8 @@ def run(args, out=None):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse prints usage problems itself and exits 2, which is
         # reserved for infeasible input: they are parse errors (exit 1)

@@ -140,16 +140,19 @@ def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
     sec : LineSection
         Section with a valid bracket ``d_minus < 0 < d_plus``.
     tol : float
-        Tolerance on the reciprocal sum, with a relative bracket-width
-        fallback for poles too steep to meet it in float64.
+        Tolerance (> 0, else ``ValueError``) on the reciprocal sum, with a
+        relative bracket-width fallback for poles too steep to meet it in float64.
     max_iter : int
-        Iteration cap; on exhaustion the result carries
-        ``converged=False`` instead of raising.
+        Iteration cap (>= 0, else ``ValueError``); on exhaustion the result
+        carries ``converged=False`` instead of raising.
 
     Returns
     -------
     HarmonicSolveResult
     """
+    _positive("tol", tol)
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
     d = _check_bracket(sec)
     d = d.take(ahead_first(d))
     h, its, f, converged = newton_offset(d, sec.d_minus, sec.d_plus, tol, max_iter)
@@ -198,7 +201,5 @@ def harmonic_point_on_line(polytope, p, u, tol=1e-10):
     line solve runs out of its budget; call :func:`solve_harmonic_offset`
     on the :func:`section` to see whether it converged.
     """
-    _positive("tol", tol)
-    sec = section(polytope, p, u)
-    res = solve_harmonic_offset(sec, tol=tol)
+    res = solve_harmonic_offset(section(polytope, p, u), tol=tol)
     return point_at(p, u, res.h)

@@ -654,6 +654,11 @@ class TestTraceCsv:
         records = parse_trace_csv(text)
         assert records == trace.records
 
+    def test_blank_lines_skipped(self, example2):
+        _, trace = harmonic_center(example2, (1.0, 2.0, 2.5, 1.3))
+        text = trace.to_csv().replace("\n", "\n\n")
+        assert parse_trace_csv(text) == trace.records
+
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             parse_trace_csv("a,b,c\n1,2,3\n")

@@ -1,5 +1,6 @@
 """CLI behavior: commands, formats, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -439,3 +440,76 @@ def test_console_script_end_to_end():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert np.allclose(payload["center"], (6.02, 5.55), atol=0.02)
+
+
+# the options each command reads, in usage order: the whole CLI surface
+COMMAND_OPTIONS = {
+    "center": [
+        "--start", "--inner-tol", "--format", "--tol", "--max-iter", "--trace", "--svg"
+    ],
+    "point": ["--start", "--inner-tol", "--format", "--axis", "--dir"],
+    "hyperplane": ["--start", "--format"],
+    "compare-bi": ["--start", "--inner-tol", "--format", "--tol", "--max-iter"],
+    "check": ["--start", "--format", "--tol"],
+}
+
+
+def test_each_command_has_only_the_options_it_reads():
+    (sub,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    got = {
+        name: [s for a in p._actions if a.dest != "help" for s in a.option_strings]
+        for name, p in sub.choices.items()
+    }
+    assert list(got.items()) == list(COMMAND_OPTIONS.items())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hyperplane", SQUARE, "--start", "0.25,0.5", "--inner-tol", "1e-8"],
+        ["check", SQUARE, "--start", "0.5,0.5", "--inner-tol", "1e-8"],
+        ["check", SQUARE, "--start", "0.5,0.5", "--max-iter", "5"],
+    ],
+)
+def test_option_a_command_does_not_read_is_bad_usage(capsys, argv):
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "rows, argv, code, err",
+    [
+        # the +x distance of row 2 overflows to inf
+        (
+            "0 1 1\n1e-11 1 1e300\n-1 0 1\n0 -1 1\n",
+            ["point", "--start", "0,0", "--axis", "1"],
+            EXIT_OK,
+            "",
+        ),
+        # the norm of row 1 overflows, so the normalized row is zero
+        (
+            "1e200 1e200 1\n-1 0 1\n1 0 1\n0 -1 1\n",
+            ["center"],
+            EXIT_PARSE,
+            "error: zero coefficient row at index 0\n",
+        ),
+    ],
+    ids=["distance", "norm"],
+)
+def test_no_numpy_overflow_warning_on_stderr(tmp_path, rows, argv, code, err):
+    path = tmp_path / "over.poly"
+    path.write_text("dims 4 2\n" + rows)
+    env = dict(os.environ)
+    src = str(DATA.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polycenter.cli", argv[0], str(path), *argv[1:]],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (code, err)

@@ -136,6 +136,14 @@ class TestSolverBehavior:
         assert res.iterations == 1
         assert sec.d_minus < res.h < sec.d_plus
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"tol": -1.0}, {"tol": np.nan}, {"max_iter": -3}]
+    )
+    def test_bad_arguments_rejected(self, kwargs):
+        sec = LineSection.from_distances([-1.0, 5.0, 6.0])
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            solve_harmonic_offset(sec, **kwargs)
+
     def test_bad_bracket_rejected(self):
         good = LineSection.from_distances([-1.0, 1.0])
         bad = LineSection(

@@ -166,6 +166,13 @@ class TestSection:
         with pytest.raises(NotInteriorError):
             section(square, (2.0, 0.5), (1.0, 0.0))
 
+    def test_not_interior_names_unlabeled_rows(self):
+        # a polytope built without labels names row i (0-based) c{i + 1}
+        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        poly = Polytope(A, np.array([1.0, 0.0, 1.0, 0.0]))
+        with pytest.raises(NotInteriorError, match=r"\(rows: c3\)$"):
+            section(poly, (0.5, 1.0), (1.0, 0.0))
+
     def test_non_unit_direction_rejected(self, square):
         with pytest.raises(ValueError):
             section(square, (0.5, 0.5), (1.0, 1.0))
