@@ -13,10 +13,8 @@ chords it bisects; it is computed with the same sweep structure but
 midpoint moves, and its own stopping rule (largest axis midpoint offset).
 """
 
-import csv
-import io
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +33,7 @@ from .lines import (  # noqa: F401
     section,
     smallest,
 )
-from .model import stage_slacks
+from .model import _Frozen, stage_slacks
 
 # An f-norm at or below this has no hyperplane: the point is the center.
 _DEGENERATE_EPS = 1e-9
@@ -76,12 +74,11 @@ def directional_sum(polytope, p, u):
     return float(((polytope.A @ u) / s).sum())
 
 
-@dataclass(frozen=True, eq=False)
-class Hyperplane:
+class Hyperplane(_Frozen):
     """Hyperplane ``normal . x = offset``; compares and hashes by identity."""
 
-    normal: np.ndarray
-    offset: float
+    def __init__(self, normal, offset):
+        self.__dict__.update(normal=normal, offset=offset)
 
 
 def harmonic_hyperplane(polytope, p):
@@ -102,18 +99,18 @@ def harmonic_hyperplane(polytope, p):
     return Hyperplane(normal=v, offset=float(v @ p))
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One row of a center-search trace: iterate and its f-norm."""
+class TraceRecord(NamedTuple):
+    """One row of a center-search trace: iterate and its f-norm; a named
+    tuple, so it compares and hashes by field."""
 
     iteration: int
     point: tuple
     fnorm: float
 
 
-@dataclass(frozen=True)
-class CenterTrace:
-    """Full history of a center search, starting at iteration 0."""
+class CenterTrace(NamedTuple):
+    """Full history of a center search, starting at iteration 0; a named
+    tuple, so it compares and hashes by field."""
 
     records: tuple
     converged: bool
@@ -144,6 +141,10 @@ def parse_trace_csv(text):
 
     Values written by :meth:`CenterTrace.to_csv` round-trip exactly.
     """
+    # imported here: the CLI process never reads a trace back
+    import csv
+    import io
+
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)

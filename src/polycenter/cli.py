@@ -8,7 +8,6 @@ budget exhausted.
 """
 
 import argparse
-import json
 import sys
 from collections import namedtuple
 
@@ -295,6 +294,19 @@ _COMMAND_TABLE = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: reports an option the command does not take
+    under its own usage line.  argparse leaves such an argument to the
+    top-level parser, whose usage line names no command's options.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser():
     """One subcommand per command, with only the options its handler reads."""
     parser = argparse.ArgumentParser(
@@ -302,7 +314,9 @@ def build_parser():
         description="Harmonic centers, points, and hyperplanes of convex "
         "polytopes in halfspace form.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
     for name, command in _COMMAND_TABLE.items():
         p = sub.add_parser(name, help=command.help)
         p.add_argument("input", help="path to a .poly file")
@@ -336,6 +350,9 @@ def run(args, out=None):
     if failure is not None:
         print(failure, file=sys.stderr)
     if args.fmt == "json":
+        # imported here: the table and csv formats do not pay for it
+        import json
+
         out.write(json.dumps(result) + "\n")
     elif args.fmt == "csv" and csv_text is not None:
         out.write(csv_text)

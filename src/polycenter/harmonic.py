@@ -26,7 +26,7 @@ independent cross-check.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +40,8 @@ _ONES = np.ones(4096)
 _ONES.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class HarmonicSolveResult:
-    """Root-solve outcome.
+class HarmonicSolveResult(NamedTuple):
+    """Root-solve outcome; a named tuple, so it compares and hashes by field.
 
     ``h`` is the offset along the line (in the same units as the section
     distances), ``residual`` the value of the reciprocal sum at ``h``, and
@@ -82,7 +81,12 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     a shrinking sub-bracket using the sign of the sum, and replaces any
     Newton step that leaves the sub-bracket by its midpoint.  Stops when
     ``|F(h)| <= tol`` or the sub-bracket is narrower than ``tol`` times
-    ``hi - lo``.
+    ``hi - lo``.  A bracket with an infinite end meets neither stop: every
+    distance on that side overflowed, so ``F`` keeps one sign at every
+    finite ``h`` and has no root among the floats.  Such a solve runs out
+    of ``max_iter`` with ``converged=False`` and a finite ``h``: a step
+    with no finite Newton value and no finite midpoint leaves ``h`` where
+    it is.
 
     Each iteration computes ``inv = 1 / (d - h)`` once, into one buffer
     (``1 / d`` at the start, ``h = 0``), and takes ``F = inv @ ones`` and
@@ -99,6 +103,10 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     bracketed estimate.
     """
     width = hi - lo
+    if width < math.inf:
+        f_tol, width_tol = tol, tol * width
+    else:
+        f_tol = width_tol = -1.0
     h = 0.0
     inv = np.reciprocal(d)
     ones = _ONES[: d.size] if d.size <= _ONES.size else np.ones(d.size)
@@ -106,20 +114,24 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     its = 0
     for its in range(1, max_iter + 1):
         f = float(inv.dot(ones))
-        if abs(f) <= tol:
+        if abs(f) <= f_tol:
             converged = True
             break
         if f > 0.0:
             hi = h
         else:
             lo = h
-        if hi - lo <= tol * width:
+        if hi - lo <= width_tol:
             converged = True
             break
-        # inv.dot(inv) is inv @ inv, one BLAS dot, with less call overhead
-        step = h - f / float(inv.dot(inv))
+        try:
+            # inv.dot(inv) is inv @ inv, one BLAS dot, with less call overhead
+            step = h - f / float(inv.dot(inv))
+        except ZeroDivisionError:  # every square underflowed: no Newton step
+            step = math.nan
         if not math.isfinite(step) or step <= lo or step >= hi:
-            step = 0.5 * (lo + hi)
+            mid = 0.5 * (lo + hi)
+            step = mid if math.isfinite(mid) else h
         h = step
         np.reciprocal(np.subtract(d, h, out=inv), out=inv)
     if not converged:

@@ -8,12 +8,10 @@ first contacts in each direction is the feasible bracket: the set of
 parameters keeping the point strictly inside.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BracketInvalidError, NotInteriorError, UnboundedDirectionError
-from .model import _axis_line, residuals
+from .model import _axis_line, _Frozen, residuals
 
 _UNIT_TOL = 1e-9
 _NO_FORWARD = "line has no forward intersection: polytope unbounded along it"
@@ -74,8 +72,7 @@ def point_at(p, u, t):
     return p + t * u
 
 
-@dataclass(frozen=True, eq=False)
-class LineSection:
+class LineSection(_Frozen):
     """Intersection distances of one line with all m constraints.
 
     ``distances[i]`` is the signed parameter at which the line meets
@@ -83,15 +80,19 @@ class LineSection:
     (mask in ``parallel``).  ``d_minus < 0 < d_plus`` bound the feasible
     bracket; ``i_plus`` / ``i_minus`` are the blocking row indices
     (lowest index wins ties).  No finite distance lies strictly inside
-    the bracket.  Sections compare and hash by identity.
+    the bracket.  Sections compare and hash by identity, and their fields
+    cannot be reassigned.
     """
 
-    distances: np.ndarray
-    parallel: np.ndarray
-    d_plus: float
-    d_minus: float
-    i_plus: int
-    i_minus: int
+    def __init__(self, distances, parallel, d_plus, d_minus, i_plus, i_minus):
+        self.__dict__.update(
+            distances=distances,
+            parallel=parallel,
+            d_plus=d_plus,
+            d_minus=d_minus,
+            i_plus=i_plus,
+            i_minus=i_minus,
+        )
 
     @property
     def width(self):

@@ -16,7 +16,6 @@ Every bound, including nonnegativity, must appear as an explicit row
 or scientific notation; parsing is locale-independent.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -100,8 +99,23 @@ def _check_rows(finite, nonzero):
         raise PolytopeFormatError(f"zero coefficient row at index {zero[0]}")
 
 
-@dataclass(frozen=True, eq=False)
-class Polytope:
+class _Frozen:
+    """Base of the types that compare and hash by identity, as objects do:
+    their fields hold arrays, whose ``==`` is elementwise.  The fields are
+    set once, when the object is made; assigning to or deleting one raises
+    ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Polytope(_Frozen):
     """Closed convex polytope ``{x : A @ x <= b}``.
 
     ``A`` and ``b`` are stored as read-only float arrays, copied from the
@@ -112,16 +126,12 @@ class Polytope:
     does not normalize rows (see :func:`normalize_rows`) and does not
     verify boundedness.  The per-axis table :attr:`axis_lines` is derived
     from ``A`` on first use and kept; it is read-only too.  Polytopes
-    compare and hash by identity.
+    compare and hash by identity, and their fields cannot be reassigned.
     """
 
-    A: np.ndarray
-    b: np.ndarray
-    labels: tuple | None = None
-
-    def __post_init__(self):
-        A = np.array(self.A, dtype=float, order="F")
-        b = np.array(self.b, dtype=float).ravel()
+    def __init__(self, A, b, labels=None):
+        A = np.array(A, dtype=float, order="F")
+        b = np.array(b, dtype=float).ravel()
         if A.ndim != 2:
             raise PolytopeFormatError("coefficient matrix must be two-dimensional")
         m, n = A.shape
@@ -139,20 +149,18 @@ class Polytope:
             np.isfinite(A).all(axis=1) & np.isfinite(b),
             np.linalg.norm(A, axis=1) > _ZERO_ROW_TOL,
         )
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
+        if labels is not None:
+            labels = tuple(str(s) for s in labels)
             if len(labels) != m:
                 raise PolytopeFormatError(
                     f"{len(labels)} labels for {m} constraints"
                 )
-            object.__setattr__(self, "labels", labels)
-        self._freeze(A, b)
+        self._freeze(A, b, labels)
 
-    def _freeze(self, A, b):
+    def _freeze(self, A, b, labels):
         A.setflags(write=False)
         b.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+        self.__dict__.update(A=A, b=b, labels=labels)
 
     @classmethod
     def _adopt(cls, A, b, labels):
@@ -163,8 +171,7 @@ class Polytope:
         tuple or None.  Nothing is copied or checked.
         """
         poly = object.__new__(cls)
-        object.__setattr__(poly, "labels", labels)
-        poly._freeze(A, b)
+        poly._freeze(A, b, labels)
         return poly
 
     @property
@@ -201,9 +208,9 @@ class Region(Enum):
     EXTERIOR = "exterior"
 
 
-@dataclass(frozen=True)
-class PointClass:
-    """Classification of a point against a polytope.
+class PointClass(NamedTuple):
+    """Classification of a point against a polytope; a named tuple, so it
+    compares and hashes by field.
 
     ``indices`` holds the 0-based rows within ``boundary_eps`` of contact
     (for BOUNDARY) or strictly violated (for EXTERIOR); it is empty for

@@ -478,17 +478,21 @@ def test_option_a_command_does_not_read_is_bad_usage(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+    # under the command's usage line, which lists the options it does take
+    assert captured.err.startswith(f"usage: polycenter {argv[0]} [-h] [--start")
 
 
 @pytest.mark.parametrize(
     "rows, argv, code, err",
     [
-        # the +x distance of row 2 overflows to inf
+        # the +x distance of row 2 overflows to inf: the bracket has an
+        # infinite end, which the line solve cannot converge on
         (
             "0 1 1\n1e-11 1 1e300\n-1 0 1\n0 -1 1\n",
             ["point", "--start", "0,0", "--axis", "1"],
-            EXIT_OK,
-            "",
+            EXIT_MAXITER,
+            "not converged after 100 iterations "
+            "(the line solve missed --inner-tol 1e-10)\n",
         ),
         # the norm of row 1 overflows, so the normalized row is zero
         (
@@ -513,3 +517,35 @@ def test_no_numpy_overflow_warning_on_stderr(tmp_path, rows, argv, code, err):
         env=env,
     )
     assert (proc.returncode, proc.stderr) == (code, err)
+
+
+def test_cli_imports_only_what_it_runs():
+    env = dict(os.environ)
+    src = str(DATA.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, polycenter.cli; "
+            "print(sorted({'csv', 'dataclasses', 'json'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (loaded.returncode, loaded.stdout) == (0, "[]\n")
+    # json is imported when --format json asks for it
+    proc = subprocess.run(
+        [sys.executable, "-m", "polycenter.cli", "center", SQUARE, "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == EXIT_OK
+    assert json.loads(proc.stdout) == {
+        "center": [0.5, 0.5],
+        "fnorm": 0.0,
+        "iterations": 0,
+        "converged": True,
+    }

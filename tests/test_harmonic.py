@@ -160,6 +160,47 @@ class TestSolverBehavior:
             bisection_oracle(bad)
 
 
+class TestInfiniteBracketEnd:
+    """A bracket end at +-inf: every distance on that side overflowed, so
+    F keeps one sign at every finite h and the solve cannot converge."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_section_with_an_overflowed_side(self, sign):
+        # row 1's distance along +-x is 1e300 / 1e-11, past the largest float
+        A = np.array([[0.0, 1.0], [1e-11, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        poly = Polytope(A, np.array([1.0, 1e300, 1.0, 1.0]))
+        with np.errstate(over="ignore"):
+            sec = section(poly, (0.0, 0.0), (sign, 0.0))
+        assert math.isinf(sec.width)
+        res = solve_harmonic_offset(sec)
+        assert not res.converged
+        assert res.iterations == 100
+        assert math.isfinite(res.h) and math.isfinite(res.residual)
+        # the solve moves towards the infinite end, inside the bracket
+        assert sec.d_minus < res.h < sec.d_plus and res.h * sign > 0.0
+
+    @pytest.mark.parametrize(
+        "d, lo, hi",
+        [
+            ([np.inf, -1.0], -1.0, np.inf),
+            ([1.0, -np.inf], -np.inf, 1.0),
+            # F' underflows to 0 at the start: no Newton step, no midpoint
+            ([np.inf, -1e300], -1e300, np.inf),
+            # Newton doubles h until F' underflows to 0, near h = 1e162
+            ([np.inf, -1.0, -2.0], -1.0, np.inf),
+        ],
+    )
+    @pytest.mark.parametrize("max_iter", [1, 100, 3000])
+    def test_budget_runs_out_at_a_finite_offset(self, d, lo, hi, max_iter):
+        # RuntimeWarnings are errors in this suite; a ZeroDivisionError
+        # or an inf or NaN step would fail here too
+        h, its, f, converged = newton_offset(np.array(d), lo, hi, max_iter=max_iter)
+        assert not converged
+        assert its == max_iter
+        assert math.isfinite(h) and math.isfinite(f)
+        assert lo < h < hi or h == 0.0
+
+
 class TestHarmonicPoints:
     def test_square_horizontal_line(self, square):
         q = harmonic_point_on_line(square, (0.25, 0.5), (1.0, 0.0))

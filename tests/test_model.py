@@ -13,6 +13,7 @@ from polycenter import (
     Polytope,
     PolytopeFormatError,
     Region,
+    TraceRecord,
     bi_center,
     classify_point,
     cs_step,
@@ -22,6 +23,7 @@ from polycenter import (
     normalize_rows,
     parse_polytope,
     residuals,
+    solve_harmonic_offset,
 )
 from polycenter.model import PARALLEL_EPS, _axis_line, ahead_first
 
@@ -493,3 +495,65 @@ def test_array_types_compare_and_hash_by_identity(square, make):
     assert one == one and one != twin
     assert one in [twin, one] and twin not in [one]
     assert {one: 1, twin: 2}[twin] == 2
+
+
+VALUE_RECORDS = {
+    "TraceRecord": lambda sq: TraceRecord(iteration=0, point=(0.5, 0.5), fnorm=0.0),
+    "CenterTrace": lambda sq: harmonic_center(sq, (0.25, 0.5))[1],
+    "HarmonicSolveResult": lambda sq: solve_harmonic_offset(
+        LineSection.from_distances([-0.25, 0.75])
+    ),
+    "PointClass": lambda sq: classify_point(sq, (1.0, 0.5)),
+}
+
+IDENTITY_TYPES = {
+    "Polytope": lambda sq: Polytope(A=sq.A, b=sq.b, labels=sq.labels),
+    "LineSection": lambda sq: LineSection.from_distances([-0.5, 0.5]),
+    "Hyperplane": lambda sq: harmonic_hyperplane(sq, (0.25, 0.5)),
+}
+
+FIELDS = {
+    "Polytope": ("A", "b", "labels"),
+    "LineSection": ("distances", "parallel", "d_plus", "d_minus", "i_plus", "i_minus"),
+    "Hyperplane": ("normal", "offset"),
+    "TraceRecord": ("iteration", "point", "fnorm"),
+    "CenterTrace": ("records", "converged"),
+    "HarmonicSolveResult": ("h", "iterations", "residual", "method", "converged"),
+    "PointClass": ("region", "indices"),
+}
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_fields_cannot_be_assigned_or_deleted(square, name):
+    obj = {**VALUE_RECORDS, **IDENTITY_TYPES}[name](square)
+    for field in FIELDS[name]:
+        before = getattr(obj, field)
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        assert getattr(obj, field) is before
+    # nor can a new attribute be added
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+
+
+@pytest.mark.parametrize("name", list(VALUE_RECORDS))
+def test_value_records_compare_and_hash_by_field(square, name):
+    one, twin = VALUE_RECORDS[name](square), VALUE_RECORDS[name](square)
+    assert one is not twin
+    assert one == twin and hash(one) == hash(twin)
+    assert len({one, twin}) == 1
+    assert one._fields == FIELDS[name]
+    for field in one._fields:
+        assert one._replace(**{field: object()}) != one
+
+
+@pytest.mark.parametrize("name", list(IDENTITY_TYPES))
+def test_identity_types_are_built_by_keyword(square, name):
+    one = IDENTITY_TYPES[name](square)
+    fields = {field: getattr(one, field) for field in FIELDS[name]}
+    twin = type(one)(**fields)
+    for field, value in fields.items():
+        assert np.array_equal(getattr(twin, field), value)
+    assert twin != one

@@ -2,24 +2,33 @@
 
 ``perfbench/tracing.py`` wraps module attributes such as
 ``polycenter.cli.harmonic_point_on_line``; a traced run fails at install
-when one of them is renamed or deleted, so this checks every target.
+when one of them is renamed or deleted, so this checks every target.  It
+also reads what a wrapped call returned, by attribute, which this checks
+for the result types.
 """
 
 import importlib.util
 
 from conftest import DATA
+from polycenter import (
+    LineSection,
+    classify_point,
+    harmonic_center,
+    harmonic_hyperplane,
+    solve_harmonic_offset,
+)
 
 
-def _targets():
+def _tracing():
     path = DATA.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_every_target_exists():
-    targets = _targets()
+    targets = _tracing().TARGETS
     assert targets
     missing = [
         f"{mod}.{attr}"
@@ -27,3 +36,20 @@ def test_every_target_exists():
         if not hasattr(importlib.import_module(mod), attr)
     ]
     assert missing == []
+
+
+def test_span_info_reads_solve_results_and_center_runs(square):
+    # the tracer's _info tells the result kinds apart by their attributes;
+    # the value records are tuples, so each must still take its own branch
+    info = _tracing()._info
+    sec = LineSection.from_distances([-1.0, 5.0, 6.0])
+    assert info(solve_harmonic_offset(sec, tol=1e-14, max_iter=1)) == [1, False]
+    point, trace = harmonic_center(square, (0.25, 0.5))
+    assert info((point, trace)) == [trace.iterations, True]
+    assert trace.iterations > 0
+    others = (
+        trace.final,
+        classify_point(square, (0.5, 0.5)),
+        harmonic_hyperplane(square, (0.25, 0.5)),
+    )
+    assert [info(other) for other in others] == [None, None, None]
