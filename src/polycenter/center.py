@@ -6,11 +6,11 @@ convergence indicator: zero exactly at the harmonic center, growing
 without bound at the boundary.  The center is found by cyclic coordinate
 search: one sweep replaces each coordinate in turn with the harmonic
 point of the axis line through the current iterate, and sweeps repeat
-until the f-norm drops below the stopping tolerance.
-
-For comparison, the bisection center is the point whose axis-parallel
-chords it bisects; it is computed with the same sweep structure but
-midpoint moves, and its own stopping rule (largest axis midpoint offset).
+until the f-norm drops below the stopping tolerance.  For comparison, the
+bisection center bisects its axis-parallel chords: the same stage loop
+with midpoint moves and its own stop measure.  A search keeps one point
+and one slack sum across its sweeps; the slacks after a sweep's last
+stage, which are ``residuals`` there, give both stop measures.
 """
 
 import math
@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import DegenerateAtCenterError
 
-# section and solve_harmonic_offset are not called here (the axis stage
-# reads its bracket from the slacks), but perfbench's tracer wraps them
-# under these module names.
+# section and solve_harmonic_offset are not called here, but perfbench's
+# tracer wraps them under these module names.
 from .harmonic import _positive, newton_offset, solve_harmonic_offset  # noqa: F401
 from .lines import (  # noqa: F401
     axis_index,
@@ -33,7 +32,7 @@ from .lines import (  # noqa: F401
     section,
     smallest,
 )
-from .model import _Frozen, stage_slacks
+from .model import SlackSum, _Frozen
 
 # An f-norm at or below this has no hyperplane: the point is the center.
 _DEGENERATE_EPS = 1e-9
@@ -58,7 +57,11 @@ def f_norm(polytope, p):
     ``sqrt(v . v)``: what ``np.linalg.norm`` computes for a 1-D float
     vector ``v``, float for float, without its dispatch.
     """
-    v = f_vector(polytope, p)
+    return _fnorm(polytope, interior_slacks(polytope, p))
+
+
+def _fnorm(polytope, s):
+    v = (1.0 / s) @ polytope.A  # the f-vector at positive slacks s
     return math.sqrt(v.dot(v))
 
 
@@ -166,75 +169,90 @@ def parse_trace_csv(text):
     return tuple(records)
 
 
-def _record(polytope, iteration, p):
-    # a NaN coordinate has no f-norm; a NaN in the record stops the search
-    fnorm = float("nan") if np.isnan(p).any() else f_norm(polytope, p)
-    return TraceRecord(iteration=iteration, point=tuple(p.tolist()), fnorm=fnorm)
+class _Search:
+    """What a search keeps across its sweeps: its own float copy ``q`` of
+    the start, the :class:`~polycenter.model.SlackSum` at ``q``, its slacks
+    ``s`` and the 1-based axes of the stages that missed their tolerance."""
 
+    __slots__ = ("polytope", "q", "sum", "s", "inexact")
 
-def _sweep(polytope, p, move, axes=None, inexact=None):
-    """One coordinate-search stage per 0-based axis of ``axes`` (all n by
-    default), each from the point the previous one left.
+    def __init__(self, polytope, p, inexact=None):
+        self.polytope, self.q = polytope, np.array(p, dtype=float)
+        self.sum = SlackSum(polytope, self.q)
+        self.s = self.sum.slacks()
+        self.inexact = [] if inexact is None else inexact
 
-    A stage reads the slacks at its point from
-    :func:`~polycenter.model.stage_slacks`, exactly the floats ``residuals``
-    gives there, reads the bracket of its ``polytope.axis_lines`` table
-    with :func:`~polycenter.lines.line_bracket` and moves its coordinate by
-    ``move(d, d_minus, d_plus)``, which returns the offset and whether it
-    met its tolerance.  The axis (1-based) of every stage whose move
-    missed it is appended to ``inexact`` when a list is given.  A stage computes the same floats as ``section`` along the axis
-    direction and raises the same errors.  Returns the moved copy of ``p``.
-    """
-    q = np.array(p, dtype=float)
-    axes = range(polytope.n) if axes is None else axes
-    for j, s in zip(axes, stage_slacks(polytope, q, axes)):
+    def stages(self, axes, tol):
+        """One stage per 0-based axis of ``axes``; returns ``q``.  A stage
+        moves its coordinate by ``newton_offset`` on its axis line's bracket
+        at the slacks, or with ``tol`` None to the chord midpoint unless that
+        is not finite (then it is inexact), as ``section`` would."""
+        polytope, q, s = self.polytope, self.q, self.s
+        lines, moved, slacks = polytope.axis_lines, self.sum.moved, self.sum.slacks
+        for j in axes:
+            if not smallest(s) > 0.0:
+                raise not_interior(polytope, s)
+            d, lo, hi = line_bracket(lines[j], s)
+            if tol is None:
+                h = 0.5 * (hi + lo)
+                exact = math.isfinite(h)
+            else:
+                h, _, _, exact = newton_offset(d, lo, hi, tol)
+            if not exact:
+                self.inexact.append(j + 1)
+                if tol is None:
+                    continue
+            q[j] += h
+            moved(j)
+            s = slacks()
+        self.s = s
+        return q
+
+    def record(self, iteration):
+        """The trace row of ``q``, with the f-norm at the slacks ``s``."""
+        s = self.s
+        if smallest(s) > 0.0:
+            fnorm = _fnorm(self.polytope, s)
+        elif np.isnan(self.q).any():  # no f-norm; a NaN stops the search
+            fnorm = math.nan
+        else:
+            raise not_interior(self.polytope, s)
+        return TraceRecord(iteration, tuple(self.q.tolist()), fnorm)
+
+    def largest_offset(self):
+        """``bi_center``'s stop measure at the slacks ``s``."""
+        s = self.s
         if not smallest(s) > 0.0:
-            raise not_interior(polytope, s)
-        h, exact = move(*line_bracket(polytope.axis_lines[j], s))
-        q[j] += h
-        if not exact and inexact is not None:
-            inexact.append(j + 1)
-    return q
+            raise not_interior(self.polytope, s)
+        brackets = (line_bracket(line, s) for line in self.polytope.axis_lines)
+        return max(abs(0.5 * (hi + lo)) for _, lo, hi in brackets)
 
 
-def _harmonic_move(tol):
-    _positive("tol", tol)
-
-    def move(d, lo, hi):
-        h, _, _, converged = newton_offset(d, lo, hi, tol)
-        return h, converged
-
-    return move
-
-
-def _midpoint(lo, hi):
-    return 0.5 * (hi + lo)
-
-
-def _midpoint_move(d, lo, hi):
-    return _midpoint(lo, hi), True
-
-
-def _search(polytope, p0, sweep, measure, stop_tol, max_iter):
-    """Sweep from ``p0`` while ``measure(p, fnorm)`` exceeds ``stop_tol``.
-
-    The trace records the start as iteration 0 and one row per sweep, at
-    most ``max_iter`` of them.  ``converged`` holds when the measure of
-    the last iterate is within ``stop_tol``; a NaN measure stops the
-    search unconverged.  Raises ``ValueError`` unless ``stop_tol > 0``
-    and ``max_iter >= 0``.
+def _search(polytope, p0, tol, stop_tol, max_iter):
+    """Sweep from ``p0`` while the stop measure exceeds ``stop_tol``: with
+    line-solve tolerance ``tol``, :func:`cs_step` (by module name, which a
+    tracer can wrap) and the f-norm; with ``tol`` None, midpoint moves and
+    the largest axis midpoint offset.  The trace records the start as
+    iteration 0 and at most ``max_iter`` sweeps.  ``converged`` holds when
+    the last measure is within ``stop_tol`` (not NaN) and every stage met
+    its tolerance.  Raises ``ValueError`` unless ``stop_tol > 0`` and
+    ``max_iter >= 0``.
     """
     _positive("stop_tol", stop_tol)
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    p = np.asarray(p0, dtype=float)
-    records = [_record(polytope, 0, p)]
-    value = measure(p, records[-1].fnorm)
-    while value > stop_tol and records[-1].iteration < max_iter:
-        p = sweep(p)
-        records.append(_record(polytope, records[-1].iteration + 1, p))
-        value = measure(p, records[-1].fnorm)
-    return p, CenterTrace(records=tuple(records), converged=value <= stop_tol)
+    run = _Search(polytope, p0)
+    records = [run.record(0)]
+    value = run.largest_offset() if tol is None else records[0].fnorm
+    while value > stop_tol and len(records) <= max_iter:
+        if tol is None:
+            run.stages(range(polytope.n), None)
+        else:
+            cs_step(polytope, run.q, tol, _run=run)
+        records.append(run.record(len(records)))
+        value = run.largest_offset() if tol is None else records[-1].fnorm
+    converged = value <= stop_tol and not run.inexact
+    return run.q, CenterTrace(records=tuple(records), converged=converged)
 
 
 def harmonic_point_on_axis(polytope, p, k, tol=1e-10):
@@ -243,24 +261,28 @@ def harmonic_point_on_axis(polytope, p, k, tol=1e-10):
     Only coordinate ``k`` changes; the others are returned bit-identical.
     Raises ``ValueError`` for an axis outside ``1..n``.
     """
-    return _sweep(polytope, p, _harmonic_move(tol), (axis_index(k, polytope.n),))
+    _positive("tol", tol)
+    return _Search(polytope, p).stages((axis_index(k, polytope.n),), tol)
 
 
-def cs_step(polytope, p, tol=1e-10, inexact=None):
+def cs_step(polytope, p, tol=1e-10, inexact=None, *, _run=None):
     """One coordinate-search sweep: n sequential axis updates.
 
     For k = 1..n, moves coordinate k of the current point to the harmonic
     point of the axis-k line through it.  Each stage reads the slacks at
-    the current point in :func:`~polycenter.model.stage_slacks`' summation
-    order and takes the line's distances from them and the axis-k entry of
-    ``polytope.axis_lines``, with no line section or direction vector.
+    the current point, in :class:`~polycenter.model.SlackSum`'s summation
+    order, and takes the line's distances from them and the axis-k entry
+    of ``polytope.axis_lines``, with no line section or direction vector.
     The result is bit-identical to n chained :func:`harmonic_point_on_axis`
     calls, which are one-stage runs of the same loop.
     If ``inexact`` is a list, the axis of every stage whose root solve ran
     out of its iteration budget before meeting ``tol`` is appended to it.
-    Returns the point after stage n.
+    Returns the point after stage n, a new array; with ``_run``, a kept
+    :class:`_Search` whose point is ``p``, the sweep continues it in place.
     """
-    return _sweep(polytope, p, _harmonic_move(tol), inexact=inexact)
+    _positive("tol", tol)
+    run = _Search(polytope, p, inexact) if _run is None else _run
+    return run.stages(range(polytope.n), tol)
 
 
 def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
@@ -277,27 +299,17 @@ def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
     Returns ``(center, trace)``.
     """
     _positive("inner_tol", inner_tol)
-    inexact = []
-    point, trace = _search(
-        polytope,
-        p0,
-        lambda p: cs_step(polytope, p, tol=inner_tol, inexact=inexact),
-        lambda p, fnorm: fnorm,
-        stop_tol,
-        max_iter,
-    )
-    if inexact:
-        trace = CenterTrace(records=trace.records, converged=False)
-    return point, trace
+    return _search(polytope, p0, inner_tol, stop_tol, max_iter)
 
 
 def bi_point_on_axis(polytope, p, k):
     """Midpoint of the nearest contacts of the axis-k line through ``p``.
 
-    Coordinate k moves by ``(d_plus + d_minus) / 2``; the others are
-    unchanged.  Raises ``ValueError`` for an axis outside ``1..n``.
+    Coordinate k moves by ``(d_plus + d_minus) / 2``, unless that is not
+    finite; the others are unchanged.  Raises ``ValueError`` for an axis
+    outside ``1..n``.
     """
-    return _sweep(polytope, p, _midpoint_move, (axis_index(k, polytope.n),))
+    return _Search(polytope, p).stages((axis_index(k, polytope.n),), None)
 
 
 def bi_center(polytope, p0, stop_tol=0.01, max_iter=100):
@@ -307,23 +319,10 @@ def bi_center(polytope, p0, stop_tol=0.01, max_iter=100):
     the chord midpoint, and the stopping rule is the largest axis midpoint
     offset at the iterate (the f-norm measures harmonic centrality, which
     this point does not optimize; it is still recorded in the trace for
-    comparison).
+    comparison).  A chord with an infinite end has no finite midpoint: its
+    stage leaves the coordinate where it is, and the trace carries
+    ``converged=False``.
 
     Returns ``(point, trace)``.
     """
-
-    def largest_offset(p, fnorm):
-        s = interior_slacks(polytope, p)
-        return max(
-            abs(_midpoint(*line_bracket(line, s)[1:]))
-            for line in polytope.axis_lines
-        )
-
-    return _search(
-        polytope,
-        p0,
-        lambda p: _sweep(polytope, p, _midpoint_move),
-        largest_offset,
-        stop_tol,
-        max_iter,
-    )
+    return _search(polytope, p0, None, stop_tol, max_iter)

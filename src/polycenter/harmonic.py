@@ -26,6 +26,7 @@ independent cross-check.
 """
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +39,13 @@ from .model import ahead_first
 # this buffer, allocated once, or a fresh array for a longer line
 _ONES = np.ones(4096)
 _ONES.setflags(write=False)
+
+# a line whose nearest distance is below this may take reciprocals, or
+# squares of them, beyond the float range
+_NEAR = 1e-150
+
+# half the largest float: the sum of two ends within it is finite
+_HALF_MAX = sys.float_info.max / 2
 
 
 class HarmonicSolveResult(NamedTuple):
@@ -98,10 +106,23 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     :func:`~polycenter.model.ahead_first`), so that equal lines give equal
     floats.
 
+    A bracket whose nearer end is within ``_NEAR`` of 0 is solved under
+    ``np.errstate(over="ignore", invalid="ignore")``: its reciprocals may
+    overflow, which only sends the step to the midpoint.  Ordinary lines
+    pay one comparison per solve for this; numpy's error state is the
+    caller's again on return.
+
     Returns ``(h, iterations, residual, converged)``; ``converged`` is
     False only when ``max_iter`` ran out, and ``h`` is then the last
     bracketed estimate.
     """
+    if hi < _NEAR or lo > -_NEAR:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _newton(d, lo, hi, tol, max_iter)
+    return _newton(d, lo, hi, tol, max_iter)
+
+
+def _newton(d, lo, hi, tol, max_iter):
     width = hi - lo
     if width < math.inf:
         f_tol, width_tol = tol, tol * width
@@ -178,13 +199,21 @@ def bisection_oracle(sec, tol=1e-10, max_iter=200):
 
     Bisects ``(d_minus + eps, d_plus - eps)`` with ``eps = 1e-12`` of the
     bracket width, driven only by the sign of the reciprocal sum, so it
-    converges unconditionally by monotonicity.  Deliberately shares no
+    converges unconditionally by monotonicity.  A bracket with an infinite
+    end has no root among the floats (the sum keeps one sign): it bisects
+    the bracket's part within half the largest float, meets no stop, and
+    returns a finite ``h`` with ``converged=False``.  Deliberately shares no
     logic with :func:`solve_harmonic_offset`; it exists to cross-check it.
     """
     d = _check_bracket(sec)
     width = sec.width
-    eps = 1e-12 * width
-    lo, hi = sec.d_minus + eps, sec.d_plus - eps
+    if width < math.inf:
+        eps = 1e-12 * width
+        lo, hi = sec.d_minus + eps, sec.d_plus - eps
+        f_tol, width_tol = tol, 1e-15 * width
+    else:
+        lo, hi = max(sec.d_minus, -_HALF_MAX), min(sec.d_plus, _HALF_MAX)
+        f_tol = width_tol = -1.0
     h = 0.5 * (lo + hi)
     f = 0.0
     converged = False
@@ -192,7 +221,7 @@ def bisection_oracle(sec, tol=1e-10, max_iter=200):
     for its in range(1, max_iter + 1):
         h = 0.5 * (lo + hi)
         f = float(np.sum(1.0 / (d - h)))
-        if abs(f) <= tol or (hi - lo) <= 1e-15 * width:
+        if abs(f) <= f_tol or (hi - lo) <= width_tol:
             converged = True
             break
         if f > 0.0:

@@ -120,7 +120,7 @@ class Polytope(_Frozen):
 
     ``A`` and ``b`` are stored as read-only float arrays, copied from the
     arguments; ``A`` is column-major, so that a block of its columns, as
-    :func:`stage_slacks` reads it, is one contiguous slab.  ``labels``, when
+    :class:`SlackSum` reads it, is one contiguous slab.  ``labels``, when
     given, names each constraint row.  Construction requires more rows than
     columns (``m > n``) and rejects zero rows and non-finite entries.  It
     does not normalize rows (see :func:`normalize_rows`) and does not
@@ -339,15 +339,11 @@ def _signs(blocks):
 
 
 def _slack_terms(polytope, q):
-    """``(signs, terms, blocks)``: the set-up of the slack sum at ``q``.
-
-    The rows of ``terms`` are ``b`` and then, per block of ``BLOCK``
-    columns, that block's product ``A[:, cols] @ q[cols]``; each block of
-    the column-major ``A`` is one contiguous slab.  ``blocks`` holds, per
-    block, its slab of ``A``, its coordinates (a view of ``q``) and its
-    row of ``terms``; ``signs`` are the block count's :func:`_signs`.
-    Raises ``ValueError`` unless ``q`` has shape ``(n,)``.
-    """
+    """``(signs, terms, blocks)``, a :class:`SlackSum`'s set-up at ``q``:
+    ``terms`` is ``b`` and, per block of ``BLOCK`` columns, that block's
+    product; ``blocks`` holds per block its slab of the column-major ``A``
+    (one contiguous slab), its view of ``q`` and its row of ``terms``.
+    Raises ``ValueError`` unless ``q`` has shape ``(n,)``."""
     A = polytope.A
     m, n = A.shape
     if q.shape != (n,):
@@ -364,26 +360,29 @@ def _slack_terms(polytope, q):
     return _signs(len(blocks)), terms, blocks
 
 
-def stage_slacks(polytope, q, axes):
-    """The slacks at ``q`` before each stage of a coordinate search.
+class SlackSum:
+    """The slacks at a point ``q`` that a coordinate search moves in place.
 
-    Yields once per 0-based axis ``j`` of ``axes``; the caller moves
-    ``q[j]`` in place before it asks for the next slacks.  This is the one
-    statement of the summation order, which is part of the result: the
-    slacks are ``signs @ terms`` over :func:`_slack_terms`' rows, ``b``
-    and the ``BLOCK``-column block products, with ``signs = (1, -1, ...,
-    -1)``: one BLAS matrix-vector product, whose order of additions is the
-    library's.  With one block (``n <= BLOCK``) that is ``b - A @ q``
-    exactly, since a product by 1 or -1 is exact.  A move of coordinate j
-    changes one block only, so the next slacks recompute that block
-    (``BLOCK`` columns of ``A``, not n) and are the same floats as a fresh
-    start at the moved point.  Raises ``ValueError`` unless ``q`` has
-    shape ``(n,)``.
+    :meth:`slacks` is the one statement of the summation order, which is
+    part of the result: ``signs @ terms``, one BLAS matrix-vector product
+    with ``signs = (1, -1, ..., -1)``; for ``n <= BLOCK`` exactly
+    ``b - A @ q``, since a product by 1 or -1 is exact.  :meth:`moved`
+    recomputes the one block a move of ``q[j]`` changed (``BLOCK`` columns
+    of ``A``, not n), so the slacks stay a fresh sum's, float for float.
     """
-    signs, terms, blocks = _slack_terms(polytope, q)
-    for j in axes:
-        yield signs.dot(terms)
-        slab, x, term = blocks[j // BLOCK]
+
+    __slots__ = ("_signs", "_terms", "_blocks")
+
+    def __init__(self, polytope, q):
+        self._signs, self._terms, self._blocks = _slack_terms(polytope, q)
+
+    def slacks(self):
+        """The slacks at ``q``, a new array."""
+        return self._signs.dot(self._terms)
+
+    def moved(self, j):
+        """Take in a move of ``q[j]`` (0-based ``j``)."""
+        slab, x, term = self._blocks[j // BLOCK]
         slab.dot(x, out=term)
 
 
@@ -392,14 +391,11 @@ def residuals(polytope, p):
 
     Positive entries mean the point is strictly on the feasible side of the
     constraint; with unit-normalized rows each entry is the Euclidean
-    distance to the constraint boundary.  The slacks are the first that
-    :func:`stage_slacks` would yield, in its summation order (for
-    ``n <= BLOCK`` exactly ``b - A @ p``), from the same set-up,
-    :func:`_slack_terms`, without a generator.
-    Raises ``ValueError`` unless ``p`` has shape ``(n,)``.
+    distance to the constraint boundary.  These are a fresh
+    :class:`SlackSum`'s first slacks at ``p`` (for ``n <= BLOCK`` exactly
+    ``b - A @ p``).  Raises ``ValueError`` unless ``p`` has shape ``(n,)``.
     """
-    signs, terms, _ = _slack_terms(polytope, np.asarray(p, dtype=float))
-    return signs.dot(terms)
+    return SlackSum(polytope, np.asarray(p, dtype=float)).slacks()
 
 
 def classify_point(polytope, p, boundary_eps=1e-9):

@@ -1,5 +1,7 @@
 """F-vector, coordinate search to the harmonic center, hyperplanes, BI center."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -575,6 +577,146 @@ class TestAxisStageMatchesSection:
                 call(square, (np.nan, 0.5), 1)
         with pytest.raises(NotInteriorError):
             section(square, (np.nan, 0.5), axis_direction(1, 2))
+
+
+class TestKeptSearch:
+    """A search keeps one point and one slack sum across its sweeps; its
+    traces must equal a loop that starts each sweep afresh."""
+
+    @staticmethod
+    def _harmonic_reference(poly, p0, stop_tol, max_iter):
+        # cs_step from scratch each sweep, f_norm from fresh residuals
+        p, inexact = np.array(p0, dtype=float), []
+        records = [(p, f_norm(poly, p))]
+        while records[-1][1] > stop_tol and len(records) <= max_iter:
+            p = cs_step(poly, p, inexact=inexact)
+            records.append((p, f_norm(poly, p)))
+        return records, records[-1][1] <= stop_tol and not inexact
+
+    @staticmethod
+    def _bi_reference(poly, p0, stop_tol, max_iter):
+        # chained one-axis calls, the stop measure from generic sections
+        def measure(q):
+            return max(
+                abs(_chord_midpoint(section(poly, q, axis_direction(k, poly.n))))
+                for k in range(1, poly.n + 1)
+            )
+
+        p = np.array(p0, dtype=float)
+        records = [(p, f_norm(poly, p))]
+        value = measure(p)
+        while value > stop_tol and len(records) <= max_iter:
+            for k in range(1, poly.n + 1):
+                p = bi_point_on_axis(poly, p, k)
+            records.append((p, f_norm(poly, p)))
+            value = measure(p)
+        return records, value <= stop_tol
+
+    @staticmethod
+    def _assert_same(trace, records, converged):
+        assert trace.iterations == len(records) - 1
+        assert trace.converged == converged
+        for i, (rec, (p, fnorm)) in enumerate(zip(trace.records, records)):
+            assert rec.iteration == i
+            assert np.array_equal(rec.point, p)
+            assert rec.fnorm == fnorm
+
+    # 33 and 100 cross the 32-column blocks of the slack sum
+    @pytest.mark.parametrize("n", [2, 10, 33, 100])
+    def test_traces_equal_fresh_sweeps(self, n):
+        rng = np.random.default_rng([443, n])
+        for _ in range(2):
+            poly, anchor = random_polytope(rng, n, extra=2 * n)
+            p = random_interior_point(rng, poly, anchor)
+            # the first budget runs out; the second is enough for every
+            # harmonic search and for some of the bisection ones
+            for stop_tol, max_iter in ((1e-8, 12), (1e-3, 40)):
+                point, trace = harmonic_center(
+                    poly, p, stop_tol=stop_tol, max_iter=max_iter
+                )
+                records, converged = self._harmonic_reference(
+                    poly, p, stop_tol, max_iter
+                )
+                self._assert_same(trace, records, converged)
+                assert np.array_equal(point, records[-1][0])
+                point, trace = bi_center(
+                    poly, p, stop_tol=stop_tol, max_iter=max_iter
+                )
+                records, converged = self._bi_reference(poly, p, stop_tol, max_iter)
+                self._assert_same(trace, records, converged)
+                assert np.array_equal(point, records[-1][0])
+
+    def test_slack_sum_set_up_once_per_search(self, monkeypatch):
+        from polycenter import model
+
+        calls = []
+        set_up = model._slack_terms
+
+        def counted(*args):
+            calls.append(1)
+            return set_up(*args)
+
+        monkeypatch.setattr(model, "_slack_terms", counted)
+        rng = np.random.default_rng(449)
+        poly, anchor = random_polytope(rng, 40, extra=40)
+        p = random_interior_point(rng, poly, anchor)
+        for search in (harmonic_center, bi_center):
+            for max_iter in (1, 5, 50):
+                calls.clear()
+                _, trace = search(poly, p, stop_tol=1e-12, max_iter=max_iter)
+                assert trace.iterations == max_iter
+                assert len(calls) == 1
+        calls.clear()
+        cs_step(poly, p)
+        assert len(calls) == 1
+
+    def test_caller_start_is_not_written(self, example1):
+        for search in (harmonic_center, bi_center, cs_step):
+            p0 = np.array([9.0, 6.0])
+            result = search(example1, p0)
+            point = result if search is cs_step else result[0]
+            assert p0.tolist() == [9.0, 6.0]
+            assert point is not p0 and not np.array_equal(point, p0)
+        # a search that makes no sweep returns a copy too
+        p0 = np.array([9.0, 6.0])
+        point, trace = harmonic_center(example1, p0, max_iter=0)
+        assert trace.iterations == 0
+        assert point is not p0 and np.array_equal(point, p0)
+
+    def test_nan_start(self, square):
+        # no f-norm: the harmonic search stops unconverged; the bisection
+        # search's stop measure needs the slacks and raises
+        point, trace = harmonic_center(square, (np.nan, 0.5))
+        assert trace.iterations == 0 and not trace.converged
+        assert math.isnan(trace.final.fnorm) and np.isnan(point[0])
+        with pytest.raises(NotInteriorError):
+            bi_center(square, (np.nan, 0.5))
+
+
+class TestInfiniteChordEnd:
+    """Along +x from the origin, row 2's distance 1e300 / 1e-11 overflows:
+    that chord has no finite midpoint."""
+
+    @staticmethod
+    def _poly():
+        A = np.array([[0.0, 1.0], [1e-11, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        return Polytope(A, np.array([1.0, 1e300, 1.0, 1.0]))
+
+    def test_bi_point_stays(self):
+        poly = self._poly()
+        p = np.zeros(2)
+        with np.errstate(over="ignore"):
+            assert math.isinf(section(poly, p, (1.0, 0.0)).d_plus)
+            q = bi_point_on_axis(poly, p, 1)
+        assert np.array_equal(q, p)
+
+    def test_bi_center_does_not_converge(self):
+        # the search stays interior and reports that it did not converge
+        with np.errstate(over="ignore"):
+            point, trace = bi_center(self._poly(), (0.0, 0.0), max_iter=7)
+        assert trace.iterations == 7 and not trace.converged
+        assert np.array_equal(point, (0.0, 0.0))
+        assert all(np.isfinite(rec.fnorm) for rec in trace.records)
 
 
 class TestBarrierOracle:

@@ -519,6 +519,28 @@ def test_no_numpy_overflow_warning_on_stderr(tmp_path, rows, argv, code, err):
     assert (proc.returncode, proc.stderr) == (code, err)
 
 
+def test_compare_bi_with_an_infinite_chord_end(tmp_path):
+    # the +x chord from the origin has an infinite end: the bisection
+    # search stays put and does not converge, and stderr holds no numpy
+    # warning
+    path = tmp_path / "over.poly"
+    path.write_text("dims 4 2\n0 1 1\n1e-11 1 1e300\n-1 0 1\n0 -1 1\n")
+    env = dict(os.environ)
+    src = str(DATA.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polycenter.cli", "compare-bi", str(path), "--start", "0,0"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (
+        EXIT_MAXITER,
+        "one or both searches did not converge\n",
+    )
+    assert "bisection center: (0.00, 0.00)\n" in proc.stdout
+
+
 def test_cli_imports_only_what_it_runs():
     env = dict(os.environ)
     src = str(DATA.parent / "src")

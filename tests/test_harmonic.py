@@ -201,6 +201,65 @@ class TestInfiniteBracketEnd:
         assert lo < h < hi or h == 0.0
 
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_bisection_oracle_with_an_overflowed_side(self, sign):
+        # no root among the floats: a finite h, unconverged
+        A = np.array([[0.0, 1.0], [1e-11, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        poly = Polytope(A, np.array([1.0, 1e300, 1.0, 1.0]))
+        with np.errstate(over="ignore"):
+            sec = section(poly, (0.0, 0.0), (sign, 0.0))
+        res = bisection_oracle(sec)
+        assert not res.converged and res.iterations == 200
+        assert math.isfinite(res.h) and math.isfinite(res.residual)
+        assert sec.d_minus < res.h < sec.d_plus and res.h * sign > 0.0
+
+    def test_bisection_oracle_floats_on_finite_brackets(self):
+        # plain bisection, which a finite bracket follows float for float
+        def reference(sec, tol=1e-10, max_iter=200):
+            d, width = sec.finite_distances, sec.width
+            lo, hi = sec.d_minus + 1e-12 * width, sec.d_plus - 1e-12 * width
+            h = f = 0.0
+            for its in range(1, max_iter + 1):
+                h = 0.5 * (lo + hi)
+                f = float(np.sum(1.0 / (d - h)))
+                if abs(f) <= tol or (hi - lo) <= 1e-15 * width:
+                    return h, its, f, True
+                lo, hi = (lo, h) if f > 0.0 else (h, hi)
+            return h, max_iter, f, False
+
+        rng = np.random.default_rng(457)
+        for _ in range(200):
+            sec = random_section(rng)
+            assert tuple(bisection_oracle(sec))[:3] + (
+                bisection_oracle(sec).converged,
+            ) == reference(sec)
+
+    @pytest.mark.parametrize(
+        "d, lo, hi, want",
+        [
+            # F' = 1e600 overflows: no Newton step, and no finite midpoint
+            ([np.inf, -1e-300], -1e-300, np.inf, (0.0, 100, -9.999999999999999e299, False)),
+            # 1 / 1e-320 overflows to inf
+            ([1e-320, -1e-300], -1e-300, 1e-320, (-5e-301, 2, 0.0, True)),
+            # F' overflows until the sub-bracket is narrow enough
+            (
+                [1e-200, -1e-200, 2e-200, -3.0],
+                -1e-200,
+                1e-200,
+                (-2.1525043703150007e-201, 34, -2.497172892403657e189, True),
+            ),
+        ],
+    )
+    def test_near_bracket_is_warning_free(self, d, lo, hi, want):
+        # RuntimeWarnings are errors in this suite, and numpy's default
+        # state warns on overflow; the floats are those of the same solve
+        # without the guard
+        with np.errstate(over="warn", invalid="warn"):
+            before = np.geterr()
+            assert newton_offset(np.array(d), lo, hi) == want
+            assert np.geterr() == before
+
+
 class TestHarmonicPoints:
     def test_square_horizontal_line(self, square):
         q = harmonic_point_on_line(square, (0.25, 0.5), (1.0, 0.0))
