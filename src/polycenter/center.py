@@ -4,13 +4,12 @@ The f-vector of an interior point ``p`` has components
 ``f_j = sum_i A_ij / S_i`` (slacks ``S_i`` at ``p``).  Its norm is the
 convergence indicator: zero exactly at the harmonic center, growing
 without bound at the boundary.  The center is found by cyclic coordinate
-search: one sweep replaces each coordinate in turn with the harmonic
-point of the axis line through the current iterate, and sweeps repeat
-until the f-norm drops below the stopping tolerance.  For comparison, the
-bisection center bisects its axis-parallel chords: the same stage loop
-with midpoint moves and its own stop measure.  A search keeps one point
-and one slack sum across its sweeps; the slacks after a sweep's last
-stage, which are ``residuals`` there, give both stop measures.
+search: one sweep moves each coordinate in turn to the harmonic point
+of the axis line through the current iterate, until the f-norm drops
+below the stopping tolerance.  The bisection center, for comparison,
+moves to chord midpoints under its own stop measure.  One search loop
+runs both, given the sweep and the stop measure; it keeps one point and one
+slack sum across the sweeps, whose last slacks give both measures.
 """
 
 import math
@@ -169,6 +168,12 @@ def parse_trace_csv(text):
     return tuple(records)
 
 
+def _midpoint(d, lo, hi, tol):
+    """The chord midpoint, as a move like ``newton_offset``: exact if finite."""
+    h = 0.5 * (hi + lo)
+    return h, 0, 0.0, math.isfinite(h)
+
+
 class _Search:
     """What a search keeps across its sweeps: its own float copy ``q`` of
     the start, the :class:`~polycenter.model.SlackSum` at ``q``, its slacks
@@ -182,31 +187,32 @@ class _Search:
         self.s = self.sum.slacks()
         self.inexact = [] if inexact is None else inexact
 
-    def stages(self, axes, tol):
+    def stages(self, axes, move, tol):
         """One stage per 0-based axis of ``axes``; returns ``q``.  A stage
-        moves its coordinate by ``newton_offset`` on its axis line's bracket
-        at the slacks, or with ``tol`` None to the chord midpoint unless that
-        is not finite (then it is inexact), as ``section`` would."""
+        moves by ``h`` from ``h, _, _, exact = move(d, lo, hi, tol)`` on its
+        axis line's bracket.  An inexact stage is recorded; one whose ``h``
+        is not finite (never exact) leaves the coordinate, as ``section`` would."""
         polytope, q, s = self.polytope, self.q, self.s
         lines, moved, slacks = polytope.axis_lines, self.sum.moved, self.sum.slacks
         for j in axes:
             if not smallest(s) > 0.0:
                 raise not_interior(polytope, s)
             d, lo, hi = line_bracket(lines[j], s)
-            if tol is None:
-                h = 0.5 * (hi + lo)
-                exact = math.isfinite(h)
-            else:
-                h, _, _, exact = newton_offset(d, lo, hi, tol)
+            h, _, _, exact = move(d, lo, hi, tol)
             if not exact:
                 self.inexact.append(j + 1)
-                if tol is None:
+                if not math.isfinite(h):
                     continue
             q[j] += h
             moved(j)
             s = slacks()
         self.s = s
         return q
+
+    def bisect(self):
+        """``bi_center``'s sweep; False when it moved no coordinate."""
+        before = self.q.copy()
+        return (self.stages(range(self.polytope.n), _midpoint, 0.0) != before).any()
 
     def record(self, iteration):
         """The trace row of ``q``, with the f-norm at the slacks ``s``."""
@@ -219,8 +225,8 @@ class _Search:
             raise not_interior(self.polytope, s)
         return TraceRecord(iteration, tuple(self.q.tolist()), fnorm)
 
-    def largest_offset(self):
-        """``bi_center``'s stop measure at the slacks ``s``."""
+    def offset(self, _record):
+        """``bi_center``'s stop measure, the largest axis midpoint offset."""
         s = self.s
         if not smallest(s) > 0.0:
             raise not_interior(self.polytope, s)
@@ -228,29 +234,23 @@ class _Search:
         return max(abs(0.5 * (hi + lo)) for _, lo, hi in brackets)
 
 
-def _search(polytope, p0, tol, stop_tol, max_iter):
-    """Sweep from ``p0`` while the stop measure exceeds ``stop_tol``: with
-    line-solve tolerance ``tol``, :func:`cs_step` (by module name, which a
-    tracer can wrap) and the f-norm; with ``tol`` None, midpoint moves and
-    the largest axis midpoint offset.  The trace records the start as
-    iteration 0 and at most ``max_iter`` sweeps.  ``converged`` holds when
-    the last measure is within ``stop_tol`` (not NaN) and every stage met
-    its tolerance.  Raises ``ValueError`` unless ``stop_tol > 0`` and
-    ``max_iter >= 0``.
-    """
+def _search(polytope, p0, sweep, measure, stop_tol, max_iter):
+    """Sweep a kept :class:`_Search` ``run`` from ``p0`` with ``sweep(run)``
+    while ``measure(run, record)``, the stop measure at trace row ``record``,
+    exceeds ``stop_tol``, and until a sweep returns False (it moved nothing).
+    The trace holds the start as iteration 0 and at most ``max_iter`` sweeps;
+    it is ``converged`` if the last measure is within ``stop_tol`` and every
+    stage was exact.  ``ValueError`` unless ``stop_tol > 0``, ``max_iter >= 0``."""
     _positive("stop_tol", stop_tol)
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
     run = _Search(polytope, p0)
     records = [run.record(0)]
-    value = run.largest_offset() if tol is None else records[0].fnorm
-    while value > stop_tol and len(records) <= max_iter:
-        if tol is None:
-            run.stages(range(polytope.n), None)
-        else:
-            cs_step(polytope, run.q, tol, _run=run)
+    value, moved = measure(run, records[0]), True
+    while moved and value > stop_tol and len(records) <= max_iter:
+        moved = sweep(run)
         records.append(run.record(len(records)))
-        value = run.largest_offset() if tol is None else records[-1].fnorm
+        value = measure(run, records[-1])
     converged = value <= stop_tol and not run.inexact
     return run.q, CenterTrace(records=tuple(records), converged=converged)
 
@@ -262,7 +262,7 @@ def harmonic_point_on_axis(polytope, p, k, tol=1e-10):
     Raises ``ValueError`` for an axis outside ``1..n``.
     """
     _positive("tol", tol)
-    return _Search(polytope, p).stages((axis_index(k, polytope.n),), tol)
+    return _Search(polytope, p).stages((axis_index(k, polytope.n),), newton_offset, tol)
 
 
 def cs_step(polytope, p, tol=1e-10, inexact=None, *, _run=None):
@@ -282,7 +282,7 @@ def cs_step(polytope, p, tol=1e-10, inexact=None, *, _run=None):
     """
     _positive("tol", tol)
     run = _Search(polytope, p, inexact) if _run is None else _run
-    return run.stages(range(polytope.n), tol)
+    return run.stages(range(polytope.n), newton_offset, tol)
 
 
 def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
@@ -299,7 +299,12 @@ def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
     Returns ``(center, trace)``.
     """
     _positive("inner_tol", inner_tol)
-    return _search(polytope, p0, inner_tol, stop_tol, max_iter)
+
+    def sweep(run):  # through cs_step by module name, which a tracer wraps
+        cs_step(polytope, run.q, inner_tol, _run=run)
+        return True
+
+    return _search(polytope, p0, sweep, lambda _, rec: rec.fnorm, stop_tol, max_iter)
 
 
 def bi_point_on_axis(polytope, p, k):
@@ -309,7 +314,7 @@ def bi_point_on_axis(polytope, p, k):
     finite; the others are unchanged.  Raises ``ValueError`` for an axis
     outside ``1..n``.
     """
-    return _Search(polytope, p).stages((axis_index(k, polytope.n),), None)
+    return _Search(polytope, p).stages((axis_index(k, polytope.n),), _midpoint, 0.0)
 
 
 def bi_center(polytope, p0, stop_tol=0.01, max_iter=100):
@@ -320,9 +325,9 @@ def bi_center(polytope, p0, stop_tol=0.01, max_iter=100):
     offset at the iterate (the f-norm measures harmonic centrality, which
     this point does not optimize; it is still recorded in the trace for
     comparison).  A chord with an infinite end has no finite midpoint: its
-    stage leaves the coordinate where it is, and the trace carries
-    ``converged=False``.
+    stage leaves the coordinate where it is.  Then, or when a sweep moves
+    no coordinate (which ends the search), ``converged`` is False.
 
     Returns ``(point, trace)``.
     """
-    return _search(polytope, p0, None, stop_tol, max_iter)
+    return _search(polytope, p0, _Search.bisect, _Search.offset, stop_tol, max_iter)

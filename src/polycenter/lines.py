@@ -200,11 +200,6 @@ def line_bracket(line, s, error=UnboundedDirectionError):
     return d, _nearest(d[ahead:], largest, error, _NO_BACKWARD), d_plus
 
 
-def axis_bracket(polytope, s, k):
-    """:func:`line_bracket` of the axis-``k`` line (1-based) at slacks ``s``."""
-    return line_bracket(polytope.axis_lines[k - 1], s)
-
-
 def _nearest(near, reduce, error, message):
     """``reduce`` (:func:`smallest` or :func:`largest`) of the nonzero
     distances ``near`` on one side of the line.

@@ -28,6 +28,7 @@ from polycenter import (
     directional_sum,
     f_norm,
     f_vector,
+    find_interior_point,
     harmonic_center,
     harmonic_hyperplane,
     harmonic_point_on_axis,
@@ -711,12 +712,24 @@ class TestInfiniteChordEnd:
         assert np.array_equal(q, p)
 
     def test_bi_center_does_not_converge(self):
-        # the search stays interior and reports that it did not converge
+        # the search stays interior and reports that it did not converge;
+        # its first sweep moves nothing, so it ends there
         with np.errstate(over="ignore"):
             point, trace = bi_center(self._poly(), (0.0, 0.0), max_iter=7)
-        assert trace.iterations == 7 and not trace.converged
+        assert trace.iterations == 1 and not trace.converged
         assert np.array_equal(point, (0.0, 0.0))
         assert all(np.isfinite(rec.fnorm) for rec in trace.records)
+
+
+def test_bi_center_ends_on_a_sweep_that_moves_nothing(example2):
+    # finite chords: from the auto start the midpoint sweeps come to rest
+    # before the stop measure reaches 1e-300, and the search ends there
+    p0 = find_interior_point(example2)
+    _, trace = bi_center(example2, p0, stop_tol=1e-300, max_iter=1000)
+    assert not trace.converged and trace.iterations < 1000
+    points = [rec.point for rec in trace.records]
+    assert points[-1] == points[-2]
+    assert all(a != b for a, b in zip(points[:-2], points[1:-1]))
 
 
 class TestBarrierOracle:

@@ -20,7 +20,7 @@ from polycenter import (
     unit_direction,
 )
 from polycenter.harmonic import _ONES, newton_offset
-from polycenter.lines import axis_bracket
+from polycenter.lines import line_bracket
 
 # root of 1/(-1-h) + 1/(1-h) + 1/(2-h) = 0 inside (-1, 1): the equation
 # clears to 3h^2 - 4h - 1 = 0, and only this quadratic root is bracketed
@@ -353,7 +353,8 @@ class TestSummationOrder:
             for k in range(1, n + 1):
                 d = self._check(poly, p, axis_direction(k, n))
                 # the axis stage's distances, bit for bit
-                assert axis_bracket(poly, s, k)[0].tobytes() == d.tobytes()
+                got = line_bracket(poly.axis_lines[k - 1], s)[0]
+                assert got.tobytes() == d.tobytes()
 
     def test_underflowed_signed_zero(self):
         # the row (+-1e300, 0) with slack 1e-30 at the origin: its axis-1
@@ -369,7 +370,7 @@ class TestSummationOrder:
             with np.errstate(all="ignore"):
                 poly = Polytope(np.array(A, dtype=float), np.array(b))
                 d = self._check(poly, p, np.array([1.0, 0.0]))
-                got = axis_bracket(poly, residuals(poly, p), 1)[0]
+                got = line_bracket(poly.axis_lines[0], residuals(poly, p))[0]
             assert list(np.flatnonzero(d == 0.0)) == [where]
             assert np.signbit(d[where]) == (sign < 0.0)
             assert got.tobytes() == d.tobytes()

@@ -12,6 +12,8 @@ import importlib.util
 from conftest import DATA
 from polycenter import (
     LineSection,
+    bi_center,
+    center,
     classify_point,
     harmonic_center,
     harmonic_hyperplane,
@@ -53,3 +55,21 @@ def test_span_info_reads_solve_results_and_center_runs(square):
         harmonic_hyperplane(square, (0.25, 0.5)),
     )
     assert [info(other) for other in others] == [None, None, None]
+
+
+def test_each_harmonic_sweep_calls_cs_step_by_module_name(monkeypatch, example1):
+    # the tracer's center.cs_step span is the wrapper of this name: one per
+    # harmonic sweep, and none in a bisection search
+    calls = []
+    step = center.cs_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(center, "cs_step", counted)
+    _, trace = harmonic_center(example1, (9.0, 6.0), stop_tol=1e-8)
+    assert trace.iterations > 1 and len(calls) == trace.iterations
+    calls.clear()
+    _, trace = bi_center(example1, (9.0, 6.0), stop_tol=1e-8)
+    assert trace.iterations > 1 and calls == []
