@@ -128,44 +128,40 @@ class CenterTrace(NamedTuple):
     def to_csv(self):
         """Serialize as ``iter,x1,...,xn,fnorm`` with full-precision decimals."""
         n = len(self.records[0].point)
-        header = "iter," + ",".join(f"x{j}" for j in range(1, n + 1)) + ",fnorm"
-        lines = [header]
-        for rec in self.records:
-            cells = [str(rec.iteration)]
-            cells += [repr(v) for v in rec.point]
-            cells.append(repr(rec.fnorm))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        header = ["iter", *(f"x{j}" for j in range(1, n + 1)), "fnorm"]
+        rows = ((rec.iteration, *rec.point, rec.fnorm) for rec in self.records)
+        return csv_rows(header, *rows)
+
+
+def csv_rows(*rows):
+    """Each row as one line of comma-separated cells.  A cell is a name, an
+    int or a Python float, whose ``str`` is its full-precision ``repr``."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def parse_trace_csv(text):
     """Parse trace CSV back into the tuple of :class:`TraceRecord`.
 
-    Values written by :meth:`CenterTrace.to_csv` round-trip exactly.
+    Values written by :meth:`CenterTrace.to_csv` round-trip exactly.  Blank
+    lines are skipped.  ``ValueError`` for a text with no header, a header
+    not ``iter,...,fnorm``, or a row whose cell count differs from it.
     """
-    # imported here: the CLI process never reads a trace back
-    import csv
-    import io
-
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty trace CSV") from None
+    rows = [line.split(",") for line in text.splitlines() if line.strip()]
+    if not rows:
+        raise ValueError("empty trace CSV")
+    header, *body = rows
     if header[0] != "iter" or header[-1] != "fnorm":
         raise ValueError(f"unexpected trace header: {header}")
-    records = []
-    for row in reader:
-        if not row:
-            continue
-        records.append(
-            TraceRecord(
-                iteration=int(row[0]),
-                point=tuple(float(v) for v in row[1:-1]),
-                fnorm=float(row[-1]),
+    for row in body:
+        if len(row) != len(header):
+            raise ValueError(
+                f"trace row {','.join(row)!r} has {len(row)} cells, "
+                f"header has {len(header)}"
             )
-        )
-    return tuple(records)
+    return tuple(
+        TraceRecord(int(row[0]), tuple(map(float, row[1:-1])), float(row[-1]))
+        for row in body
+    )
 
 
 def _midpoint(d, lo, hi, tol):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .center import (
     bi_center,
+    csv_rows,
     directional_sum,
     f_norm,
     f_vector,
@@ -45,38 +46,29 @@ EXIT_UNBOUNDED = 3
 EXIT_MAXITER = 4
 
 
-def _vector(text):
-    try:
-        values = tuple(float(tok) for tok in text.split(","))
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected comma-separated finite numbers, got {text!r}"
-    )
+def _value(parse, valid, expected):
+    """An argparse type: ``parse(text)`` if ``valid`` of it, else a usage
+    error naming what was ``expected``."""
+
+    def convert(text):
+        try:
+            value = parse(text)
+            if valid(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return convert
 
 
-def _positive(text):
-    try:
-        value = float(text)
-        if value > 0.0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-
-
-def _count(text):
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected a non-negative integer, got {text!r}"
-    )
+_vector = _value(
+    lambda text: tuple(float(tok) for tok in text.split(",")),
+    lambda values: np.isfinite(values).all(),
+    "comma-separated finite numbers",
+)
+_positive = _value(float, lambda value: value > 0.0, "a positive number")
+_count = _value(int, lambda value: value >= 0, "a non-negative integer")
 
 
 # Every option once, by flag: its argparse arguments.
@@ -120,13 +112,22 @@ _OPTIONS = {
 }
 
 
-def _fmt_point(p):
-    return "(" + ", ".join(f"{v:.2f}" for v in p) + ")"
+def _field(key, value, spec=".2f", line=None):
+    """One result field: its JSON key and value, and its table line.
 
-
-def _csv(*rows):
-    # cells are names or Python floats, whose str() is their full repr()
-    return "".join(",".join(str(v) for v in row) + "\n" for row in rows)
+    A vector's value is its list of floats.  The line is ``line`` if given,
+    else ``key: text`` with the key's underscores as spaces: a bool as
+    yes/no, else the number, or each coordinate as ``(v1, ..., vn)``, in
+    format ``spec`` (2 decimals unless given).
+    """
+    if np.ndim(value):
+        value = [float(v) for v in value]
+        text = "(" + ", ".join(format(v, spec) for v in value) + ")"
+    elif isinstance(value, bool):
+        text = "yes" if value else "no"
+    else:
+        text = format(value, spec)
+    return key, value, line or f"{key.replace('_', ' ')}: {text}"
 
 
 def _sized(values, poly, name, parts):
@@ -167,17 +168,11 @@ def _cmd_center(args, poly, p0):
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(doc)
     final = trace.final
-    result = {
-        "center": [float(v) for v in point],
-        "fnorm": final.fnorm,
-        "iterations": final.iteration,
-        "converged": trace.converged,
-    }
-    rows = [
-        f"center: {_fmt_point(point)}",
-        f"fnorm: {final.fnorm:.3f}",
-        f"iterations: {final.iteration}",
-        f"converged: {'yes' if trace.converged else 'no'}",
+    fields = [
+        _field("center", point),
+        _field("fnorm", final.fnorm, ".3f"),
+        _field("iterations", final.iteration, "d"),
+        _field("converged", trace.converged),
     ]
     failure = None
     if not trace.converged:
@@ -186,7 +181,7 @@ def _cmd_center(args, poly, p0):
         else:
             reason = f"a line solve missed --inner-tol {args.inner_tol:.6g}"
         failure = f"not converged after {final.iteration} iterations ({reason})"
-    return result, rows, csv_text, failure
+    return fields, csv_text, failure
 
 
 def _cmd_point(args, poly, p0):
@@ -199,48 +194,40 @@ def _cmd_point(args, poly, p0):
         harmonic.section(poly, p0, u), tol=args.inner_tol
     )
     q = point_at(p0, u, res.h)
-    result = {"point": [float(v) for v in q]}
-    csv_text = _csv([f"x{j + 1}" for j in range(poly.n)], result["point"])
+    csv_text = csv_rows([f"x{j + 1}" for j in range(poly.n)], q.tolist())
     failure = None
     if not res.converged:
         failure = (
             f"not converged after {res.iterations} iterations "
             f"(the line solve missed --inner-tol {args.inner_tol:.6g})"
         )
-    return result, [f"point: {_fmt_point(q)}"], csv_text, failure
+    return [_field("point", q)], csv_text, failure
 
 
 def _cmd_hyperplane(args, poly, p0):
     hp = harmonic_hyperplane(poly, p0)
-    result = {"normal": [float(v) for v in hp.normal], "offset": hp.offset}
-    rows = [f"normal: {_fmt_point(hp.normal)}", f"offset: {hp.offset:.2f}"]
+    fields = [_field("normal", hp.normal), _field("offset", hp.offset)]
     names = [f"v{j + 1}" for j in range(poly.n)] + ["offset"]
-    return result, rows, _csv(names, result["normal"] + [hp.offset]), None
+    return fields, csv_rows(names, [*hp.normal.tolist(), hp.offset]), None
 
 
 def _cmd_compare_bi(args, poly, p0):
     hc, htrace = _harmonic_center(args, poly, p0)
     bc, btrace = bi_center(poly, p0, stop_tol=args.tol, max_iter=args.max_iter)
-    gap = float(np.linalg.norm(hc - bc))
-    result = {
-        "harmonic_center": [float(v) for v in hc],
-        "bisection_center": [float(v) for v in bc],
-        "gap": gap,
-    }
-    rows = [
-        f"harmonic center: {_fmt_point(hc)}",
-        f"bisection center: {_fmt_point(bc)}",
-        f"gap: {gap:.2f}",
+    fields = [
+        _field("harmonic_center", hc),
+        _field("bisection_center", bc),
+        _field("gap", float(np.linalg.norm(hc - bc))),
     ]
-    csv_text = _csv(
+    csv_text = csv_rows(
         ["which"] + [f"x{j + 1}" for j in range(poly.n)],
-        ["harmonic"] + result["harmonic_center"],
-        ["bisection"] + result["bisection_center"],
+        ["harmonic", *hc.tolist()],
+        ["bisection", *bc.tolist()],
     )
     failure = None
     if not (htrace.converged and btrace.converged):
         failure = "one or both searches did not converge"
-    return result, rows, csv_text, failure
+    return fields, csv_text, failure
 
 
 def _cmd_check(args, poly, p0):
@@ -251,19 +238,20 @@ def _cmd_check(args, poly, p0):
     if fn > 0.0:
         worst = abs(directional_sum(poly, p0, f_vector(poly, p0) / fn))
     ok = fn <= args.tol and worst <= args.tol
-    result = {"fnorm": fn, "max_directional_sum": worst, "pass": ok}
-    rows = [
-        f"fnorm: {fn:.6g}",
-        f"max |directional sum| (along f/|f|): {worst:.6g}",
-        f"check: {'PASS' if ok else 'FAIL'} (tol {args.tol:.6g})",
+    sums = f"max |directional sum| (along f/|f|): {worst:.6g}"
+    verdict = f"check: {'PASS' if ok else 'FAIL'} (tol {args.tol:.6g})"
+    fields = [
+        _field("fnorm", fn, ".6g"),
+        _field("max_directional_sum", worst, line=sums),
+        _field("pass", ok, line=verdict),
     ]
-    return result, rows, None, None
+    return fields, None, None
 
 
 # A command's handler, help line, the options it reads (in usage order) and
-# those of which it needs exactly one.  A handler returns (JSON result, table
-# lines, CSV text or None for the table, failure: the stderr line of a search
-# that did not converge, or None).
+# those of which it needs exactly one.  A handler returns (its result as
+# :func:`_field` fields, CSV text or None for the table, failure: the stderr
+# line of a search that did not converge, or None).
 _Command = namedtuple("_Command", "handler help options one_of", defaults=("",))
 
 _COMMAND_TABLE = {
@@ -346,18 +334,18 @@ def run(args, out=None):
     with np.errstate(over="ignore"):
         poly = load_polytope(args.input)
         p0 = _resolve_start(args.start, poly)
-        result, rows, csv_text, failure = handler(args, poly, p0)
+        fields, csv_text, failure = handler(args, poly, p0)
     if failure is not None:
         print(failure, file=sys.stderr)
     if args.fmt == "json":
         # imported here: the table and csv formats do not pay for it
         import json
 
-        out.write(json.dumps(result) + "\n")
+        out.write(json.dumps({key: value for key, value, _ in fields}) + "\n")
     elif args.fmt == "csv" and csv_text is not None:
         out.write(csv_text)
     else:
-        out.write("".join(row + "\n" for row in rows))
+        out.write("".join(line + "\n" for _, _, line in fields))
     return EXIT_OK if failure is None else EXIT_MAXITER
 
 

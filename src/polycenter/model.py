@@ -5,7 +5,7 @@ A polytope is the solution set of ``A @ x <= b`` with ``A`` of shape
 slack of a constraint at a point equals the Euclidean distance from the
 point to the constraint's boundary hyperplane.
 
-File format (``.poly``, UTF-8 text)::
+File format (``.poly``, UTF-8 text; a leading byte-order mark is skipped)::
 
     # comment lines start with '#'; blank lines are ignored
     dims <m> <n>
@@ -324,7 +324,7 @@ def parse_polytope(text):
 
 def load_polytope(path):
     """Read and parse a ``.poly`` file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_polytope(fh.read())
 
 

@@ -821,3 +821,13 @@ class TestTraceCsv:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             parse_trace_csv("")
+
+    def test_blank_line_before_header_skipped(self):
+        # a record is a named tuple: (iteration, point, fnorm)
+        assert parse_trace_csv("\niter,x1,fnorm\n\n0,1.0,2.0\n") == ((0, (1.0,), 2.0),)
+
+    @pytest.mark.parametrize("row", ["0,1.0", "0,1.0,2.0,3.0"])
+    def test_row_of_another_width_rejected(self, row):
+        text = f"iter,x1,fnorm\n0,1.0,2.0\n{row}\n"
+        with pytest.raises(ValueError, match=f"trace row '{row}' has"):
+            parse_trace_csv(text)

@@ -571,3 +571,91 @@ def test_cli_imports_only_what_it_runs():
         "iterations": 0,
         "converged": True,
     }
+
+
+# each fixture with an interior start that is not its center
+STARTS = {
+    "square": "0.25,0.5",
+    "simplex": "0.2,0.3",
+    "example1": "3,0.25",
+    "example2": "1,2,2.5,1.3",
+}
+
+
+def _two(v):
+    """README's table format for points, normals, offsets and the gap."""
+    if isinstance(v, list):
+        return "(" + ", ".join(f"{x:.2f}" for x in v) + ")"
+    return f"{v:.2f}"
+
+
+# a command's table lines, from its JSON payload, in README's formats
+TABLES = {
+    "center": lambda r: [
+        f"center: {_two(r['center'])}",
+        f"fnorm: {r['fnorm']:.3f}",
+        f"iterations: {r['iterations']}",
+        f"converged: {'yes' if r['converged'] else 'no'}",
+    ],
+    "point": lambda r: [f"point: {_two(r['point'])}"],
+    "hyperplane": lambda r: [
+        f"normal: {_two(r['normal'])}",
+        f"offset: {_two(r['offset'])}",
+    ],
+    "compare-bi": lambda r: [
+        f"harmonic center: {_two(r['harmonic_center'])}",
+        f"bisection center: {_two(r['bisection_center'])}",
+        f"gap: {_two(r['gap'])}",
+    ],
+    "check": lambda r: [
+        f"fnorm: {r['fnorm']:.6g}",
+        f"max |directional sum| (along f/|f|): {r['max_directional_sum']:.6g}",
+        f"check: {'PASS' if r['pass'] else 'FAIL'} (tol 0.01)",
+    ],
+}
+
+# a command's CSV data rows, from its JSON payload
+CSV_ROWS = {
+    "point": lambda r: [r["point"]],
+    "hyperplane": lambda r: [r["normal"] + [r["offset"]]],
+    "compare-bi": lambda r: [
+        ["harmonic"] + r["harmonic_center"],
+        ["bisection"] + r["bisection_center"],
+    ],
+}
+
+
+@pytest.mark.parametrize("fixture", list(STARTS))
+@pytest.mark.parametrize("command", list(TABLES))
+def test_each_result_is_written_once(capsys, tmp_path, fixture, command):
+    argv = [command, str(DATA / f"{fixture}.poly"), "--start", STARTS[fixture]]
+    argv += ["--axis", "1"] if command == "point" else []
+    outs, codes = {}, set()
+    for fmt in ("table", "csv", "json"):
+        extra = ["--trace", str(tmp_path / "t.csv")] if command == "center" else []
+        codes.add(main([*argv, "--format", fmt, *extra]))
+        outs[fmt] = capsys.readouterr().out
+    assert len(codes) == 1 and codes <= {EXIT_OK, EXIT_MAXITER}
+    payload = json.loads(outs["json"])
+    assert outs["table"] == "".join(line + "\n" for line in TABLES[command](payload))
+    csv_rows = [line.split(",") for line in outs["csv"].splitlines()]
+    if command == "center":
+        assert outs["csv"] == (tmp_path / "t.csv").read_text()
+        iteration, *center, fnorm = csv_rows[-1]
+        assert int(iteration) == payload["iterations"]
+        assert [float(v) for v in center] == payload["center"]
+        assert float(fnorm) == payload["fnorm"]
+    elif command == "check":
+        assert outs["csv"] == outs["table"]
+    else:
+        body = [[c if c.isalpha() else float(c) for c in row] for row in csv_rows[1:]]
+        assert body == CSV_ROWS[command](payload)
+
+
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    bom = tmp_path / "square.poly"
+    bom.write_bytes(b"\xef\xbb\xbf" + (DATA / "square.poly").read_bytes())
+    assert main(["center", SQUARE]) == EXIT_OK
+    plain = capsys.readouterr()
+    assert main(["center", str(bom)]) == EXIT_OK
+    assert capsys.readouterr() == plain
