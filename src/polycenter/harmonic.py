@@ -202,8 +202,9 @@ def bisection_oracle(sec, tol=1e-10, max_iter=200):
     converges unconditionally by monotonicity.  A bracket with an infinite
     end has no root among the floats (the sum keeps one sign): it bisects
     the bracket's part within half the largest float, meets no stop, and
-    returns a finite ``h`` with ``converged=False``.  Deliberately shares no
-    logic with :func:`solve_harmonic_offset`; it exists to cross-check it.
+    returns a finite ``h`` with ``converged=False``.  It shares the bracket
+    check with :func:`solve_harmonic_offset`, and deliberately neither its
+    root iteration nor its summation order: it exists to cross-check it.
     """
     d = _check_bracket(sec)
     width = sec.width

@@ -17,7 +17,7 @@ or scientific notation; parsing is locale-independent.
 """
 
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -89,14 +89,29 @@ def _axis_line(column):
     return AxisLine(rows, g, ahead)
 
 
-def _check_rows(finite, nonzero):
-    """Raise for the first row not ``finite``, else the first not ``nonzero``."""
-    bad = np.flatnonzero(~finite)
-    if bad.size:
-        raise PolytopeFormatError(f"non-finite entry in row at index {bad[0]}")
-    zero = np.flatnonzero(~nonzero)
+def _check_rows(A, b, line=None):
+    """The one rule for the rows of ``A @ x <= b``: raise
+    :class:`PolytopeFormatError` for the first row with a non-finite entry
+    in ``A`` or ``b``, else for the first whose norm is at most
+    ``_ZERO_ROW_TOL``.  The error names the row's index, or, for the one
+    row of a file line, the ``line``.
+
+    The squares are summed by ``einsum``, so no m x n temporary is made.  A
+    non-finite entry makes the sum non-finite, and so do finite entries
+    whose squares overflow; only rows with a non-finite sum are read again.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+    finite = np.isfinite(norms) & np.isfinite(b)
+    if not finite.all():
+        rows = np.flatnonzero(~finite)
+        bad = rows[~(np.isfinite(A[rows]).all(axis=1) & np.isfinite(b[rows]))]
+        if bad.size:
+            at = f" in row at index {bad[0]}" if line is None else ""
+            raise PolytopeFormatError("non-finite entry" + at, line=line)
+    zero = np.flatnonzero(norms <= _ZERO_ROW_TOL)
     if zero.size:
-        raise PolytopeFormatError(f"zero coefficient row at index {zero[0]}")
+        at = f" at index {zero[0]}" if line is None else ""
+        raise PolytopeFormatError("zero coefficient row" + at, line=line)
 
 
 class _Frozen:
@@ -122,7 +137,8 @@ class Polytope(_Frozen):
     arguments; ``A`` is column-major, so that a block of its columns, as
     :class:`SlackSum` reads it, is one contiguous slab.  ``labels``, when
     given, names each constraint row.  Construction requires more rows than
-    columns (``m > n``) and rejects zero rows and non-finite entries.  It
+    columns (``m > n``) and rejects the first row with a non-finite entry,
+    else the first whose norm is at most 1e-12 (:func:`_check_rows`).  It
     does not normalize rows (see :func:`normalize_rows`) and does not
     verify boundedness.  The per-axis table :attr:`axis_lines` is derived
     from ``A`` on first use and kept; it is read-only too.  Polytopes
@@ -145,10 +161,7 @@ class Polytope(_Frozen):
             raise PolytopeFormatError(
                 f"need more constraints than dimensions, got m={m} <= n={n}"
             )
-        _check_rows(
-            np.isfinite(A).all(axis=1) & np.isfinite(b),
-            np.linalg.norm(A, axis=1) > _ZERO_ROW_TOL,
-        )
+        _check_rows(A, b)
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != m:
@@ -235,19 +248,21 @@ def normalize_rows(polytope):
     holds at most one m x n array beyond ``polytope.A`` at a time.
     """
     norms = np.linalg.norm(polytope.A, axis=1)
+    A = polytope.A / norms[:, None]
     b = polytope.b / norms
-    # the rows of a polytope are finite and nonzero, so the quotients are
-    # too, unless the norm (a zero row) or an entry of b overflowed
-    _check_rows(np.isfinite(b), np.isfinite(norms))
-    return Polytope._adopt(polytope.A / norms[:, None], b, polytope.labels)
+    # the rows of a polytope pass the rule, so the quotients do too, unless
+    # a norm overflowed (a zero row) or an entry of b did (non-finite)
+    _check_rows(A, b)
+    return Polytope._adopt(A, b, polytope.labels)
 
 
 def parse_polytope(text):
     """Parse ``.poly`` file content into a row-normalized :class:`Polytope`.
 
     Raises :class:`PolytopeFormatError` (with the offending line number) on
-    syntax errors, zero rows, non-finite values, ``m <= n``, or
-    row/dimension mismatches.
+    syntax errors, rows that :func:`_check_rows` rejects, ``m <= n``, or
+    row/dimension mismatches; a row that turns zero or non-finite only
+    when normalized is named by its index.
     """
     dims = None
     rows, rhs, labels = [], [], []
@@ -302,12 +317,9 @@ def parse_polytope(text):
             values = [float(t) for t in tokens]
         except ValueError as exc:
             raise PolytopeFormatError(str(exc), line=lineno) from None
-        row = np.array(values[:n])
-        if np.linalg.norm(row) <= _ZERO_ROW_TOL:
-            raise PolytopeFormatError("zero coefficient row", line=lineno)
-        if not np.isfinite(values).all():
-            raise PolytopeFormatError("non-finite entry", line=lineno)
-        rows.append(row)
+        row = np.array(values)
+        _check_rows(row[None, :n], row[n:], line=lineno)
+        rows.append(row[:n])
         rhs.append(values[n])
         labels.append(label)
     if dims is None:
@@ -328,38 +340,6 @@ def load_polytope(path):
         return parse_polytope(fh.read())
 
 
-@lru_cache(maxsize=None)
-def _signs(blocks):
-    """The read-only weights ``(1, -1, ..., -1)`` of ``b`` and ``blocks``
-    block products in the slack sum."""
-    signs = np.full(blocks + 1, -1.0)
-    signs[0] = 1.0
-    signs.setflags(write=False)
-    return signs
-
-
-def _slack_terms(polytope, q):
-    """``(signs, terms, blocks)``, a :class:`SlackSum`'s set-up at ``q``:
-    ``terms`` is ``b`` and, per block of ``BLOCK`` columns, that block's
-    product; ``blocks`` holds per block its slab of the column-major ``A``
-    (one contiguous slab), its view of ``q`` and its row of ``terms``.
-    Raises ``ValueError`` unless ``q`` has shape ``(n,)``."""
-    A = polytope.A
-    m, n = A.shape
-    if q.shape != (n,):
-        raise ValueError(f"point has shape {q.shape}, expected ({n},)")
-    starts = range(0, n, BLOCK)
-    terms = np.empty((len(starts) + 1, m))
-    terms[0] = polytope.b
-    blocks = [
-        (A[:, lo : lo + BLOCK], q[lo : lo + BLOCK], terms[i])
-        for i, lo in enumerate(starts, start=1)
-    ]
-    for slab, x, term in blocks:
-        slab.dot(x, out=term)
-    return _signs(len(blocks)), terms, blocks
-
-
 class SlackSum:
     """The slacks at a point ``q`` that a coordinate search moves in place.
 
@@ -374,7 +354,25 @@ class SlackSum:
     __slots__ = ("_signs", "_terms", "_blocks")
 
     def __init__(self, polytope, q):
-        self._signs, self._terms, self._blocks = _slack_terms(polytope, q)
+        """The sum at ``q``: ``terms`` holds ``b`` and, per block of
+        ``BLOCK`` columns, that block's product; each block keeps its slab
+        of the column-major ``A`` (one contiguous slab), its view of ``q``
+        and its row of ``terms``.  Raises ``ValueError`` unless ``q`` has
+        shape ``(n,)``."""
+        A = polytope.A
+        m, n = A.shape
+        if q.shape != (n,):
+            raise ValueError(f"point has shape {q.shape}, expected ({n},)")
+        starts = range(0, n, BLOCK)
+        self._terms = np.empty((len(starts) + 1, m))
+        self._terms[0] = polytope.b
+        self._blocks = [
+            (A[:, lo : lo + BLOCK], q[lo : lo + BLOCK], term)
+            for lo, term in zip(starts, self._terms[1:])
+        ]
+        for slab, x, term in self._blocks:
+            slab.dot(x, out=term)
+        self._signs = np.array((1.0,) + (-1.0,) * len(starts))
 
     def slacks(self):
         """The slacks at ``q``, a new array."""

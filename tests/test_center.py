@@ -648,16 +648,16 @@ class TestKeptSearch:
                 assert np.array_equal(point, records[-1][0])
 
     def test_slack_sum_set_up_once_per_search(self, monkeypatch):
-        from polycenter import model
+        from polycenter import center
 
         calls = []
-        set_up = model._slack_terms
+        set_up = center.SlackSum.__init__
 
         def counted(*args):
             calls.append(1)
             return set_up(*args)
 
-        monkeypatch.setattr(model, "_slack_terms", counted)
+        monkeypatch.setattr(center.SlackSum, "__init__", counted)
         rng = np.random.default_rng(449)
         poly, anchor = random_polytope(rng, 40, extra=40)
         p = random_interior_point(rng, poly, anchor)
@@ -799,6 +799,48 @@ class TestInvariances:
             a, _ = harmonic_center(poly, anchor, inner_tol=1e-12)
             b, _ = harmonic_center(moved, anchor + t, inner_tol=1e-12)
             assert np.max(np.abs(b - (a + t))) <= 1e-9
+
+
+class TestRotation:
+    """The paper's case for the harmonic center over the BI center: the
+    harmonic center is the analytic center, so it moves with a rotation of
+    the polytope; the BI center bisects axis-parallel chords, and a
+    rotation changes which chords those are."""
+
+    @staticmethod
+    def _pairs(n):
+        """``(polytope, start, rotated polytope, Q)`` for 10 seeds: the
+        rotated polytope is ``{y : A Q^T y <= b}``, the image of the first
+        under ``y = Q x``."""
+        for seed in range(10):
+            rng = np.random.default_rng([91, n, seed])
+            poly, anchor = random_polytope(rng, n, extra=3 * n)
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            yield poly, anchor, normalize_rows(Polytope(poly.A @ Q.T, poly.b)), Q
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_harmonic_center_moves_with_the_rotation(self, n):
+        # measured: at most 6.6e-9
+        for poly, start, rotated, Q in self._pairs(n):
+            center, trace = harmonic_center(poly, start, stop_tol=1e-8)
+            moved, moved_trace = harmonic_center(rotated, Q @ start, stop_tol=1e-8)
+            assert trace.converged and moved_trace.converged
+            assert np.linalg.norm(moved - Q @ center) <= 1e-8
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_bi_center_does_not(self, n):
+        # measured: both searches converge for 10, 10 and 4 of the seeds,
+        # and the smallest miss is 0.022, 0.23 and 1.1
+        converged = 0
+        for poly, start, rotated, Q in self._pairs(n):
+            center, trace = bi_center(poly, start, stop_tol=1e-8, max_iter=300)
+            moved, moved_trace = bi_center(
+                rotated, Q @ start, stop_tol=1e-8, max_iter=300
+            )
+            if trace.converged and moved_trace.converged:
+                converged += 1
+                assert np.linalg.norm(moved - Q @ center) > 0.01
+        assert converged
 
 
 class TestTraceCsv:

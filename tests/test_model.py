@@ -25,7 +25,7 @@ from polycenter import (
     residuals,
     solve_harmonic_offset,
 )
-from polycenter.model import PARALLEL_EPS, _axis_line, ahead_first
+from polycenter.model import _ZERO_ROW_TOL, PARALLEL_EPS, _axis_line, ahead_first
 
 SQUARE_TEXT = """\
 # unit square
@@ -147,6 +147,20 @@ class TestPolytopeInvariants:
             with pytest.raises(PolytopeFormatError, match="line 3: non-finite"):
                 parse_polytope(f"dims 4 2\n-1 0 0\n{row}\n1 0 1\n0 1 1\n")
 
+    def test_construction_makes_no_second_copy(self):
+        # the row rule sums squares row by row, so the copy of A is the
+        # only m x n array made (with np.linalg.norm's row norms: 2.02x)
+        rng = np.random.default_rng(17)
+        A = rng.normal(size=(1000, 200))
+        b = rng.uniform(1, 2, 1000)
+        tracemalloc.start()
+        try:
+            Polytope(A, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * A.nbytes
+
     def test_rhs_length_mismatch(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
         with pytest.raises(PolytopeFormatError):
@@ -176,6 +190,80 @@ class TestPolytopeInvariants:
         assert np.array_equal(poly.A, np.asarray(given))
         if isinstance(given, np.ndarray):
             assert not np.shares_memory(poly.A, given)
+
+
+NON_FINITE, ZERO = "non-finite entry", "zero coefficient row"
+
+
+class TestRowRule:
+    """One rule for every row, wherever it is checked: a non-finite entry
+    first, then a norm at most ``_ZERO_ROW_TOL``.  The row goes in at
+    index 1 of a triangle, which is line 3 of its file."""
+
+    BASE = [((-1.0, 0.0), 1.0), ((0.0, -1.0), 1.0), ((1.0, 1.0), 1.0)]
+
+    def _rows(self, row, rhs):
+        rows = self.BASE[:1] + [(row, rhs)] + self.BASE[1:]
+        A = np.array([r for r, _ in rows])
+        b = np.array([c for _, c in rows])
+        text = "dims 4 2\n" + "".join(
+            f"{r[0]!r} {r[1]!r} {c!r}\n" for r, c in rows
+        )
+        return A, b, text
+
+    # (row, rhs, error, found by normalize_rows rather than Polytope)
+    @pytest.mark.parametrize(
+        "row, rhs, error, on_normalize",
+        [
+            ((0.0, 0.0), 1.0, ZERO, False),
+            ((0.0, 1e-300), 1.0, ZERO, False),
+            ((math.nan, 1.0), 1.0, NON_FINITE, False),
+            ((1.0, -math.inf), 1.0, NON_FINITE, False),
+            ((1.0, 1.0), math.nan, NON_FINITE, False),
+            ((1.0, 1.0), math.inf, NON_FINITE, False),
+            # a zero row with a non-finite right-hand side: non-finite first
+            ((0.0, 0.0), math.nan, NON_FINITE, False),
+            ((0.0, 0.0), -math.inf, NON_FINITE, False),
+            # the norm overflows, so the normalized row is zero
+            ((1e200, 1e200), 1.0, ZERO, True),
+            # the norm is tiny, so the normalized right-hand side overflows
+            ((1e-11, -1e-11), 1e300, NON_FINITE, True),
+            ((_ZERO_ROW_TOL, 0.0), 1.0, ZERO, False),
+            ((float(np.nextafter(_ZERO_ROW_TOL, 0.0)), 0.0), 1.0, ZERO, False),
+        ],
+    )
+    def test_same_error_everywhere(self, row, rhs, error, on_normalize):
+        A, b, text = self._rows(row, rhs)
+        at = " in row at index 1" if error == NON_FINITE else " at index 1"
+        with np.errstate(over="ignore"):
+            if on_normalize:
+                raw = Polytope(A, b)
+                with pytest.raises(PolytopeFormatError) as lib:
+                    normalize_rows(raw)
+                parse_message = error + at
+            else:
+                with pytest.raises(PolytopeFormatError) as lib:
+                    Polytope(A, b)
+                parse_message = f"line 3: {error}"
+            with pytest.raises(PolytopeFormatError) as parsed:
+                parse_polytope(text)
+        assert str(lib.value) == error + at
+        assert str(parsed.value) == parse_message
+
+    def test_one_ulp_above_the_threshold_is_kept(self):
+        A, b, text = self._rows((float(np.nextafter(_ZERO_ROW_TOL, 1.0)), 0.0), 1.0)
+        poly = normalize_rows(Polytope(A, b))
+        assert np.array_equal(poly.A, parse_polytope(text).A)
+        assert poly.A[1, 0] == 1.0
+
+    def test_first_bad_line_wins(self):
+        # a zero row on line 2 comes before a non-finite one on line 3;
+        # Polytope, which sees every row at once, names the non-finite one
+        text = "dims 4 2\n0 0 1\nnan 1 1\n1 0 1\n0 1 1\n"
+        with pytest.raises(PolytopeFormatError, match="^line 2: zero"):
+            parse_polytope(text)
+        with pytest.raises(PolytopeFormatError, match="index 1$"):
+            Polytope([[0, 0], [math.nan, 1], [1, 0], [0, 1]], [1, 1, 1, 1])
 
 
 class TestAxisLines:
