@@ -17,21 +17,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateAtCenterError
+from .errors import DegenerateAtCenterError, NotInteriorError
 
 # section and solve_harmonic_offset are not called here, but perfbench's
 # tracer wraps them under these module names.
-from .harmonic import _positive, newton_offset, solve_harmonic_offset  # noqa: F401
+from .harmonic import newton_offset, solve_harmonic_offset  # noqa: F401
 from .lines import (  # noqa: F401
     axis_index,
     checked_unit,
+    interior,
     interior_slacks,
     line_bracket,
-    not_interior,
     section,
-    smallest,
 )
-from .model import SlackSum, _Frozen
+from .model import SlackSum, _count, _Frozen, _positive
 
 # An f-norm at or below this has no hyperplane: the point is the center.
 _DEGENERATE_EPS = 1e-9
@@ -43,8 +42,10 @@ def f_vector(polytope, p):
     Vanishes exactly at the harmonic center.  Rows parallel to an axis
     contribute nothing to that component (their coefficient is 0), and the
     whole vector is invariant to per-row rescaling of ``(A_i, b_i)``.
-    Raises :class:`NotInteriorError` when a slack at ``p`` is not positive
-    (NaN included), as does every function built on it.
+    Raises :class:`NotInteriorError` unless ``p`` is strictly interior,
+    every slack above :data:`~polycenter.model.SLACK_FLOOR` so that every
+    ``1 / S_i`` is finite (a NaN slack is not), as does every function
+    built on it and every search.
     """
     s = interior_slacks(polytope, p)
     return (1.0 / s) @ polytope.A
@@ -191,9 +192,7 @@ class _Search:
         polytope, q, s = self.polytope, self.q, self.s
         lines, moved, slacks = polytope.axis_lines, self.sum.moved, self.sum.slacks
         for j in axes:
-            if not smallest(s) > 0.0:
-                raise not_interior(polytope, s)
-            d, lo, hi = line_bracket(lines[j], s)
+            d, lo, hi = line_bracket(lines[j], interior(polytope, s))
             h, _, _, exact = move(d, lo, hi, tol)
             if not exact:
                 self.inexact.append(j + 1)
@@ -212,20 +211,17 @@ class _Search:
 
     def record(self, iteration):
         """The trace row of ``q``, with the f-norm at the slacks ``s``."""
-        s = self.s
-        if smallest(s) > 0.0:
-            fnorm = _fnorm(self.polytope, s)
-        elif np.isnan(self.q).any():  # no f-norm; a NaN stops the search
-            fnorm = math.nan
-        else:
-            raise not_interior(self.polytope, s)
+        try:
+            fnorm = _fnorm(self.polytope, interior(self.polytope, self.s))
+        except NotInteriorError:
+            if not np.isnan(self.q).any():
+                raise
+            fnorm = math.nan  # no f-norm; a NaN stops the search
         return TraceRecord(iteration, tuple(self.q.tolist()), fnorm)
 
     def offset(self, _record):
         """``bi_center``'s stop measure, the largest axis midpoint offset."""
-        s = self.s
-        if not smallest(s) > 0.0:
-            raise not_interior(self.polytope, s)
+        s = interior(self.polytope, self.s)
         brackets = (line_bracket(line, s) for line in self.polytope.axis_lines)
         return max(abs(0.5 * (hi + lo)) for _, lo, hi in brackets)
 
@@ -238,8 +234,7 @@ def _search(polytope, p0, sweep, measure, stop_tol, max_iter):
     it is ``converged`` if the last measure is within ``stop_tol`` and every
     stage was exact.  ``ValueError`` unless ``stop_tol > 0``, ``max_iter >= 0``."""
     _positive("stop_tol", stop_tol)
-    if max_iter < 0:
-        raise ValueError("max_iter must be non-negative")
+    _count("max_iter", max_iter)
     run = _Search(polytope, p0)
     records = [run.record(0)]
     value, moved = measure(run, records[0]), True

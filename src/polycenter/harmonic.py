@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BracketInvalidError
 from .lines import point_at, section
-from .model import ahead_first
+from .model import _count, _positive, ahead_first
 
 # F is the dot of the reciprocals with ones; a line's ones are a slice of
 # this buffer, allocated once, or a fresh array for a longer line
@@ -71,12 +71,6 @@ def _check_bracket(sec):
             f"invalid bracket ({sec.d_minus}, {sec.d_plus}): must straddle 0"
         )
     return sec.finite_distances
-
-
-def _positive(name, value):
-    """Raise ``ValueError`` unless ``value > 0`` (NaN fails too)."""
-    if not value > 0.0:
-        raise ValueError(f"{name} must be positive")
 
 
 def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
@@ -184,8 +178,7 @@ def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
     HarmonicSolveResult
     """
     _positive("tol", tol)
-    if max_iter < 0:
-        raise ValueError("max_iter must be non-negative")
+    _count("max_iter", max_iter)
     d = _check_bracket(sec)
     d = d.take(ahead_first(d))
     h, its, f, converged = newton_offset(d, sec.d_minus, sec.d_plus, tol, max_iter)
@@ -203,9 +196,14 @@ def bisection_oracle(sec, tol=1e-10, max_iter=200):
     end has no root among the floats (the sum keeps one sign): it bisects
     the bracket's part within half the largest float, meets no stop, and
     returns a finite ``h`` with ``converged=False``.  It shares the bracket
-    check with :func:`solve_harmonic_offset`, and deliberately neither its
-    root iteration nor its summation order: it exists to cross-check it.
+    check and its ``ValueError`` unless ``tol > 0`` and ``max_iter >= 0``
+    with :func:`solve_harmonic_offset`, and deliberately neither its root
+    iteration nor its summation order: it exists to cross-check it.
+    ``residual`` is the sum at the returned ``h``, also when ``max_iter``
+    is 0 and ``h`` is the midpoint of the shrunk bracket.
     """
+    _positive("tol", tol)
+    _count("max_iter", max_iter)
     d = _check_bracket(sec)
     width = sec.width
     if width < math.inf:
@@ -216,7 +214,7 @@ def bisection_oracle(sec, tol=1e-10, max_iter=200):
         lo, hi = max(sec.d_minus, -_HALF_MAX), min(sec.d_plus, _HALF_MAX)
         f_tol = width_tol = -1.0
     h = 0.5 * (lo + hi)
-    f = 0.0
+    f = float(np.sum(1.0 / (d - h)))
     converged = False
     its = 0
     for its in range(1, max_iter + 1):

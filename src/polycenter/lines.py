@@ -11,7 +11,7 @@ parameters keeping the point strictly inside.
 import numpy as np
 
 from .errors import BracketInvalidError, NotInteriorError, UnboundedDirectionError
-from .model import _axis_line, _Frozen, residuals
+from .model import SLACK_FLOOR, _axis_line, _Frozen, residuals
 
 _UNIT_TOL = 1e-9
 _NO_FORWARD = "line has no forward intersection: polytope unbounded along it"
@@ -159,21 +159,30 @@ def largest(x):
     return x[x.argmax()]
 
 
-def interior_slacks(polytope, p):
-    """Slacks at ``p``, which must all be positive.
-
-    Raises :class:`NotInteriorError` naming the first rows whose slack is
-    not positive (NaN included).
+def interior(polytope, s):
+    """The slacks ``s`` of a point, if it is strictly interior: every slack
+    above :data:`~polycenter.model.SLACK_FLOOR`, so that every reciprocal
+    ``1 / s_i`` is finite.  The one reader of that rule; else raises
+    :func:`not_interior`'s error.
     """
-    s = residuals(polytope, p)
-    if not smallest(s) > 0.0:
+    if not smallest(s) > SLACK_FLOOR:
         raise not_interior(polytope, s)
     return s
 
 
+def interior_slacks(polytope, p):
+    """Slacks at ``p``, which must be strictly interior (:func:`interior`).
+
+    Raises :class:`NotInteriorError` naming the first rows whose slack is
+    at or below ``SLACK_FLOOR`` (NaN included).
+    """
+    return interior(polytope, residuals(polytope, p))
+
+
 def not_interior(polytope, s):
-    """The :class:`NotInteriorError` for slacks ``s`` with a row not > 0."""
-    bad = np.flatnonzero(~(s > 0.0))[:4]
+    """The :class:`NotInteriorError` for slacks ``s``, naming the first four
+    rows whose slack is not above ``SLACK_FLOOR`` (NaN included)."""
+    bad = np.flatnonzero(~(s > SLACK_FLOOR))[:4]
     names = ", ".join(polytope.label(int(i)) for i in bad)
     return NotInteriorError(f"point is not strictly interior (rows: {names})")
 
@@ -224,7 +233,7 @@ def section(polytope, p, u):
     near-parallel constraints beyond that threshold keep their huge
     finite distances, which downstream reciprocal sums handle naturally.
 
-    Raises :class:`NotInteriorError` if some slack at ``p`` is not > 0, and
+    Raises :class:`NotInteriorError` unless ``p`` is strictly interior, and
     :class:`UnboundedDirectionError` if the line never exits the polytope
     in one of the two directions (the polytope is not bounded along it).
     """

@@ -33,6 +33,23 @@ PARALLEL_EPS = 1e-12
 # Columns per block of the slack sum (see residuals).
 BLOCK = 32
 
+# The one rule for a usable point: a slack at or below this has an infinite
+# reciprocal (1 / 2**-1024 overflows), a slack above it a finite one.  A
+# point is strictly interior when every slack is above it (NaN is not).
+SLACK_FLOOR = 2.0 ** -1024
+
+
+def _positive(name, value):
+    """Raise ``ValueError`` unless ``value > 0`` (NaN fails too)."""
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive")
+
+
+def _count(name, value):
+    """Raise ``ValueError`` unless the iteration budget ``value >= 0``."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be non-negative")
+
 
 def ahead_first(x):
     """Positions of ``x`` with a clear sign bit, then those with it set.
@@ -403,6 +420,11 @@ def classify_point(polytope, p, boundary_eps=1e-9):
     slack below ``-boundary_eps`` (violated rows reported); everything else
     is BOUNDARY with the near-contact rows reported.  Raises
     ``ValueError`` unless ``boundary_eps >= 0`` (NaN fails too).
+
+    This classification is separate from the strictly-interior rule that
+    the line and center functions apply (every slack above
+    :data:`SLACK_FLOOR`): at ``boundary_eps = 0`` a point with a subnormal
+    slack is INTERIOR here and still rejected there.
     """
     if not boundary_eps >= 0.0:
         raise ValueError("boundary_eps must be nonnegative")
@@ -421,8 +443,10 @@ def find_interior_point(polytope, max_iter=1000):
 
     Starting from the origin, repeatedly projects onto the worst (smallest
     slack) constraint, aiming for a positive target slack that shrinks when
-    progress stalls.  Returns the first point reached at which every slack
-    is positive, with no further margin.
+    progress stalls.  Returns the first point reached that is strictly
+    interior, every slack above :data:`SLACK_FLOOR` (so every reciprocal
+    slack is finite), with no further margin: a slack at or below the floor
+    is projected past like a violated one.
 
     This is a convenience for callers without a known interior point; a
     user-supplied start is preferred.  Raises :class:`InteriorSearchError`
@@ -430,8 +454,7 @@ def find_interior_point(polytope, max_iter=1000):
     interior (or an unreasonably small budget), and ``ValueError`` unless
     ``max_iter >= 0``.
     """
-    if max_iter < 0:
-        raise ValueError("max_iter must be non-negative")
+    _count("max_iter", max_iter)
     A = polytope.A
     sq = np.einsum("ij,ij->i", A, A)
     x = np.zeros(polytope.n)
@@ -443,7 +466,7 @@ def find_interior_point(polytope, max_iter=1000):
         s = residuals(polytope, x)
         worst = int(np.argmin(s))
         smin = float(s[worst])
-        if smin > 0.0:
+        if smin > SLACK_FLOOR:
             return x
         if smin > best:
             best = smin

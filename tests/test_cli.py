@@ -400,6 +400,35 @@ class TestExitCodes:
         assert main([*argv, "--dir", "-1,0"]) == EXIT_PARSE
         assert "argument --dir: expected one argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["center"],
+            ["point", "--axis", "1"],
+            ["hyperplane"],
+            ["compare-bi"],
+            ["check"],
+        ],
+    )
+    def test_subnormal_slack_start(self, tmp_path, capsys, command):
+        # the first slack at the origin is 1e-310 / sqrt(2), whose
+        # reciprocal overflows: the auto start projects past it, and a
+        # given start there is not strictly interior
+        path = tmp_path / "subnormal.poly"
+        path.write_text("dims 4 2\n1 1 1e-310\n-1 0 1e308\n0 -1 1\n1 -1 1\n")
+        argv = [command[0], str(path), *command[1:]]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        start = "start (auto): -0.7071067811865476,-0.7071067811865476\n"
+        assert err.startswith(start)
+        if command[0] in ("hyperplane", "check"):
+            assert code == EXIT_OK
+            assert "inf" not in out + err and "nan" not in out + err
+        assert main([*argv, "--start", "0,0"]) == EXIT_INFEASIBLE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: point is not strictly interior (rows: c1)\n"
+
     def test_inner_solve_budget_exhausted(self, capsys):
         # every outer sweep completes, but the line solves cannot meet
         # an inner tolerance of 1e-300 within their iteration budget

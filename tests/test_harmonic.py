@@ -144,6 +144,34 @@ class TestSolverBehavior:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             solve_harmonic_offset(sec, **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"tol": 0.0}, "tol must be positive"),
+            ({"tol": -1.0}, "tol must be positive"),
+            ({"tol": np.nan}, "tol must be positive"),
+            ({"max_iter": -1}, "max_iter must be non-negative"),
+            ({"max_iter": -3}, "max_iter must be non-negative"),
+        ],
+    )
+    @pytest.mark.parametrize("solve", [solve_harmonic_offset, bisection_oracle])
+    def test_both_solvers_reject_the_same_arguments(self, solve, kwargs, message):
+        sec = LineSection.from_distances([-1.0, 5.0, 6.0])
+        with pytest.raises(ValueError) as exc:
+            solve(sec, **kwargs)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 7])
+    def test_bisection_oracle_reports_the_sum_at_its_h(self, max_iter):
+        # with no budget, h is the middle of the shrunk bracket, (-1, 5)
+        # less 1e-12 of its width at each end, and F(2) = 1/4
+        sec = LineSection.from_distances([-1.0, 5.0, 6.0])
+        res = bisection_oracle(sec, tol=1e-14, max_iter=max_iter)
+        assert res.iterations == max_iter and not res.converged
+        assert res.residual == reciprocal_sum(sec, res.h)
+        if max_iter == 0:
+            assert res.h == 2.0 and res.residual == pytest.approx(0.25)
+
     def test_bad_bracket_rejected(self):
         good = LineSection.from_distances([-1.0, 1.0])
         bad = LineSection(

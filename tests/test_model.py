@@ -10,22 +10,35 @@ from conftest import random_interior_point, random_polytope
 from polycenter import (
     InteriorSearchError,
     LineSection,
+    NotInteriorError,
     Polytope,
     PolytopeFormatError,
     Region,
     TraceRecord,
     bi_center,
+    bi_point_on_axis,
     classify_point,
     cs_step,
+    directional_sum,
+    f_norm,
+    f_vector,
     find_interior_point,
     harmonic_center,
     harmonic_hyperplane,
+    harmonic_point_on_axis,
     normalize_rows,
     parse_polytope,
     residuals,
+    section,
     solve_harmonic_offset,
 )
-from polycenter.model import _ZERO_ROW_TOL, PARALLEL_EPS, _axis_line, ahead_first
+from polycenter.model import (
+    _ZERO_ROW_TOL,
+    PARALLEL_EPS,
+    SLACK_FLOOR,
+    _axis_line,
+    ahead_first,
+)
 
 SQUARE_TEXT = """\
 # unit square
@@ -264,6 +277,70 @@ class TestRowRule:
             parse_polytope(text)
         with pytest.raises(PolytopeFormatError, match="index 1$"):
             Polytope([[0, 0], [math.nan, 1], [1, 0], [0, 1]], [1, 1, 1, 1])
+
+
+# Every function that reads the slacks of a point, called at ``p``.
+SLACK_READERS = {
+    "section": lambda poly, p: section(poly, p, (1.0, 0.0)),
+    "f_vector": f_vector,
+    "f_norm": f_norm,
+    "directional_sum": lambda poly, p: directional_sum(poly, p, (1.0, 0.0)),
+    "harmonic_hyperplane": harmonic_hyperplane,
+    "harmonic_point_on_axis": lambda poly, p: harmonic_point_on_axis(poly, p, 1),
+    "bi_point_on_axis": lambda poly, p: bi_point_on_axis(poly, p, 1),
+    "cs_step": cs_step,
+    "harmonic_center": harmonic_center,
+    "bi_center": bi_center,
+}
+
+# A polytope that passes the row rule, whose first slack at the origin is
+# the subnormal 1e-310 / sqrt(2): the projection search used to stop there
+SUBNORMAL_SLACK_TEXT = "dims 4 2\n1 1 1e-310\n-1 0 1e308\n0 -1 1\n1 -1 1\n"
+
+
+class TestSlackFloor:
+    """One rule for a usable point, wherever it is read: every slack above
+    ``SLACK_FLOOR``, so that every reciprocal slack is finite.  Row c1 is
+    ``(1, 0)`` with right-hand side ``rhs``, so its slack at x = 0 is
+    ``rhs``."""
+
+    @staticmethod
+    def _poly(rhs):
+        A = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+        return Polytope(A, [rhs, 1.0, 1.0, 1.0])
+
+    def test_floor_is_where_the_reciprocal_overflows(self):
+        above = float(np.nextafter(SLACK_FLOOR, 1.0))
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.reciprocal(SLACK_FLOOR))
+        assert np.isfinite(np.reciprocal(above))
+
+    @pytest.mark.parametrize("reader", SLACK_READERS)
+    def test_at_the_floor_every_reader_rejects(self, reader):
+        poly = self._poly(SLACK_FLOOR)
+        assert residuals(poly, (0.0, 0.0))[0] == SLACK_FLOOR
+        with pytest.raises(NotInteriorError) as exc:
+            SLACK_READERS[reader](poly, (0.0, 0.0))
+        assert str(exc.value) == "point is not strictly interior (rows: c1)"
+
+    @pytest.mark.parametrize("reader", SLACK_READERS)
+    def test_one_ulp_above_every_reader_accepts(self, reader):
+        poly = self._poly(float(np.nextafter(SLACK_FLOOR, 1.0)))
+        assert residuals(poly, (0.0, 0.0))[0] > SLACK_FLOOR
+        # 1 / s is finite, but its square and sums of such may overflow
+        with np.errstate(over="ignore"):
+            SLACK_READERS[reader](poly, (0.0, 0.0))
+
+    def test_auto_start_projects_past_a_subnormal_slack(self):
+        poly = parse_polytope(SUBNORMAL_SLACK_TEXT)
+        assert 0.0 < residuals(poly, (0.0, 0.0))[0] <= SLACK_FLOOR
+        p = find_interior_point(poly)
+        assert residuals(poly, p).min() > SLACK_FLOOR
+        for reader in SLACK_READERS.values():
+            reader(poly, p)
+        hp = harmonic_hyperplane(poly, p)
+        assert np.isfinite(f_vector(poly, p)).all()
+        assert np.isfinite(hp.normal).all() and math.isfinite(hp.offset)
 
 
 class TestAxisLines:
