@@ -28,6 +28,7 @@ from .lines import (  # noqa: F401
     interior,
     interior_slacks,
     line_bracket,
+    norm,
     section,
 )
 from .model import SlackSum, _count, _Frozen, _positive
@@ -54,15 +55,12 @@ def f_vector(polytope, p):
 def f_norm(polytope, p):
     """Euclidean norm of the f-vector: the closeness-to-center indicator.
 
-    ``sqrt(v . v)``: what ``np.linalg.norm`` computes for a 1-D float
-    vector ``v``, float for float, without its dispatch.
+    :func:`~polycenter.lines.norm`: ``sqrt(v . v)`` of the f-vector ``v``,
+    float for float what ``np.linalg.norm`` gives, rescaled by
+    ``max|v_i|`` when that under- or overflows: finite wherever the
+    f-vector is, unless the norm itself exceeds the largest float.
     """
-    return _fnorm(polytope, interior_slacks(polytope, p))
-
-
-def _fnorm(polytope, s):
-    v = (1.0 / s) @ polytope.A  # the f-vector at positive slacks s
-    return math.sqrt(v.dot(v))
+    return norm(f_vector(polytope, p))
 
 
 def directional_sum(polytope, p, u):
@@ -90,11 +88,12 @@ def harmonic_hyperplane(polytope, p):
     Its normal is the f-vector at ``p``: any line through ``p`` with a
     direction orthogonal to it has reciprocal-distance sum zero, i.e. ``p``
     is already the harmonic point of that line.  At the harmonic center the
-    f-vector vanishes and no single such hyperplane exists, which raises
+    f-vector vanishes and no single such hyperplane exists: an f-norm
+    (:func:`~polycenter.lines.norm`) at or below ``_DEGENERATE_EPS`` raises
     :class:`DegenerateAtCenterError` (every direction is harmonic there).
     """
     v = f_vector(polytope, p)
-    if np.linalg.norm(v) <= _DEGENERATE_EPS:
+    if norm(v) <= _DEGENERATE_EPS:
         raise DegenerateAtCenterError(
             "point is the harmonic center: hyperplane undefined"
         )
@@ -212,7 +211,7 @@ class _Search:
     def record(self, iteration):
         """The trace row of ``q``, with the f-norm at the slacks ``s``."""
         try:
-            fnorm = _fnorm(self.polytope, interior(self.polytope, self.s))
+            fnorm = norm((1.0 / interior(self.polytope, self.s)) @ self.polytope.A)
         except NotInteriorError:
             if not np.isnan(self.q).any():
                 raise

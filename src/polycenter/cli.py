@@ -29,13 +29,12 @@ from .errors import (
     InteriorSearchError,
     NotInteriorError,
     PolytopeFormatError,
-    UnboundedDirectionError,
 )
 from . import harmonic
 # not called here (point needs the line solve's converged flag), but
 # perfbench's tracer wraps it under this module name
 from .harmonic import harmonic_point_on_line  # noqa: F401
-from .lines import axis_direction, point_at, unit_direction
+from .lines import axis_direction, norm, point_at, unit_direction
 from .model import find_interior_point, load_polytope
 from .svg import emit_svg, require_plane
 
@@ -217,7 +216,7 @@ def _cmd_compare_bi(args, poly, p0):
     fields = [
         _field("harmonic_center", hc),
         _field("bisection_center", bc),
-        _field("gap", float(np.linalg.norm(hc - bc))),
+        _field("gap", norm(hc - bc)),
     ]
     csv_text = csv_rows(
         ["which"] + [f"x{j + 1}" for j in range(poly.n)],
@@ -364,7 +363,7 @@ def main(argv=None):
     except (NotInteriorError, InteriorSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (UnboundedDirectionError, BracketInvalidError) as exc:
+    except BracketInvalidError as exc:  # UnboundedDirectionError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNBOUNDED
     except (DimensionUnsupportedError, DegenerateAtCenterError, ValueError) as exc:

@@ -19,17 +19,19 @@ class NotInteriorError(PolytopeError):
     """The supplied point is not strictly inside the polytope."""
 
 
-class UnboundedDirectionError(PolytopeError):
+class BracketInvalidError(PolytopeError):
+    """A line section has no valid root bracket: a zero distance, or a
+    bracket that does not straddle 0, or (:class:`UnboundedDirectionError`)
+    no distance on one side."""
+
+
+class UnboundedDirectionError(BracketInvalidError):
     """A line through the point never meets a constraint in one direction.
 
     This signals that the input is not a closed (bounded) polytope along
-    the queried line.
+    the queried line.  A missing side is a bracket that is not valid, so
+    this is a :class:`BracketInvalidError`.
     """
-
-
-class BracketInvalidError(PolytopeError):
-    """A line section has no valid root bracket (missing a positive or
-    negative finite distance, or a zero distance)."""
 
 
 class InteriorSearchError(PolytopeError):

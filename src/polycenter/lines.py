@@ -8,6 +8,8 @@ first contacts in each direction is the feasible bracket: the set of
 parameters keeping the point strictly inside.
 """
 
+import math
+
 import numpy as np
 
 from .errors import BracketInvalidError, NotInteriorError, UnboundedDirectionError
@@ -35,12 +37,46 @@ def axis_direction(k, n):
     return u
 
 
+def _scaled_norm(v):
+    """``(m, r)``: ``v / m`` has norm ``r = sqrt((v / m) . (v / m))``.
+
+    ``m`` is 1.0, so that ``r`` is ``sqrt(v . v)``, unless ``v . v`` under-
+    or overflows for a finite nonzero ``v``: then ``m = max|v_i|`` (Blue
+    1978, *ACM TOMS* 4), and ``r`` is finite and at least 1.  The one
+    statement of when a norm rescales.
+    """
+    r = math.sqrt(v.dot(v))
+    if not 0.0 < r < math.inf:
+        m = float(np.abs(v).max())
+        if 0.0 < m < math.inf:  # else zero, or an inf or NaN entry: r is right
+            w = v / m
+            return m, math.sqrt(w.dot(w))
+    return 1.0, r
+
+
+def norm(v):
+    """Euclidean norm of the 1-D float array ``v``: every vector norm in
+    the package (the row norms of ``A`` aside).
+
+    ``sqrt(v . v)``, float for float what ``np.linalg.norm`` gives, unless
+    that under- or overflows: then ``m * sqrt(w . w)`` with ``w = v / m``
+    and ``m = max|v_i|`` (:func:`_scaled_norm`).  So a finite vector's norm
+    is finite unless it exceeds the largest float, and 0 only for the zero
+    vector; a vector with a NaN entry has norm NaN, else one with an
+    infinite entry has norm inf.  An overflow in ``v . v`` warns under the
+    caller's numpy error state.
+    """
+    m, r = _scaled_norm(v)
+    return m * r
+
+
 def unit_direction(v):
     """Normalize ``v`` to unit Euclidean norm.
 
-    ``v / np.linalg.norm(v)``, unless that norm under- or overflows: then
-    ``v`` is first divided by its largest magnitude.  Raises ``ValueError``
-    for a zero or non-finite vector.
+    ``(v / m) / r`` with :func:`_scaled_norm`'s ``(m, r)``: ``v / norm(v)``
+    unless that norm under- or overflows, and then ``v`` is first divided
+    by its largest magnitude.  Raises ``ValueError`` for a zero or
+    non-finite vector.
     """
     v = np.asarray(v, dtype=float)
     if not np.isfinite(v).all():
@@ -48,17 +84,14 @@ def unit_direction(v):
     if not v.any():
         raise ValueError("direction must be nonzero")
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(v)
-    if not 0.0 < norm < np.inf:
-        v = v / np.abs(v).max()
-        norm = np.linalg.norm(v)
-    return v / norm
+        m, r = _scaled_norm(v)
+    return v / m / r
 
 
 def checked_unit(u):
     """``u`` as floats; ``ValueError`` unless a unit vector (NaN is not)."""
     u = np.asarray(u, dtype=float)
-    if not abs(np.linalg.norm(u) - 1.0) <= _UNIT_TOL:
+    if not abs(norm(u) - 1.0) <= _UNIT_TOL:
         raise ValueError("direction must be a unit vector")
     return u
 
@@ -109,8 +142,9 @@ class LineSection(_Frozen):
 
         Non-finite entries mean "no intersection".  Raises
         :class:`BracketInvalidError` when a distance is zero (the point
-        would lie on that constraint) or when either side of the bracket
-        is missing.
+        would lie on that constraint), and its subclass
+        :class:`UnboundedDirectionError` when either side of the bracket is
+        missing.
         """
         d = np.array(values, dtype=float).ravel()
         par = ~np.isfinite(d)
@@ -118,17 +152,17 @@ class LineSection(_Frozen):
             raise BracketInvalidError("zero distance: point lies on a constraint")
         # slacks |d| and coefficients sign(d) (0: parallel): |d| / +-1 == d
         line = _axis_line(np.where(par, 0.0, np.sign(d)))
-        return cls._of_line(line, np.abs(d), BracketInvalidError)
+        return cls._of_line(line, np.abs(d))
 
     @classmethod
-    def _of_line(cls, line, s, error):
+    def _of_line(cls, line, s):
         """The section of the line with table ``line`` at slacks ``s``:
         :func:`line_bracket`'s distances, scattered into m rows, and its
         bracket.  A blocking row is the first row on its side at that
         end's distance (lowest index wins ties).
         """
         rows, _, ahead = line
-        d, d_minus, d_plus = line_bracket(line, s, error)
+        d, d_minus, d_plus = line_bracket(line, s)
         distances = np.full(s.size, np.inf)
         distances[rows] = d
         parallel = np.ones(s.size, dtype=bool)
@@ -187,7 +221,7 @@ def not_interior(polytope, s):
     return NotInteriorError(f"point is not strictly interior (rows: {names})")
 
 
-def line_bracket(line, s, error=UnboundedDirectionError):
+def line_bracket(line, s):
     """Distances and bracket of the line with table ``line`` (an
     :class:`~polycenter.model.AxisLine`) at slacks ``s``.
 
@@ -195,7 +229,8 @@ def line_bracket(line, s, error=UnboundedDirectionError):
     and the nearest of them on each side.  Each end is one :func:`smallest`
     or :func:`largest` read over its side; :func:`_nearest` reads it again
     only when a side is empty or its nearest distance is zero.  Raises
-    ``error`` when a side has no distance, the forward one first.
+    :class:`UnboundedDirectionError` when a side has no distance, the
+    forward one first.
     """
     rows, g, ahead = line
     d = s.take(rows)
@@ -205,22 +240,23 @@ def line_bracket(line, s, error=UnboundedDirectionError):
         d_minus = largest(d[ahead:])
         if d_plus and d_minus:
             return d, float(d_minus), float(d_plus)
-    d_plus = _nearest(d[:ahead], smallest, error, _NO_FORWARD)
-    return d, _nearest(d[ahead:], largest, error, _NO_BACKWARD), d_plus
+    d_plus = _nearest(d[:ahead], smallest, _NO_FORWARD)
+    return d, _nearest(d[ahead:], largest, _NO_BACKWARD), d_plus
 
 
-def _nearest(near, reduce, error, message):
+def _nearest(near, reduce, message):
     """``reduce`` (:func:`smallest` or :func:`largest`) of the nonzero
     distances ``near`` on one side of the line.
 
     With positive slacks each of these distances has the sign of its
     coefficient, except a quotient that underflowed to a signed zero,
-    which lies on neither side of the bracket.  Raises ``error`` with
-    ``message`` when no distance is left.
+    which lies on neither side of the bracket.  Raises
+    :class:`UnboundedDirectionError` with ``message`` when no distance is
+    left.
     """
     near = near[near != 0.0]
     if not near.size:
-        raise error(message)
+        raise UnboundedDirectionError(message)
     return float(reduce(near))
 
 
@@ -240,4 +276,4 @@ def section(polytope, p, u):
     u = checked_unit(u)
     s = interior_slacks(polytope, p)
     line = _axis_line(polytope.A @ u)
-    return LineSection._of_line(line, s, UnboundedDirectionError)
+    return LineSection._of_line(line, s)

@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -429,6 +430,30 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: point is not strictly interior (rows: c1)\n"
 
+    def test_tiny_slack_start_has_a_finite_fnorm(self, tmp_path, capsys):
+        # the slack 1e-200 at the origin is above the floor, but squaring
+        # the f-vector (1e200, 0) overflows: the norm rescales instead
+        path = tmp_path / "box.poly"
+        path.write_text("dims 4 2\n1 0 1e-200\n-1 0 1\n0 1 1\n0 -1 1\n")
+        assert main(["check", str(path), "--start", "0,0"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "fnorm: 1e+200\n" in out
+        assert "check: FAIL" in out
+        main(["center", str(path), "--start", "0,0", "--format", "csv"])
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1] == "0,0.0,0.0,1e+200"
+
+    def test_subnormal_slack_gap_is_finite(self, tmp_path, capsys):
+        # the bisection search runs towards the row at 1e308, and the
+        # squared gap overflows though the gap itself is a float
+        path = tmp_path / "subnormal.poly"
+        path.write_text("dims 4 2\n1 1 1e-310\n-1 0 1e308\n0 -1 1\n1 -1 1\n")
+        code = main(["compare-bi", str(path), "--format", "json"])
+        assert code == EXIT_MAXITER
+        got = json.loads(capsys.readouterr().out)
+        diff = np.subtract(got["harmonic_center"], got["bisection_center"])
+        assert got["gap"] == math.hypot(*diff) == 7.453559924999299e307
+
     def test_inner_solve_budget_exhausted(self, capsys):
         # every outer sweep completes, but the line solves cannot meet
         # an inner tolerance of 1e-300 within their iteration budget
@@ -530,8 +555,16 @@ def test_option_a_command_does_not_read_is_bad_usage(capsys, argv):
             EXIT_PARSE,
             "error: zero coefficient row at index 0\n",
         ),
+        # the f-vector (1e200, 0) at the start squares to inf: its norm
+        # rescales, under the command's error state
+        (
+            "1 0 1e-200\n-1 0 1\n0 1 1\n0 -1 1\n",
+            ["check", "--start", "0,0"],
+            EXIT_OK,
+            "",
+        ),
     ],
-    ids=["distance", "norm"],
+    ids=["distance", "norm", "fnorm"],
 )
 def test_no_numpy_overflow_warning_on_stderr(tmp_path, rows, argv, code, err):
     path = tmp_path / "over.poly"

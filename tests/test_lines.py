@@ -1,5 +1,7 @@
 """Line sections: signed distances, feasible bracket, parallel handling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from polycenter import (
     section,
     unit_direction,
 )
-from polycenter.lines import largest, smallest
+from polycenter.lines import largest, norm, smallest
 
 
 class TestAxisDirection:
@@ -82,6 +84,46 @@ class TestUnitDirection:
         # NaN has no norm to compare with 0, and inf / inf is NaN
         with pytest.raises(ValueError, match="finite"):
             unit_direction(v)
+
+
+class TestNorm:
+    """``norm`` is ``sqrt(v . v)``, rescaled by ``max|v_i|`` only when that
+    under- or overflows."""
+
+    def test_ordinary_vectors_are_linalg_norm(self):
+        # the seeded family of test_ordinary_vectors_divided_by_norm
+        rng = np.random.default_rng(83)
+        for _ in range(200):
+            v = rng.normal(size=int(rng.integers(1, 50))) * 10.0 ** rng.integers(
+                -150, 150
+            )
+            assert norm(v) == np.linalg.norm(v)
+
+    @pytest.mark.parametrize(
+        "v", [(1e200, 1e200), (1e-200, 1e-200), (1e308, 1e308), (5e-324, 0.0)]
+    )
+    def test_under_and_overflow_rescaled(self, v):
+        # v . v overflows under the caller's error state, as documented
+        with np.errstate(over="ignore"):
+            got = norm(np.array(v))
+        assert math.isfinite(got)
+        assert abs(got - math.hypot(*v)) <= 1e-15 * math.hypot(*v)
+
+    @pytest.mark.parametrize(
+        "v, want",
+        [
+            ((0.0, 0.0), 0.0),
+            ((0.0, -0.0, 0.0), 0.0),
+            ((np.nan, 1.0), np.nan),
+            ((np.inf, np.nan), np.nan),
+            ((np.inf, 1.0), np.inf),
+            ((1e300, -np.inf), np.inf),
+        ],
+    )
+    def test_zero_and_non_finite(self, v, want):
+        with np.errstate(over="ignore"):
+            got = norm(np.array(v))
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestExtremes:
@@ -283,4 +325,10 @@ class TestFromDistances:
 
     def test_one_sided_rejected(self):
         with pytest.raises(BracketInvalidError):
+            LineSection.from_distances([0.5, 1.5, np.inf])
+
+    def test_missing_side_is_an_unbounded_line(self):
+        # one bracket error: an unbounded line is an invalid bracket
+        assert issubclass(UnboundedDirectionError, BracketInvalidError)
+        with pytest.raises(UnboundedDirectionError, match="no backward"):
             LineSection.from_distances([0.5, 1.5, np.inf])
