@@ -41,10 +41,7 @@ from .harmonic import (
 )
 from .lines import LineSection, axis_direction, point_at, section, unit_direction
 from .model import (
-    PointClass,
     Polytope,
-    Region,
-    classify_point,
     find_interior_point,
     load_polytope,
     normalize_rows,
@@ -65,18 +62,15 @@ __all__ = [
     "InteriorSearchError",
     "LineSection",
     "NotInteriorError",
-    "PointClass",
     "Polytope",
     "PolytopeError",
     "PolytopeFormatError",
-    "Region",
     "TraceRecord",
     "UnboundedDirectionError",
     "axis_direction",
     "bi_center",
     "bi_point_on_axis",
     "bisection_oracle",
-    "classify_point",
     "cs_step",
     "directional_sum",
     "emit_svg",

@@ -187,19 +187,25 @@ class _Search:
         """One stage per 0-based axis of ``axes``; returns ``q``.  A stage
         moves by ``h`` from ``h, _, _, exact = move(d, lo, hi, tol)`` on its
         axis line's bracket.  An inexact stage is recorded; one whose ``h``
-        is not finite (never exact) leaves the coordinate, as ``section`` would."""
+        is not finite (never exact) leaves the coordinate, as ``section`` would.
+
+        The stages run under ``np.errstate(divide="ignore")``, set once per
+        call: a distance that underflowed to 0 is a pole at the start of a
+        line solve (see :func:`newton_offset`), and no other step of a
+        stage divides by a value that can be 0."""
         polytope, q, s = self.polytope, self.q, self.s
         lines, moved, slacks = polytope.axis_lines, self.sum.moved, self.sum.slacks
-        for j in axes:
-            d, lo, hi = line_bracket(lines[j], interior(polytope, s))
-            h, _, _, exact = move(d, lo, hi, tol)
-            if not exact:
-                self.inexact.append(j + 1)
-                if not math.isfinite(h):
-                    continue
-            q[j] += h
-            moved(j)
-            s = slacks()
+        with np.errstate(divide="ignore"):
+            for j in axes:
+                d, lo, hi = line_bracket(lines[j], interior(polytope, s))
+                h, _, _, exact = move(d, lo, hi, tol)
+                if not exact:
+                    self.inexact.append(j + 1)
+                    if not math.isfinite(h):
+                        continue
+                q[j] += h
+                moved(j)
+                s = slacks()
         self.s = s
         return q
 

@@ -106,6 +106,16 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     pay one comparison per solve for this; numpy's error state is the
     caller's again on return.
 
+    A distance of exactly 0 is a quotient that underflowed (only a
+    coefficient beyond ``2**51`` along the line makes one at an interior
+    point).  It lies on neither side of the bracket, and it is a pole at
+    the start, so ``F`` is infinite or NaN there: the first step cuts the
+    bracket at 0 and goes to the midpoint.  Its reciprocal divides by zero,
+    and only a look at every distance could tell it apart, so the callers
+    that can pass one run the solve under ``np.errstate(divide="ignore")``:
+    the coordinate search once per sweep, :func:`solve_harmonic_offset`
+    once per call.
+
     Returns ``(h, iterations, residual, converged)``; ``converged`` is
     False only when ``max_iter`` ran out, and ``h`` is then the last
     bracketed estimate.
@@ -181,7 +191,8 @@ def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
     _count("max_iter", max_iter)
     d = _check_bracket(sec)
     d = d.take(ahead_first(d))
-    h, its, f, converged = newton_offset(d, sec.d_minus, sec.d_plus, tol, max_iter)
+    with np.errstate(divide="ignore"):  # an underflowed distance: see newton_offset
+        h, its, f, converged = newton_offset(d, sec.d_minus, sec.d_plus, tol, max_iter)
     return HarmonicSolveResult(
         h=h, iterations=its, residual=f, method="newton", converged=converged
     )

@@ -1,4 +1,4 @@
-"""Halfspace polytopes: construction, file parsing, residuals, classification.
+"""Halfspace polytopes: construction, file parsing, residuals.
 
 A polytope is the solution set of ``A @ x <= b`` with ``A`` of shape
 ``(m, n)``, ``m > n``.  Rows are unit-normalized on ingestion so that the
@@ -16,7 +16,6 @@ Every bound, including nonnegativity, must appear as an explicit row
 or scientific notation; parsing is locale-independent.
 """
 
-from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
@@ -232,29 +231,6 @@ class Polytope(_Frozen):
         return f"Polytope(m={self.m}, n={self.n})"
 
 
-class Region(Enum):
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-    EXTERIOR = "exterior"
-
-
-class PointClass(NamedTuple):
-    """Classification of a point against a polytope; a named tuple, so it
-    compares and hashes by field.
-
-    ``indices`` holds the 0-based rows within ``boundary_eps`` of contact
-    (for BOUNDARY) or strictly violated (for EXTERIOR); it is empty for
-    INTERIOR.
-    """
-
-    region: Region
-    indices: tuple = ()
-
-    @property
-    def is_interior(self):
-        return self.region is Region.INTERIOR
-
-
 def normalize_rows(polytope):
     """Return a copy with every row of ``A`` scaled to unit Euclidean norm.
 
@@ -411,31 +387,6 @@ def residuals(polytope, p):
     ``b - A @ p``).  Raises ``ValueError`` unless ``p`` has shape ``(n,)``.
     """
     return SlackSum(polytope, np.asarray(p, dtype=float)).slacks()
-
-
-def classify_point(polytope, p, boundary_eps=1e-9):
-    """Classify ``p`` as interior, boundary, or exterior.
-
-    INTERIOR requires every slack above ``boundary_eps``; EXTERIOR means a
-    slack below ``-boundary_eps`` (violated rows reported); everything else
-    is BOUNDARY with the near-contact rows reported.  Raises
-    ``ValueError`` unless ``boundary_eps >= 0`` (NaN fails too).
-
-    This classification is separate from the strictly-interior rule that
-    the line and center functions apply (every slack above
-    :data:`SLACK_FLOOR`): at ``boundary_eps = 0`` a point with a subnormal
-    slack is INTERIOR here and still rejected there.
-    """
-    if not boundary_eps >= 0.0:
-        raise ValueError("boundary_eps must be nonnegative")
-    s = residuals(polytope, p)
-    violated = np.flatnonzero(s < -boundary_eps)
-    if violated.size:
-        return PointClass(Region.EXTERIOR, tuple(int(i) for i in violated))
-    if np.all(s > boundary_eps):
-        return PointClass(Region.INTERIOR)
-    touching = np.flatnonzero(np.abs(s) <= boundary_eps)
-    return PointClass(Region.BOUNDARY, tuple(int(i) for i in touching))
 
 
 def find_interior_point(polytope, max_iter=1000):

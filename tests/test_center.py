@@ -539,7 +539,7 @@ class TestAxisStageMatchesSection:
                 ([tiny, [-sign, 0.0], *y_box], [1e-30, 1.0, 1.0, 1.0]),
             ]
             # the row norm overflows and the zero distance is a pole
-            with np.errstate(all="ignore"):
+            with np.errstate(over="ignore"):
                 for A, b in cases:
                     poly = Polytope(np.array(A), np.array(b))
                     assert poly.b[0] / poly.A[0, 0] == 0.0

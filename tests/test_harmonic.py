@@ -364,7 +364,10 @@ class TestSummationOrder:
         assert np.array_equal(np.signbit(sec.finite_distances), g < 0.0)
         d = _ahead_then_behind(sec.finite_distances)
         res = solve_harmonic_offset(sec)
-        want = newton_offset(d, sec.d_minus, sec.d_plus)
+        # the error state solve_harmonic_offset sets: a distance that
+        # underflowed to 0 divides by zero at the start
+        with np.errstate(divide="ignore"):
+            want = newton_offset(d, sec.d_minus, sec.d_plus)
         assert repr((res.h, res.iterations, res.residual, res.converged)) == repr(
             want
         )
@@ -395,7 +398,7 @@ class TestSummationOrder:
             x_rows = [[a, 0.0] for a, _ in xs]
             A = [[sign * 1e300, 0.0], *x_rows, [0.0, 1.0], [0.0, -1.0]]
             b = [1e-30, *(v for _, v in xs), 1.0, 1.0]
-            with np.errstate(all="ignore"):
+            with np.errstate(over="ignore"):
                 poly = Polytope(np.array(A, dtype=float), np.array(b))
                 d = self._check(poly, p, np.array([1.0, 0.0]))
                 got = line_bracket(poly.axis_lines[0], residuals(poly, p))[0]

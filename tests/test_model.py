@@ -1,4 +1,4 @@
-"""Polytope construction, parsing, residuals, classification, interior search."""
+"""Polytope construction, parsing, residuals, interior search."""
 
 import math
 import tracemalloc
@@ -13,11 +13,9 @@ from polycenter import (
     NotInteriorError,
     Polytope,
     PolytopeFormatError,
-    Region,
     TraceRecord,
     bi_center,
     bi_point_on_axis,
-    classify_point,
     cs_step,
     directional_sum,
     f_norm,
@@ -584,33 +582,6 @@ class TestResiduals:
         assert np.all(np.abs(s - (poly.b - poly.A @ p)) <= 1e-12 * scale)
 
 
-class TestClassifyPoint:
-    def test_interior(self, square):
-        pc = classify_point(square, (0.5, 0.5), 1e-9)
-        assert pc.region is Region.INTERIOR
-        assert pc.is_interior
-        assert pc.indices == ()
-
-    def test_boundary(self, square):
-        pc = classify_point(square, (1.0, 0.5), 1e-9)
-        assert pc.region is Region.BOUNDARY
-        assert pc.indices == (2,)
-
-    def test_exterior(self, square):
-        pc = classify_point(square, (2.0, 0.5), 1e-9)
-        assert pc.region is Region.EXTERIOR
-        assert pc.indices == (2,)
-
-    def test_negative_eps_rejected(self, square):
-        with pytest.raises(ValueError):
-            classify_point(square, (0.5, 0.5), -1.0)
-
-    def test_nan_eps_rejected(self, square):
-        # an exterior point, which a NaN eps used to call BOUNDARY
-        with pytest.raises(ValueError, match="boundary_eps"):
-            classify_point(square, (5.0, 5.0), boundary_eps=math.nan)
-
-
 class TestFindInteriorPoint:
     def test_square(self, square):
         p = find_interior_point(square)
@@ -668,7 +639,6 @@ VALUE_RECORDS = {
     "HarmonicSolveResult": lambda sq: solve_harmonic_offset(
         LineSection.from_distances([-0.25, 0.75])
     ),
-    "PointClass": lambda sq: classify_point(sq, (1.0, 0.5)),
 }
 
 IDENTITY_TYPES = {
@@ -684,7 +654,6 @@ FIELDS = {
     "TraceRecord": ("iteration", "point", "fnorm"),
     "CenterTrace": ("records", "converged"),
     "HarmonicSolveResult": ("h", "iterations", "residual", "method", "converged"),
-    "PointClass": ("region", "indices"),
 }
 
 

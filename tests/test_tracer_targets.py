@@ -14,7 +14,6 @@ from polycenter import (
     LineSection,
     bi_center,
     center,
-    classify_point,
     harmonic_center,
     harmonic_hyperplane,
     solve_harmonic_offset,
@@ -49,12 +48,8 @@ def test_span_info_reads_solve_results_and_center_runs(square):
     point, trace = harmonic_center(square, (0.25, 0.5))
     assert info((point, trace)) == [trace.iterations, True]
     assert trace.iterations > 0
-    others = (
-        trace.final,
-        classify_point(square, (0.5, 0.5)),
-        harmonic_hyperplane(square, (0.25, 0.5)),
-    )
-    assert [info(other) for other in others] == [None, None, None]
+    others = (trace.final, harmonic_hyperplane(square, (0.25, 0.5)))
+    assert [info(other) for other in others] == [None, None]
 
 
 def test_each_harmonic_sweep_calls_cs_step_by_module_name(monkeypatch, example1):
