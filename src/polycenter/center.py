@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateAtCenterError, NotInteriorError
+from .errors import DegenerateAtCenterError
 
 # section and solve_harmonic_offset are not called here, but perfbench's
 # tracer wraps them under these module names.
@@ -31,7 +31,7 @@ from .lines import (  # noqa: F401
     norm,
     section,
 )
-from .model import SlackSum, _count, _Frozen, _positive
+from .model import SlackSum, _count, _Frozen, _positive, residuals
 
 # An f-norm at or below this has no hyperplane: the point is the center.
 _DEGENERATE_EPS = 1e-9
@@ -46,10 +46,15 @@ def f_vector(polytope, p):
     Raises :class:`NotInteriorError` unless ``p`` is strictly interior,
     every slack above :data:`~polycenter.model.SLACK_FLOOR` so that every
     ``1 / S_i`` is finite (a NaN slack is not), as does every function
-    built on it and every search.
+    built on it and every search, from a NaN start too.
     """
-    s = interior_slacks(polytope, p)
-    return (1.0 / s) @ polytope.A
+    return _f_at(polytope, residuals(polytope, p))
+
+
+def _f_at(polytope, s):
+    """The f-vector at the slacks ``s``: the one statement of its formula,
+    which :func:`f_vector` and each trace record read."""
+    return (1.0 / interior(polytope, s)) @ polytope.A
 
 
 def f_norm(polytope, p):
@@ -189,13 +194,15 @@ class _Search:
         axis line's bracket.  An inexact stage is recorded; one whose ``h``
         is not finite (never exact) leaves the coordinate, as ``section`` would.
 
-        The stages run under ``np.errstate(divide="ignore")``, set once per
-        call: a distance that underflowed to 0 is a pole at the start of a
-        line solve (see :func:`newton_offset`), and no other step of a
-        stage divides by a value that can be 0."""
+        The stages run under ``np.errstate(divide="ignore", invalid="ignore")``,
+        set once per call: a distance that underflowed to 0 is a pole at the
+        start of a line solve, and two of opposite sign make its first sum
+        ``inf - inf`` (see :func:`newton_offset`).  No other step of a stage
+        divides by a value that can be 0, and a slack that comes out NaN is
+        not interior: the next stage or trace record raises."""
         polytope, q, s = self.polytope, self.q, self.s
         lines, moved, slacks = polytope.axis_lines, self.sum.moved, self.sum.slacks
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             for j in axes:
                 d, lo, hi = line_bracket(lines[j], interior(polytope, s))
                 h, _, _, exact = move(d, lo, hi, tol)
@@ -215,13 +222,10 @@ class _Search:
         return (self.stages(range(self.polytope.n), _midpoint, 0.0) != before).any()
 
     def record(self, iteration):
-        """The trace row of ``q``, with the f-norm at the slacks ``s``."""
-        try:
-            fnorm = norm((1.0 / interior(self.polytope, self.s)) @ self.polytope.A)
-        except NotInteriorError:
-            if not np.isnan(self.q).any():
-                raise
-            fnorm = math.nan  # no f-norm; a NaN stops the search
+        """The trace row of ``q``, with the f-norm at the slacks ``s``.
+        Raises :class:`NotInteriorError` unless they are strictly interior,
+        as at a start with a NaN coordinate."""
+        fnorm = norm(_f_at(self.polytope, self.s))
         return TraceRecord(iteration, tuple(self.q.tolist()), fnorm)
 
     def offset(self, _record):
@@ -289,8 +293,12 @@ def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
     per completed sweep.  When ``max_iter`` runs out, or a line solve runs
     out of its own iteration budget (``inner_tol`` too tight to meet), the
     trace carries ``converged=False`` and the best iterate is still
-    returned.  Raises ``ValueError`` unless ``stop_tol`` and ``inner_tol``
-    are positive.
+    returned.  Raises :class:`NotInteriorError` unless ``p0`` is strictly
+    interior (a NaN coordinate is not), as :func:`bi_center` does, and
+    ``ValueError`` unless ``stop_tol`` and ``inner_tol`` are positive.
+    A NaN f-norm at a strictly interior iterate (an f-vector entry that is
+    ``inf - inf``) fails every comparison, so it stops the search there,
+    unconverged.
 
     Returns ``(center, trace)``.
     """

@@ -24,10 +24,8 @@ from .center import (
 )
 from .errors import (
     BracketInvalidError,
-    DegenerateAtCenterError,
-    DimensionUnsupportedError,
-    InteriorSearchError,
     NotInteriorError,
+    PolytopeError,
     PolytopeFormatError,
 )
 from . import harmonic
@@ -38,10 +36,11 @@ from .lines import axis_direction, norm, point_at, unit_direction
 from .model import find_interior_point, load_polytope
 from .svg import emit_svg, require_plane
 
+# every error kind carries its own exit code (see polycenter.errors)
 EXIT_OK = 0
-EXIT_PARSE = 1
-EXIT_INFEASIBLE = 2
-EXIT_UNBOUNDED = 3
+EXIT_PARSE = PolytopeError.exit_code
+EXIT_INFEASIBLE = NotInteriorError.exit_code
+EXIT_UNBOUNDED = BracketInvalidError.exit_code
 EXIT_MAXITER = 4
 
 
@@ -325,8 +324,8 @@ def run(args, out=None):
     ``out`` (default stdout) as ``args.fmt``.  Returns the exit status, which
     is decided here for every command that completes: 4 when its search did
     not converge (the reason goes to stderr and the result is still
-    written), else 0.  Errors propagate as exceptions, which :func:`main`
-    maps to their exit codes.
+    written), else 0.  Errors propagate as exceptions; :func:`main` prints
+    each and returns its kind's ``exit_code``.
     """
     out = out if out is not None else sys.stdout
     handler = _COMMAND_TABLE[args.command].handler
@@ -357,18 +356,10 @@ def main(argv=None):
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
         return run(args)
-    except (PolytopeFormatError, OSError) as exc:
+    except (PolytopeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NotInteriorError, InteriorSearchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except BracketInvalidError as exc:  # UnboundedDirectionError among them
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNBOUNDED
-    except (DimensionUnsupportedError, DegenerateAtCenterError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        # a domain error's own code; I/O errors and bad values are exit 1
+        return getattr(exc, "exit_code", EXIT_PARSE)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,15 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Each kind carries the CLI's exit code for it as ``exit_code``: a new kind
+sets its own, or inherits its base's.
+"""
 
 
 class PolytopeError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.  Its exit
+    code is that of a parse error or a degenerate request."""
+
+    exit_code = 1
 
 
 class PolytopeFormatError(PolytopeError):
@@ -18,11 +25,15 @@ class PolytopeFormatError(PolytopeError):
 class NotInteriorError(PolytopeError):
     """The supplied point is not strictly inside the polytope."""
 
+    exit_code = 2
+
 
 class BracketInvalidError(PolytopeError):
     """A line section has no valid root bracket: a zero distance, or a
     bracket that does not straddle 0, or (:class:`UnboundedDirectionError`)
     no distance on one side."""
+
+    exit_code = 3
 
 
 class UnboundedDirectionError(BracketInvalidError):
@@ -35,7 +46,10 @@ class UnboundedDirectionError(BracketInvalidError):
 
 
 class InteriorSearchError(PolytopeError):
-    """No strictly interior point was found within the iteration budget."""
+    """No strictly interior point was found within the iteration budget:
+    infeasible input, with the exit code of a start outside it."""
+
+    exit_code = 2
 
 
 class DegenerateAtCenterError(PolytopeError):

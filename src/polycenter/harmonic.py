@@ -55,7 +55,8 @@ class HarmonicSolveResult(NamedTuple):
     distances), ``residual`` the value of the reciprocal sum at ``h``, and
     ``method`` one of ``"newton"`` or ``"bisection"``.  ``converged`` is
     False only when the iteration budget ran out, in which case ``h`` is
-    the best bracketed estimate.
+    the best bracketed estimate, or when the Newton sum was NaN at the
+    start, ``h = 0`` (see :func:`newton_offset`).
     """
 
     h: float
@@ -109,16 +110,21 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     A distance of exactly 0 is a quotient that underflowed (only a
     coefficient beyond ``2**51`` along the line makes one at an interior
     point).  It lies on neither side of the bracket, and it is a pole at
-    the start, so ``F`` is infinite or NaN there: the first step cuts the
-    bracket at 0 and goes to the midpoint.  Its reciprocal divides by zero,
-    and only a look at every distance could tell it apart, so the callers
-    that can pass one run the solve under ``np.errstate(divide="ignore")``:
-    the coordinate search once per sweep, :func:`solve_harmonic_offset`
-    once per call.
+    the start.  One such zero makes ``F`` infinite there: the first step
+    cuts the bracket at 0 on the zero's side and goes to the midpoint.  A
+    +0 and a -0 make ``F`` NaN, ``inf - inf``: poles on both sides of the
+    start, a chord of zero width, so the solve stops at ``h = 0``,
+    unconverged.  A NaN ``F`` later on, from reciprocals that overflowed
+    on both sides of ``h``, is read as below the root: the step goes to
+    the midpoint of ``(h, hi)``.  The reciprocal of a zero divides by
+    zero and their sum is invalid, and only a look at every distance could
+    tell them apart, so the callers that can pass one run the solve under
+    ``np.errstate(divide="ignore", invalid="ignore")``: the coordinate
+    search once per sweep, :func:`solve_harmonic_offset` once per call.
 
     Returns ``(h, iterations, residual, converged)``; ``converged`` is
     False only when ``max_iter`` ran out, and ``h`` is then the last
-    bracketed estimate.
+    bracketed estimate, or when ``F`` was NaN at the start, ``h = 0``.
     """
     if hi < _NEAR or lo > -_NEAR:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -144,8 +150,10 @@ def _newton(d, lo, hi, tol, max_iter):
             break
         if f > 0.0:
             hi = h
-        else:
+        elif f == f or its > 1:
             lo = h
+        else:  # inf - inf at the start: poles on both sides, a zero-width chord
+            break
         if hi - lo <= width_tol:
             converged = True
             break
@@ -191,7 +199,8 @@ def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
     _count("max_iter", max_iter)
     d = _check_bracket(sec)
     d = d.take(ahead_first(d))
-    with np.errstate(divide="ignore"):  # an underflowed distance: see newton_offset
+    # an underflowed distance: see newton_offset
+    with np.errstate(divide="ignore", invalid="ignore"):
         h, its, f, converged = newton_offset(d, sec.d_minus, sec.d_plus, tol, max_iter)
     return HarmonicSolveResult(
         h=h, iterations=its, residual=f, method="newton", converged=converged

@@ -30,6 +30,18 @@ def example2():
     return parse_polytope((DATA / "example2.poly").read_text())
 
 
+@pytest.fixture(scope="session")
+def two_zeros():
+    """The box ``|x|, |y| <= 1`` plus the unnormalized rows ``(1e300, 0)``
+    and ``(-1e300, 0)``, each with right-hand side 1e-30.  At the origin
+    their axis-1 distances +-1e-330 underflow to +0 and -0, so the line
+    solve's first sum is ``inf - inf``, and so is ``f_1``."""
+    A = [[1e300, 0.0], [-1e300, 0.0], [1.0, 0.0], [-1.0, 0.0]]
+    A += [[0.0, 1.0], [0.0, -1.0]]
+    with np.errstate(over="ignore"):  # the two row norms overflow
+        return Polytope(np.array(A), np.array([1e-30, 1e-30, 1.0, 1.0, 1.0, 1.0]))
+
+
 def random_polytope(rng, n, extra=3):
     """Bounded polytope with a known deep interior point.
 

@@ -79,18 +79,6 @@ class TestFVector:
         assert np.max(np.abs(got - expected)) <= 1e-10
         assert f_norm(example2, p) == pytest.approx(1.013, abs=TABLE_TOL)
 
-    def test_not_interior(self, square):
-        # a NaN slack is not interior either
-        for p in [(1.0, 0.5), (np.nan, 0.5)]:
-            for call in (
-                f_vector,
-                f_norm,
-                harmonic_hyperplane,
-                lambda poly, q: directional_sum(poly, q, (1.0, 0.0)),
-            ):
-                with pytest.raises(NotInteriorError):
-                    call(square, p)
-
 
 class TestDirectionalSum:
     def test_axis_direction_picks_component(self):
@@ -272,17 +260,23 @@ class TestHarmonicCenter:
         with pytest.raises(NotInteriorError):
             harmonic_center(square, (2.0, 2.0))
 
-    def test_max_iter_flag(self, example2):
+    def test_max_iter_flag(self, example2, two_zeros):
         point, trace = harmonic_center(
             example2, (1.0, 2.0, 2.5, 1.3), stop_tol=1e-9, max_iter=2
         )
         assert not trace.converged
         assert trace.iterations == 2
         assert np.min(residuals(example2, point)) > 0.0
-        # a NaN f-norm stops the search at once, unconverged
-        _, trace = harmonic_center(example2, (np.nan, 2.0, 2.5, 1.3))
+        # a NaN start is not interior
+        with pytest.raises(NotInteriorError):
+            harmonic_center(example2, (np.nan, 2.0, 2.5, 1.3))
+        # a NaN f-norm (f_1 = 1e330 - 1e330) stops the search at once,
+        # unconverged; the product overflows under the caller's error state
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, trace = harmonic_center(two_zeros, (0.0, 0.0))
         assert not trace.converged
         assert trace.iterations == 0
+        assert math.isnan(trace.final.fnorm)
 
     def test_bad_tolerance(self, square):
         with pytest.raises(ValueError):
@@ -556,6 +550,17 @@ class TestAxisStageMatchesSection:
                         lambda: _section_sweep(poly, p, _harmonic_offset),
                     )
 
+    def test_two_signed_zeros(self, two_zeros):
+        # at the origin the axis-1 distances of rows c1 and c2 are +0 and
+        # -0: the first sum is inf - inf, a chord of zero width, and the
+        # solve stops at h = 0, unconverged, with no warning
+        p = np.zeros(2)
+        res = solve_harmonic_offset(section(two_zeros, p, axis_direction(1, 2)))
+        assert (res.h, res.iterations, res.converged) == (0.0, 1, False)
+        assert math.isnan(res.residual)
+        assert harmonic_point_on_axis(two_zeros, p, 1).tolist() == [0.0, 0.0]
+        assert cs_step(two_zeros, p).tolist() == [0.0, 0.0]
+
     @staticmethod
     def _same_outcome(call, reference):
         try:
@@ -567,17 +572,33 @@ class TestAxisStageMatchesSection:
         else:
             assert np.array_equal(call(), want)
 
-    def test_searches_raise_like_section(self, square):
-        for search in (cs_step, harmonic_center, bi_center):
-            with pytest.raises(NotInteriorError):
-                search(square, (2.0, 0.5))
 
-    def test_nan_coordinate_is_not_interior(self, square):
-        for call in (harmonic_point_on_axis, bi_point_on_axis):
-            with pytest.raises(NotInteriorError):
-                call(square, (np.nan, 0.5), 1)
-        with pytest.raises(NotInteriorError):
-            section(square, (np.nan, 0.5), axis_direction(1, 2))
+# every reader of a point's slacks that README's "Library" names
+INTERIOR_READERS = {
+    "section": lambda poly, p: section(poly, p, axis_direction(1, poly.n)),
+    "f_vector": f_vector,
+    "f_norm": f_norm,
+    "directional_sum": lambda poly, p: directional_sum(poly, p, (1.0, 0.0)),
+    "harmonic_hyperplane": harmonic_hyperplane,
+    "harmonic_point_on_axis": lambda poly, p: harmonic_point_on_axis(poly, p, 1),
+    "bi_point_on_axis": lambda poly, p: bi_point_on_axis(poly, p, 1),
+    "cs_step": cs_step,
+    "harmonic_center": harmonic_center,
+    "bi_center": bi_center,
+}
+
+
+@pytest.mark.parametrize(
+    "p",
+    [(np.nan, 0.5), (np.inf, 0.5), (0.5, -np.inf), (2.0, 0.5), (1.0, 0.5)],
+    ids=["nan", "inf", "minus-inf", "exterior", "facet"],
+)
+@pytest.mark.parametrize("reader", list(INTERIOR_READERS))
+def test_one_interior_rule(square, reader, p):
+    # an infinite coordinate meets a zero coefficient in the slack sum,
+    # 0 * inf, which numpy reports under the caller's error state
+    with np.errstate(invalid="ignore"), pytest.raises(NotInteriorError):
+        INTERIOR_READERS[reader](square, p)
 
 
 class TestKeptSearch:
@@ -685,13 +706,10 @@ class TestKeptSearch:
         assert point is not p0 and np.array_equal(point, p0)
 
     def test_nan_start(self, square):
-        # no f-norm: the harmonic search stops unconverged; the bisection
-        # search's stop measure needs the slacks and raises
-        point, trace = harmonic_center(square, (np.nan, 0.5))
-        assert trace.iterations == 0 and not trace.converged
-        assert math.isnan(trace.final.fnorm) and np.isnan(point[0])
-        with pytest.raises(NotInteriorError):
-            bi_center(square, (np.nan, 0.5))
+        # a NaN slack is not interior: both searches raise at the start
+        for search in (harmonic_center, bi_center):
+            with pytest.raises(NotInteriorError):
+                search(square, (np.nan, 0.5))
 
 
 class TestInfiniteChordEnd:

@@ -5,14 +5,16 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import polycenter
 from conftest import DATA
-from polycenter import parse_trace_csv
+from polycenter import cli, parse_trace_csv
 from polycenter.cli import (
     EXIT_INFEASIBLE,
     EXIT_MAXITER,
@@ -462,6 +464,34 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "converged: no" in captured.out
         assert "--inner-tol" in captured.err
+
+    def test_each_error_kind_has_readme_exit_code(self, monkeypatch, capsys):
+        # README's table of error kinds: "| `A`, `B` | code |"
+        readme = (DATA.parent / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| (`\w+`(?:, `\w+`)*) \| (\d) \|$", readme, re.M)
+        documented = {
+            name: int(code)
+            for names, code in rows
+            for name in re.findall(r"`(\w+)`", names)
+        }
+        kinds = {
+            name: obj
+            for name in polycenter.__all__
+            if isinstance(obj := getattr(polycenter, name), type)
+            and issubclass(obj, polycenter.PolytopeError)
+        }
+        # every kind, a new one too, is in the table, and the table only
+        # names kinds
+        assert set(documented) == set(kinds)
+        for name, kind in kinds.items():
+            assert kind.exit_code == documented[name], name
+
+            def fail(path, kind=kind):
+                raise kind("boom")
+
+            monkeypatch.setattr(cli, "load_polytope", fail)
+            assert main(["check", SQUARE]) == documented[name], name
+            assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_run_with_config_object(capsys):
