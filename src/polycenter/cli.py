@@ -174,7 +174,7 @@ def _cmd_center(args, poly, p0):
     ]
     failure = None
     if not trace.converged:
-        if final.fnorm > args.tol:
+        if not final.fnorm <= args.tol:  # a NaN f-norm misses --tol too
             reason = f"fnorm {final.fnorm:.6g} > {args.tol:.6g}"
         else:
             reason = f"a line solve missed --inner-tol {args.inner_tol:.6g}"
@@ -230,10 +230,11 @@ def _cmd_compare_bi(args, poly, p0):
 
 def _cmd_check(args, poly, p0):
     # max over unit u of |u . f| is |f|, attained along f / |f|; the one
-    # directional sum there cross-checks that identity
+    # directional sum there cross-checks that identity.  An f-norm of 0,
+    # inf or NaN gives f / |f| no value, and is then the maximum itself.
     fn = f_norm(poly, p0)
-    worst = 0.0
-    if fn > 0.0:
+    worst = fn
+    if 0.0 < fn < np.inf:
         worst = abs(directional_sum(poly, p0, f_vector(poly, p0) / fn))
     ok = fn <= args.tol and worst <= args.tol
     sums = f"max |directional sum| (along f/|f|): {worst:.6g}"

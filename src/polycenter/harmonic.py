@@ -15,13 +15,13 @@ safeguard on an array of distances and a bracket.  Each iteration takes
 one reciprocal per distance, ``1 / (d_i - h)``, and reads both ``F`` (its
 dot product with ones) and ``F'`` (its dot product with itself) from it.
 The sums follow the order of the array, so that order is part of the
-result; it is stated once, in :func:`~polycenter.model.ahead_first`: the
-distances ahead of the point, then those behind it, each group in row
-order.  Every line's distances come in that order from one reader,
-:func:`~polycenter.lines.line_bracket`, which the coordinate search passes
-on as they are.  A :class:`LineSection` keeps them in row order (it can
-also be built from its fields), so :func:`solve_harmonic_offset` orders
-its finite distances again.  A pure-bisection solver is kept as an
+result; it is the order of the line's table, stated once, in
+:func:`~polycenter.model._axis_line`: the distances ahead of the point,
+then those behind it, each group in row order.  Every line's distances
+come in that order from one reader, :func:`~polycenter.lines.line_bracket`,
+which the coordinate search passes on as they are, and a
+:class:`~polycenter.lines.LineSection` keeps them so for
+:func:`solve_harmonic_offset`.  A pure-bisection solver is kept as an
 independent cross-check.
 """
 
@@ -31,9 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BracketInvalidError
 from .lines import point_at, section
-from .model import _count, _positive, ahead_first
+from .model import _count, _positive
 
 # F is the dot of the reciprocals with ones; a line's ones are a slice of
 # this buffer, allocated once, or a fresh array for a longer line
@@ -66,23 +65,17 @@ class HarmonicSolveResult(NamedTuple):
     converged: bool
 
 
-def _check_bracket(sec):
-    if not (sec.d_minus < 0.0 < sec.d_plus):
-        raise BracketInvalidError(
-            f"invalid bracket ({sec.d_minus}, {sec.d_plus}): must straddle 0"
-        )
-    return sec.finite_distances
-
-
 def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     """Root of ``sum 1/(d_i - h)`` in the bracket ``lo < 0 < hi``.
 
     The one Newton loop of the package: :func:`solve_harmonic_offset` runs
-    it on a section's finite distances, and the coordinate search on the
-    distances of each axis line.  Safeguarded Newton iteration: starts at
-    ``h = 0`` (inside the bracket, since the base point is interior), keeps
-    a shrinking sub-bracket using the sign of the sum, and replaces any
-    Newton step that leaves the sub-bracket by its midpoint.  Stops when
+    it on a section's distances, and the coordinate search on the
+    distances of each axis line, both as
+    :func:`~polycenter.lines.line_bracket` returns them.  Safeguarded
+    Newton iteration: starts at ``h = 0`` (inside the bracket, since the
+    base point is interior), keeps a shrinking sub-bracket using the sign
+    of the sum, and replaces any Newton step that leaves the sub-bracket by
+    its midpoint.  Stops when
     ``|F(h)| <= tol`` or the sub-bracket is narrower than ``tol`` times
     ``hi - lo``.  A bracket with an infinite end meets neither stop: every
     distance on that side overflowed, so ``F`` keeps one sign at every
@@ -97,9 +90,9 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     a read-only module buffer of 4096 ones (``np.ones(d.size)`` for a
     longer line), so a solve allocates only ``inv``.  Both sums follow the
     order of ``d`` and the BLAS library's order of additions; the package
-    passes every line's distances ahead-then-behind (see
-    :func:`~polycenter.model.ahead_first`), so that equal lines give equal
-    floats.
+    passes every line's distances in its table's order, ahead then behind
+    (see :func:`~polycenter.model._axis_line`), so that equal lines give
+    equal floats.
 
     A bracket whose nearer end is within ``_NEAR`` of 0 is solved under
     ``np.errstate(over="ignore", invalid="ignore")``: its reciprocals may
@@ -175,15 +168,17 @@ def _newton(d, lo, hi, tol, max_iter):
 def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
     """Solve ``sum 1/(d_i - h) = 0`` on the feasible bracket of ``sec``.
 
-    Runs :func:`newton_offset` on the section's finite distances, ordered
-    by :func:`~polycenter.model.ahead_first` (by sign bit: at positive
-    slacks, the sign of each row's coefficient along the line), so that an
-    axis line gives the coordinate search's floats bit for bit.
+    Runs :func:`newton_offset` on the section's distances as it keeps them,
+    in its table's order (ahead, then behind, each in row order; see
+    :func:`~polycenter.model._axis_line`), with no sort and no bracket
+    check: a section's bracket straddles 0 by construction.  So an axis
+    line gives the coordinate search's floats bit for bit.
 
     Parameters
     ----------
     sec : LineSection
-        Section with a valid bracket ``d_minus < 0 < d_plus``.
+        Section of a line, from :func:`section` or
+        :meth:`~polycenter.lines.LineSection.from_distances`.
     tol : float
         Tolerance (> 0, else ``ValueError``) on the reciprocal sum, with a
         relative bracket-width fallback for poles too steep to meet it in float64.
@@ -197,8 +192,7 @@ def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
     """
     _positive("tol", tol)
     _count("max_iter", max_iter)
-    d = _check_bracket(sec)
-    d = d.take(ahead_first(d))
+    d = sec._ordered
     # an underflowed distance: see newton_offset
     with np.errstate(divide="ignore", invalid="ignore"):
         h, its, f, converged = newton_offset(d, sec.d_minus, sec.d_plus, tol, max_iter)
@@ -215,16 +209,17 @@ def bisection_oracle(sec, tol=1e-10, max_iter=200):
     converges unconditionally by monotonicity.  A bracket with an infinite
     end has no root among the floats (the sum keeps one sign): it bisects
     the bracket's part within half the largest float, meets no stop, and
-    returns a finite ``h`` with ``converged=False``.  It shares the bracket
-    check and its ``ValueError`` unless ``tol > 0`` and ``max_iter >= 0``
-    with :func:`solve_harmonic_offset`, and deliberately neither its root
-    iteration nor its summation order: it exists to cross-check it.
+    returns a finite ``h`` with ``converged=False``.  It shares its
+    ``ValueError`` unless ``tol > 0`` and ``max_iter >= 0`` with
+    :func:`solve_harmonic_offset`, and deliberately neither its root
+    iteration nor its summation order (it sums ``finite_distances``, in row
+    order): it exists to cross-check it.
     ``residual`` is the sum at the returned ``h``, also when ``max_iter``
     is 0 and ``h`` is the midpoint of the shrunk bracket.
     """
     _positive("tol", tol)
     _count("max_iter", max_iter)
-    d = _check_bracket(sec)
+    d = sec.finite_distances
     width = sec.width
     if width < math.inf:
         eps = 1e-12 * width

@@ -113,19 +113,17 @@ class LineSection(_Frozen):
     (mask in ``parallel``).  ``d_minus < 0 < d_plus`` bound the feasible
     bracket; ``i_plus`` / ``i_minus`` are the blocking row indices
     (lowest index wins ties).  No finite distance lies strictly inside
-    the bracket.  Sections compare and hash by identity, and their fields
-    cannot be reassigned.
-    """
+    the bracket.
 
-    def __init__(self, distances, parallel, d_plus, d_minus, i_plus, i_minus):
-        self.__dict__.update(
-            distances=distances,
-            parallel=parallel,
-            d_plus=d_plus,
-            d_minus=d_minus,
-            i_plus=i_plus,
-            i_minus=i_minus,
-        )
+    A section is built from a line's table (an
+    :class:`~polycenter.model.AxisLine`) and slacks, by :func:`section` or
+    :meth:`from_distances`, and keeps its distances in the table's order
+    too, the order :func:`~polycenter.model._axis_line` states: that is
+    the array :func:`~polycenter.harmonic.solve_harmonic_offset` solves
+    on.  Its bracket straddles 0 by construction, since
+    :func:`line_bracket` raises otherwise.  Sections compare and hash by
+    identity, and their fields cannot be reassigned.
+    """
 
     @property
     def width(self):
@@ -133,7 +131,8 @@ class LineSection(_Frozen):
 
     @property
     def finite_distances(self):
-        """Distances of the constraints the line actually intersects."""
+        """Distances of the constraints the line actually intersects, in
+        row order."""
         return self.distances[~self.parallel]
 
     @classmethod
@@ -147,19 +146,19 @@ class LineSection(_Frozen):
         missing.
         """
         d = np.array(values, dtype=float).ravel()
-        par = ~np.isfinite(d)
         if (d == 0.0).any():
             raise BracketInvalidError("zero distance: point lies on a constraint")
         # slacks |d| and coefficients sign(d) (0: parallel): |d| / +-1 == d
-        line = _axis_line(np.where(par, 0.0, np.sign(d)))
+        line = _axis_line(np.where(np.isfinite(d), np.sign(d), 0.0))
         return cls._of_line(line, np.abs(d))
 
     @classmethod
     def _of_line(cls, line, s):
-        """The section of the line with table ``line`` at slacks ``s``:
-        :func:`line_bracket`'s distances, scattered into m rows, and its
-        bracket.  A blocking row is the first row on its side at that
-        end's distance (lowest index wins ties).
+        """The section of the line with table ``line`` at slacks ``s``: the
+        one builder of a section.  It keeps :func:`line_bracket`'s
+        distances as they are, in the table's order (``_ordered``), and
+        scatters them into m rows.  A blocking row is the first row on its
+        side at that end's distance (lowest index wins ties).
         """
         rows, _, ahead = line
         d, d_minus, d_plus = line_bracket(line, s)
@@ -167,11 +166,19 @@ class LineSection(_Frozen):
         distances[rows] = d
         parallel = np.ones(s.size, dtype=bool)
         parallel[rows] = False
-        distances.setflags(write=False)
-        parallel.setflags(write=False)
-        i_plus = int(rows[(d[:ahead] == d_plus).argmax()])
-        i_minus = int(rows[ahead + (d[ahead:] == d_minus).argmax()])
-        return cls(distances, parallel, d_plus, d_minus, i_plus, i_minus)
+        for array in (d, distances, parallel):
+            array.setflags(write=False)
+        sec = object.__new__(cls)
+        sec.__dict__.update(
+            distances=distances,
+            parallel=parallel,
+            d_plus=d_plus,
+            d_minus=d_minus,
+            i_plus=int(rows[(d[:ahead] == d_plus).argmax()]),
+            i_minus=int(rows[ahead + (d[ahead:] == d_minus).argmax()]),
+            _ordered=d,
+        )
+        return sec
 
 
 def smallest(x):

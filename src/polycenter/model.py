@@ -50,30 +50,18 @@ def _count(name, value):
         raise ValueError(f"{name} must be non-negative")
 
 
-def ahead_first(x):
-    """Positions of ``x`` with a clear sign bit, then those with it set.
-
-    Each group keeps its order.  This is the one statement of the order in
-    which a line's distances are summed, which is part of the result: the
-    axis table stores its rows ahead-then-behind (see :class:`AxisLine`),
-    and ``solve_harmonic_offset`` orders a section's finite distances the
-    same way.  With positive slacks a distance has the sign bit of its
-    coefficient, an underflowed signed zero included, so both give the
-    root solve the same array.
-    """
-    return np.argsort(np.signbit(x), kind="stable")
-
-
 class AxisLine(NamedTuple):
     """What the line along ``u`` meets, read from ``A @ u`` (column k of
     ``A`` for the axis-k line): the table of every line.
 
-    ``rows`` are the rows with ``|A_i . u| > PARALLEL_EPS``, ordered by
-    :func:`ahead_first` on their coefficients ``g = A[rows] @ u``: first the
-    ``ahead`` rows with a positive coefficient, then those with a negative
-    one, each group in row order.  At an interior point the line meets the
-    first group ahead of it and the second behind it.  ``rows`` and ``g``
-    are read-only, 2 words per row the line meets.
+    ``rows`` are the rows with ``|A_i . u| > PARALLEL_EPS``, in the order
+    :func:`_axis_line` states: first the ``ahead`` rows with a positive
+    coefficient ``g = A[rows] @ u``, then those with a negative one, each
+    group in row order.  At an interior point the line meets the first
+    group ahead of it and the second behind it.  A line's distances are
+    summed in this order, which is part of the result: the coordinate
+    search and every ``LineSection`` keep it.  ``rows`` and ``g`` are
+    read-only, 2 words per row the line meets.
     """
 
     rows: np.ndarray
@@ -85,9 +73,12 @@ def _axis_line(column):
     """The :class:`AxisLine` of coefficients ``column``, arrays read-only.
 
     The rows with a coefficient above ``PARALLEL_EPS`` and then those below
-    ``-PARALLEL_EPS``, each in row order: the :func:`ahead_first` order of
-    the kept coefficients (a kept coefficient is nonzero, so its sign bit
-    is its sign) without a sort.
+    ``-PARALLEL_EPS``, each in row order, without a sort.  This is the one
+    statement of the order in which a line's distances are summed: the
+    coordinate search reads them in it, a ``LineSection`` keeps them in it,
+    and ``solve_harmonic_offset`` solves on them as kept.  At positive
+    slacks a distance has the sign bit of its coefficient, an underflowed
+    signed zero included, so the order is also ahead, then behind.
     """
     above = column > PARALLEL_EPS
     below = column < -PARALLEL_EPS

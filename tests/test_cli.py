@@ -633,6 +633,51 @@ def test_compare_bi_with_an_infinite_chord_end(tmp_path):
     assert "bisection center: (0.00, 0.00)\n" in proc.stdout
 
 
+# three rows on each side of the x axis at a slack of 6e-309: every
+# reciprocal slack is finite, but their sums overflow, so at 0,0 the
+# f-vector is not finite
+OVERFLOWING_F = (
+    "dims 8 2\n" + "1 0 6e-309\n" * 3 + "-1 0 6e-309\n" * 3 + "0 1 1\n0 -1 1\n"
+)
+
+
+def test_center_names_a_nan_fnorm_as_the_miss(tmp_path, capsys):
+    # no line solve was inexact: the miss is the f-norm, which is NaN
+    path = tmp_path / "over.poly"
+    path.write_text(OVERFLOWING_F)
+    # the f-vector product itself overflows to inf - inf, which is not
+    # what this test is about
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["center", str(path), "--start", "0,0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_MAXITER
+    assert "fnorm: nan\n" in captured.out
+    assert captured.err == "not converged after 1 iterations (fnorm nan > 0.01)\n"
+
+
+def test_check_with_an_infinite_fnorm_completes(tmp_path):
+    # f / |f| is inf / inf: check reports |f| as the maximum, warns of
+    # nothing (the run has -W error), fails the point and exits 0
+    path = tmp_path / "over.poly"
+    path.write_text(OVERFLOWING_F)
+    env = dict(os.environ)
+    src = str(DATA.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "polycenter.cli", "check", str(path)]
+        + ["--start", "0,0"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout == (
+        "fnorm: inf\n"
+        "max |directional sum| (along f/|f|): inf\n"
+        "check: FAIL (tol 0.01)\n"
+    )
+
+
 def test_cli_imports_only_what_it_runs():
     env = dict(os.environ)
     src = str(DATA.parent / "src")

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import random_interior_point, random_polytope, random_section, random_unit
 from polycenter import (
-    BracketInvalidError,
     LineSection,
     Polytope,
     axis_direction,
@@ -171,21 +170,6 @@ class TestSolverBehavior:
         assert res.residual == reciprocal_sum(sec, res.h)
         if max_iter == 0:
             assert res.h == 2.0 and res.residual == pytest.approx(0.25)
-
-    def test_bad_bracket_rejected(self):
-        good = LineSection.from_distances([-1.0, 1.0])
-        bad = LineSection(
-            distances=good.distances,
-            parallel=good.parallel,
-            d_plus=-0.5,
-            d_minus=-1.0,
-            i_plus=1,
-            i_minus=0,
-        )
-        with pytest.raises(BracketInvalidError):
-            solve_harmonic_offset(bad)
-        with pytest.raises(BracketInvalidError):
-            bisection_oracle(bad)
 
 
 class TestInfiniteBracketEnd:
@@ -386,6 +370,23 @@ class TestSummationOrder:
                 # the axis stage's distances, bit for bit
                 got = line_bracket(poly.axis_lines[k - 1], s)[0]
                 assert got.tobytes() == d.tobytes()
+
+    def test_from_distances(self):
+        # raw distances, +-inf (no intersection) among them: the section
+        # solves on its finite distances ahead, then behind, in row order
+        rng = np.random.default_rng(151)
+        for _ in range(40):
+            base = random_section(rng, max_side=8)
+            at = rng.integers(0, base.distances.size + 1, size=2)
+            raw = np.insert(base.distances, at, [np.inf, -np.inf])
+            for sec in (base, LineSection.from_distances(raw)):
+                res = solve_harmonic_offset(sec)
+                want = newton_offset(
+                    _ahead_then_behind(sec.finite_distances), sec.d_minus, sec.d_plus
+                )
+                assert repr(
+                    (res.h, res.iterations, res.residual, res.converged)
+                ) == repr(want)
 
     def test_underflowed_signed_zero(self):
         # the row (+-1e300, 0) with slack 1e-30 at the origin: its axis-1

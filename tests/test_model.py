@@ -35,7 +35,6 @@ from polycenter.model import (
     PARALLEL_EPS,
     SLACK_FLOOR,
     _axis_line,
-    ahead_first,
 )
 
 SQUARE_TEXT = """\
@@ -409,7 +408,8 @@ class TestAxisLines:
     def test_matches_ahead_first_construction(self, column):
         column = np.array(column)
         kept = np.flatnonzero(np.abs(column) > PARALLEL_EPS)
-        rows = kept[ahead_first(column[kept])]
+        # positive coefficients, then negative, each group in row order
+        rows = kept[np.argsort(np.signbit(column[kept]), kind="stable")]
         g = column[rows]
         line = _axis_line(column)
         assert line.rows.dtype == rows.dtype
@@ -683,7 +683,7 @@ def test_value_records_compare_and_hash_by_field(square, name):
         assert one._replace(**{field: object()}) != one
 
 
-@pytest.mark.parametrize("name", list(IDENTITY_TYPES))
+@pytest.mark.parametrize("name", ["Polytope", "Hyperplane"])
 def test_identity_types_are_built_by_keyword(square, name):
     one = IDENTITY_TYPES[name](square)
     fields = {field: getattr(one, field) for field in FIELDS[name]}
@@ -691,3 +691,16 @@ def test_identity_types_are_built_by_keyword(square, name):
     for field, value in fields.items():
         assert np.array_equal(getattr(twin, field), value)
     assert twin != one
+
+
+def test_line_section_is_built_from_a_line_only(square):
+    # a section comes from a line's table (section or from_distances), so
+    # its fields cannot be given one by one, nor a bracket that misses 0
+    one = IDENTITY_TYPES["LineSection"](square)
+    fields = {field: getattr(one, field) for field in FIELDS["LineSection"]}
+    with pytest.raises(TypeError):
+        LineSection(**fields)
+    # the distances it solves on, in its table's order, are frozen too
+    assert not one._ordered.flags.writeable
+    with pytest.raises(AttributeError):
+        one._ordered = None
