@@ -6,10 +6,12 @@ convergence indicator: zero exactly at the harmonic center, growing
 without bound at the boundary.  The center is found by cyclic coordinate
 search: one sweep moves each coordinate in turn to the harmonic point
 of the axis line through the current iterate, until the f-norm drops
-below the stopping tolerance.  The bisection center, for comparison,
-moves to chord midpoints under its own stop measure.  One search loop
-runs both, given the sweep and the stop measure; it keeps one point and one
-slack sum across the sweeps, whose last slacks give both measures.
+below the stopping tolerance or a sweep moves nothing.  The bisection
+center, for comparison, moves to chord midpoints under its own stop
+measure.  One search loop runs both, given the sweep and the stop
+measure, with one stop rule for a sweep that moves nothing; it keeps one
+point and one slack sum across the sweeps, whose last slacks give both
+measures.
 """
 
 import math
@@ -130,6 +132,14 @@ class CenterTrace(NamedTuple):
     def iterations(self):
         return self.final.iteration
 
+    @property
+    def stalled(self):
+        """The no-move rule: whether the last sweep moved nothing, its row
+        having the point of the row before it.  A sweep is a pure function
+        of its iterate (kept slacks equal a fresh sum's), so every later
+        sweep would repeat that row."""
+        return len(self.records) > 1 and self.final.point == self.records[-2].point
+
     def to_csv(self):
         """Serialize as ``iter,x1,...,xn,fnorm`` with full-precision decimals."""
         n = len(self.records[0].point)
@@ -217,9 +227,8 @@ class _Search:
         return q
 
     def bisect(self):
-        """``bi_center``'s sweep; False when it moved no coordinate."""
-        before = self.q.copy()
-        return (self.stages(range(self.polytope.n), _midpoint, 0.0) != before).any()
+        """``bi_center``'s sweep: a chord-midpoint stage on every axis."""
+        self.stages(range(self.polytope.n), _midpoint, 0.0)
 
     def record(self, iteration):
         """The trace row of ``q``, with the f-norm at the slacks ``s``.
@@ -238,21 +247,24 @@ class _Search:
 def _search(polytope, p0, sweep, measure, stop_tol, max_iter):
     """Sweep a kept :class:`_Search` ``run`` from ``p0`` with ``sweep(run)``
     while ``measure(run, record)``, the stop measure at trace row ``record``,
-    exceeds ``stop_tol``, and until a sweep returns False (it moved nothing).
-    The trace holds the start as iteration 0 and at most ``max_iter`` sweeps;
-    it is ``converged`` if the last measure is within ``stop_tol`` and every
-    stage was exact.  ``ValueError`` unless ``stop_tol > 0``, ``max_iter >= 0``."""
+    exceeds ``stop_tol``, and until a sweep moves nothing
+    (:attr:`CenterTrace.stalled`, for both centers).  The trace holds the
+    start as iteration 0 and at most ``max_iter`` sweeps; it is
+    ``converged`` if the last measure is within ``stop_tol`` and every stage
+    was exact, so a stalled search is not unless its measure already met
+    ``stop_tol``.  ``ValueError`` unless ``stop_tol > 0``, ``max_iter >= 0``."""
     _positive("stop_tol", stop_tol)
     _count("max_iter", max_iter)
     run = _Search(polytope, p0)
-    records = [run.record(0)]
-    value, moved = measure(run, records[0]), True
-    while moved and value > stop_tol and len(records) <= max_iter:
-        moved = sweep(run)
-        records.append(run.record(len(records)))
-        value = measure(run, records[-1])
+    # a draft trace, whose list of rows grows by one per sweep
+    trace = CenterTrace(records=[run.record(0)], converged=False)
+    value = measure(run, trace.final)
+    while value > stop_tol and trace.iterations < max_iter and not trace.stalled:
+        sweep(run)
+        trace.records.append(run.record(trace.iterations + 1))
+        value = measure(run, trace.final)
     converged = value <= stop_tol and not run.inexact
-    return run.q, CenterTrace(records=tuple(records), converged=converged)
+    return run.q, CenterTrace(records=tuple(trace.records), converged=converged)
 
 
 def harmonic_point_on_axis(polytope, p, k, tol=1e-10):
@@ -290,12 +302,15 @@ def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
 
     Sweeps repeat while the f-norm of the current iterate exceeds
     ``stop_tol``; the trace records the start as iteration 0 and one row
-    per completed sweep.  When ``max_iter`` runs out, or a line solve runs
-    out of its own iteration budget (``inner_tol`` too tight to meet), the
-    trace carries ``converged=False`` and the best iterate is still
-    returned.  Raises :class:`NotInteriorError` unless ``p0`` is strictly
-    interior (a NaN coordinate is not), as :func:`bi_center` does, and
-    ``ValueError`` unless ``stop_tol`` and ``inner_tol`` are positive.
+    per completed sweep.  A sweep that moves no coordinate ends the search,
+    since every later sweep would repeat it (:attr:`CenterTrace.stalled`).
+    When ``max_iter`` runs out, the search stalls above ``stop_tol``, or a
+    line solve runs out of its own iteration budget (``inner_tol`` too
+    tight to meet), the trace carries ``converged=False`` and the best
+    iterate is still returned.  Raises :class:`NotInteriorError` unless
+    ``p0`` is strictly interior (a NaN coordinate is not), as
+    :func:`bi_center` does, and ``ValueError`` unless ``stop_tol`` and
+    ``inner_tol`` are positive.
     A NaN f-norm at a strictly interior iterate (an f-vector entry that is
     ``inf - inf``) fails every comparison, so it stops the search there,
     unconverged.
@@ -306,7 +321,6 @@ def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
 
     def sweep(run):  # through cs_step by module name, which a tracer wraps
         cs_step(polytope, run.q, inner_tol, _run=run)
-        return True
 
     return _search(polytope, p0, sweep, lambda _, rec: rec.fnorm, stop_tol, max_iter)
 
@@ -329,8 +343,10 @@ def bi_center(polytope, p0, stop_tol=0.01, max_iter=100):
     offset at the iterate (the f-norm measures harmonic centrality, which
     this point does not optimize; it is still recorded in the trace for
     comparison).  A chord with an infinite end has no finite midpoint: its
-    stage leaves the coordinate where it is.  Then, or when a sweep moves
-    no coordinate (which ends the search), ``converged`` is False.
+    stage leaves the coordinate where it is, and ``converged`` is then
+    False.  A sweep that moves no coordinate ends the search as it ends
+    :func:`harmonic_center` (:attr:`CenterTrace.stalled`), unconverged
+    unless the stop measure already met ``stop_tol``.
 
     Returns ``(point, trace)``.
     """

@@ -165,20 +165,20 @@ def _cmd_center(args, poly, p0):
         doc = emit_svg([trace], poly)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(doc)
-    final = trace.final
     fields = [
         _field("center", point),
-        _field("fnorm", final.fnorm, ".3f"),
-        _field("iterations", final.iteration, "d"),
+        _field("fnorm", trace.final.fnorm, ".3f"),
+        _field("iterations", trace.iterations, "d"),
         _field("converged", trace.converged),
     ]
     failure = None
     if not trace.converged:
-        if not final.fnorm <= args.tol:  # a NaN f-norm misses --tol too
-            reason = f"fnorm {final.fnorm:.6g} > {args.tol:.6g}"
-        else:
-            reason = f"a line solve missed --inner-tol {args.inner_tol:.6g}"
-        failure = f"not converged after {final.iteration} iterations ({reason})"
+        reason = f"a line solve missed --inner-tol {args.inner_tol:.6g}"
+        if not trace.final.fnorm <= args.tol:  # a NaN f-norm misses --tol too
+            # a stalled search: a larger --max-iter would repeat its point
+            stall = "; the last sweep moved nothing" if trace.stalled else ""
+            reason = f"fnorm {trace.final.fnorm:.6g} > {args.tol:.6g}{stall}"
+        failure = f"not converged after {trace.iterations} iterations ({reason})"
     return fields, csv_text, failure
 
 

@@ -682,8 +682,10 @@ class TestKeptSearch:
         rng = np.random.default_rng(449)
         poly, anchor = random_polytope(rng, 40, extra=40)
         p = random_interior_point(rng, poly, anchor)
+        # budgets below the sweep where the harmonic search stalls (25 with
+        # numpy 2.4), so that each search spends all of its budget
         for search in (harmonic_center, bi_center):
-            for max_iter in (1, 5, 50):
+            for max_iter in (1, 5, 20):
                 calls.clear()
                 _, trace = search(poly, p, stop_tol=1e-12, max_iter=max_iter)
                 assert trace.iterations == max_iter
@@ -748,6 +750,44 @@ def test_bi_center_ends_on_a_sweep_that_moves_nothing(example2):
     points = [rec.point for rec in trace.records]
     assert points[-1] == points[-2]
     assert all(a != b for a, b in zip(points[:-2], points[1:-1]))
+    assert trace.stalled
+
+
+class TestHarmonicStall:
+    """The harmonic search ends on a sweep that moves nothing, as the
+    bisection search does: every later sweep would repeat it."""
+
+    @staticmethod
+    def _case():
+        # the kept-search polytope: at stop_tol=1e-12 its iterate comes to
+        # rest with the f-norm above the tolerance
+        rng = np.random.default_rng(449)
+        poly, anchor = random_polytope(rng, 40, extra=40)
+        return poly, random_interior_point(rng, poly, anchor)
+
+    def test_ends_on_a_sweep_that_moves_nothing(self):
+        poly, p = self._case()
+        point, trace = harmonic_center(poly, p, stop_tol=1e-12, max_iter=200)
+        assert trace.stalled and not trace.converged
+        assert trace.iterations < 200 and trace.final.fnorm > 1e-12
+        points = [rec.point for rec in trace.records]
+        assert points[-1] == points[-2]
+        assert all(a != b for a, b in zip(points[:-2], points[1:-1]))
+        # the returned point is a fixed point of the sweep
+        assert np.array_equal(cs_step(poly, point), point)
+
+    def test_a_budget_below_the_stall_is_not_stalled(self):
+        poly, p = self._case()
+        _, full = harmonic_center(poly, p, stop_tol=1e-12, max_iter=200)
+        budget = full.iterations - 1
+        _, trace = harmonic_center(poly, p, stop_tol=1e-12, max_iter=budget)
+        assert trace.iterations == budget
+        assert not trace.stalled and not trace.converged
+        assert trace.records == full.records[:-1]
+
+    def test_a_start_row_alone_is_not_stalled(self, example1):
+        _, trace = harmonic_center(example1, (3.0, 0.25), max_iter=0)
+        assert trace.iterations == 0 and not trace.stalled
 
 
 class TestBarrierOracle:

@@ -789,6 +789,37 @@ def test_each_result_is_written_once(capsys, tmp_path, fixture, command):
         assert body == CSV_ROWS[command](payload)
 
 
+@pytest.mark.parametrize("fixture", list(STARTS))
+def test_center_names_a_stalled_search(capsys, tmp_path, fixture):
+    # at --tol 1e-300 every fixture's iterate comes to rest above the
+    # tolerance: the search ends on the sweep that moved nothing, long
+    # before --max-iter, and stderr says so
+    trace_path = tmp_path / "t.csv"
+    argv = ["center", str(DATA / f"{fixture}.poly"), "--start", STARTS[fixture]]
+    argv += ["--tol", "1e-300", "--max-iter", "1000", "--trace", str(trace_path)]
+    assert main([*argv, "--format", "json"]) == EXIT_MAXITER
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["iterations"] < 1000 and not payload["converged"]
+    records = parse_trace_csv(trace_path.read_text())
+    assert len(records) == payload["iterations"] + 1
+    assert records[-1].point == records[-2].point
+    assert re.fullmatch(
+        rf"not converged after {payload['iterations']} iterations "
+        r"\(fnorm \S+ > 1e-300; the last sweep moved nothing\)\n",
+        captured.err,
+    )
+
+
+def test_center_on_its_budget_keeps_its_reason(capsys):
+    # the budget runs out before the iterate comes to rest: no stall named
+    argv = ["center", EXAMPLE1, "--start", "3,0.25", "--tol", "1e-300"]
+    assert main([*argv, "--max-iter", "2"]) == EXIT_MAXITER
+    err = capsys.readouterr().err
+    reason = r"\(fnorm \S+ > 1e-300\)"
+    assert re.fullmatch(rf"not converged after 2 iterations {reason}\n", err)
+
+
 def test_byte_order_mark_is_skipped(tmp_path, capsys):
     bom = tmp_path / "square.poly"
     bom.write_bytes(b"\xef\xbb\xbf" + (DATA / "square.poly").read_bytes())
