@@ -6,12 +6,12 @@ convergence indicator: zero exactly at the harmonic center, growing
 without bound at the boundary.  The center is found by cyclic coordinate
 search: one sweep moves each coordinate in turn to the harmonic point
 of the axis line through the current iterate, until the f-norm drops
-below the stopping tolerance or a sweep moves nothing.  The bisection
-center, for comparison, moves to chord midpoints under its own stop
-measure.  One search loop runs both, given the sweep and the stop
-measure, with one stop rule for a sweep that moves nothing; it keeps one
-point and one slack sum across the sweeps, whose last slacks give both
-measures.
+below the stopping tolerance or the iterate comes back to an earlier
+one.  The bisection center, for comparison, moves to chord midpoints
+under its own stop measure.  One search loop runs both, given the sweep
+and the stop measure, with one stop rule for a revisited iterate at any
+period (a sweep that moves nothing is period 1); it keeps one point and
+one slack sum across the sweeps, whose last slacks give both measures.
 """
 
 import math
@@ -119,10 +119,16 @@ class TraceRecord(NamedTuple):
 
 class CenterTrace(NamedTuple):
     """Full history of a center search, starting at iteration 0; a named
-    tuple, so it compares and hashes by field."""
+    tuple, so it compares and hashes by field.  ``repeats`` is the
+    iteration of the earlier row whose point the last row has, else
+    ``None``: a search ends on such a revisited iterate, since the rows
+    from ``repeats`` on would recur forever, and ``iterations - repeats``
+    is the period of that cycle.  It defaults to ``None``, so a trace
+    built from its rows alone repeats nothing."""
 
     records: tuple
     converged: bool
+    repeats: object = None
 
     @property
     def final(self):
@@ -134,11 +140,10 @@ class CenterTrace(NamedTuple):
 
     @property
     def stalled(self):
-        """The no-move rule: whether the last sweep moved nothing, its row
-        having the point of the row before it.  A sweep is a pure function
-        of its iterate (kept slacks equal a fresh sum's), so every later
-        sweep would repeat that row."""
-        return len(self.records) > 1 and self.final.point == self.records[-2].point
+        """Whether the search ended on a sweep that moved nothing: the
+        period-1 reading of ``repeats``, the last row having the point of
+        the row just before it."""
+        return self.repeats == self.iterations - 1
 
     def to_csv(self):
         """Serialize as ``iter,x1,...,xn,fnorm`` with full-precision decimals."""
@@ -247,24 +252,28 @@ class _Search:
 def _search(polytope, p0, sweep, measure, stop_tol, max_iter):
     """Sweep a kept :class:`_Search` ``run`` from ``p0`` with ``sweep(run)``
     while ``measure(run, record)``, the stop measure at trace row ``record``,
-    exceeds ``stop_tol``, and until a sweep moves nothing
-    (:attr:`CenterTrace.stalled`, for both centers).  The trace holds the
-    start as iteration 0 and at most ``max_iter`` sweeps; it is
-    ``converged`` if the last measure is within ``stop_tol`` and every stage
-    was exact, so a stalled search is not unless its measure already met
-    ``stop_tol``.  ``ValueError`` unless ``stop_tol > 0``, ``max_iter >= 0``."""
+    exceeds ``stop_tol``, and until a sweep returns to the point of an
+    earlier row, at any period (:attr:`CenterTrace.repeats`; period 1 is
+    :attr:`CenterTrace.stalled`).  A sweep is a pure function of its
+    iterate (kept slacks equal a fresh sum's bit for bit), so the rows from
+    that earlier one on would recur forever, each with a measure that
+    already missed ``stop_tol``.  The trace holds the start as iteration 0
+    and at most ``max_iter`` sweeps; it is ``converged`` if the last
+    measure is within ``stop_tol`` and every stage was exact, so a search
+    that ends on a repeat is not.  ``ValueError`` unless ``stop_tol > 0``,
+    ``max_iter >= 0``."""
     _positive("stop_tol", stop_tol)
     _count("max_iter", max_iter)
     run = _Search(polytope, p0)
-    # a draft trace, whose list of rows grows by one per sweep
-    trace = CenterTrace(records=[run.record(0)], converged=False)
-    value = measure(run, trace.final)
-    while value > stop_tol and trace.iterations < max_iter and not trace.stalled:
+    rows, seen = [run.record(0)], {}  # seen: each earlier row's point, its iteration
+    value = measure(run, rows[-1])
+    while value > stop_tol and len(rows) <= max_iter and rows[-1].point not in seen:
+        seen[rows[-1].point] = len(rows) - 1
         sweep(run)
-        trace.records.append(run.record(trace.iterations + 1))
-        value = measure(run, trace.final)
+        rows.append(run.record(len(rows)))
+        value = measure(run, rows[-1])
     converged = value <= stop_tol and not run.inexact
-    return run.q, CenterTrace(records=tuple(trace.records), converged=converged)
+    return run.q, CenterTrace(tuple(rows), converged, seen.get(rows[-1].point))
 
 
 def harmonic_point_on_axis(polytope, p, k, tol=1e-10):
@@ -302,8 +311,11 @@ def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
 
     Sweeps repeat while the f-norm of the current iterate exceeds
     ``stop_tol``; the trace records the start as iteration 0 and one row
-    per completed sweep.  A sweep that moves no coordinate ends the search,
-    since every later sweep would repeat it (:attr:`CenterTrace.stalled`).
+    per completed sweep.  A sweep that returns to an earlier row's point
+    ends the search, since every later sweep would repeat the rows from
+    there (:attr:`CenterTrace.repeats`).  On every run measured so far
+    that row was the one just before, a sweep that moved nothing
+    (:attr:`CenterTrace.stalled`).
     When ``max_iter`` runs out, the search stalls above ``stop_tol``, or a
     line solve runs out of its own iteration budget (``inner_tol`` too
     tight to meet), the trace carries ``converged=False`` and the best
@@ -344,9 +356,11 @@ def bi_center(polytope, p0, stop_tol=0.01, max_iter=100):
     this point does not optimize; it is still recorded in the trace for
     comparison).  A chord with an infinite end has no finite midpoint: its
     stage leaves the coordinate where it is, and ``converged`` is then
-    False.  A sweep that moves no coordinate ends the search as it ends
-    :func:`harmonic_center` (:attr:`CenterTrace.stalled`), unconverged
-    unless the stop measure already met ``stop_tol``.
+    False.  A sweep that returns to an earlier row's point ends the search
+    as it ends :func:`harmonic_center` (:attr:`CenterTrace.repeats`),
+    unconverged.  Midpoint sweeps often cycle rather than stall: the
+    returned point is then the last row's, a point of the cycle, and
+    ``iterations - repeats`` is its period.
 
     Returns ``(point, trace)``.
     """

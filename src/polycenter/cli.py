@@ -146,6 +146,15 @@ def _resolve_start(start, poly):
     return p0
 
 
+def _repeat(trace):
+    """Why a search ended on a revisited iterate, after which every sweep
+    would repeat its rows (:attr:`~polycenter.center.CenterTrace.repeats`),
+    or '' if it did not: at period 1, that its last sweep moved nothing."""
+    n, k = trace.iterations, trace.repeats
+    cycle = "" if k is None else f"sweep {n} returned to the point of sweep {k}"
+    return "the last sweep moved nothing" if trace.stalled else cycle
+
+
 def _harmonic_center(args, poly, p0):
     return harmonic_center(
         poly, p0, stop_tol=args.tol, max_iter=args.max_iter, inner_tol=args.inner_tol
@@ -175,8 +184,8 @@ def _cmd_center(args, poly, p0):
     if not trace.converged:
         reason = f"a line solve missed --inner-tol {args.inner_tol:.6g}"
         if not trace.final.fnorm <= args.tol:  # a NaN f-norm misses --tol too
-            # a stalled search: a larger --max-iter would repeat its point
-            stall = "; the last sweep moved nothing" if trace.stalled else ""
+            # a search that ended on a repeat: more sweeps would repeat its rows
+            stall = f"; {_repeat(trace)}" if trace.repeats is not None else ""
             reason = f"fnorm {trace.final.fnorm:.6g} > {args.tol:.6g}{stall}"
         failure = f"not converged after {trace.iterations} iterations ({reason})"
     return fields, csv_text, failure
@@ -222,9 +231,11 @@ def _cmd_compare_bi(args, poly, p0):
         ["harmonic", *hc.tolist()],
         ["bisection", *bc.tolist()],
     )
+    searches = {"harmonic search": htrace, "bisection search": btrace}
+    why = "; ".join(f"{k}: {r}" for k, t in searches.items() if (r := _repeat(t)))
     failure = None
     if not (htrace.converged and btrace.converged):
-        failure = "one or both searches did not converge"
+        failure = "one or both searches did not converge" + (why and f" ({why})")
     return fields, csv_text, failure
 
 

@@ -753,6 +753,45 @@ def test_bi_center_ends_on_a_sweep_that_moves_nothing(example2):
     assert trace.stalled
 
 
+# bisection runs whose iterate comes back at a period above 1, at
+# stop_tol=1e-300: one per fixture start, and a seeded n = 10 polytope
+BI_CYCLES = ["simplex-0.2,0.3", "simplex-auto", "example1-auto", "seeded-n10"]
+
+
+def _bi_cycle_start(request, case):
+    """The polytope and start of a :data:`BI_CYCLES` case."""
+    if case == "seeded-n10":
+        rng = np.random.default_rng([901, 10, 2])
+        poly, anchor = random_polytope(rng, 10, extra=20)
+        return poly, random_interior_point(rng, poly, anchor)
+    fixture, start = case.split("-")
+    poly = request.getfixturevalue(fixture)
+    if start == "auto":
+        return poly, find_interior_point(poly)
+    return poly, tuple(map(float, start.split(",")))
+
+
+@pytest.mark.parametrize("case", BI_CYCLES)
+def test_bi_center_ends_on_a_revisited_iterate(request, case):
+    # the search ends when a sweep returns to an earlier row's point, at
+    # any period, long before its budget and unconverged; no sweep count
+    # or period is pinned, since other numpy builds sum in other orders
+    poly, p0 = _bi_cycle_start(request, case)
+    point, trace = bi_center(poly, p0, stop_tol=1e-300, max_iter=1000)
+    assert trace.iterations < 1000 and not trace.converged
+    points = [rec.point for rec in trace.records]
+    assert points[trace.repeats] == points[-1] == tuple(point)
+    assert len(set(points[:-1])) == len(points) - 1
+    period = trace.iterations - trace.repeats
+    assert period > 1 and not trace.stalled
+    # the cycle is the search's: from its returned point, the search runs
+    # through the same rows and comes back to it after one period
+    _, again = bi_center(poly, point, stop_tol=1e-300, max_iter=period)
+    assert again.iterations == period and again.repeats == 0
+    cycle = [rec[1:] for rec in trace.records[trace.repeats :]]
+    assert [rec[1:] for rec in again.records] == cycle
+
+
 class TestHarmonicStall:
     """The harmonic search ends on a sweep that moves nothing, as the
     bisection search does: every later sweep would repeat it."""

@@ -14,7 +14,7 @@ import pytest
 
 import polycenter
 from conftest import DATA
-from polycenter import cli, parse_trace_csv
+from polycenter import CenterTrace, TraceRecord, cli, parse_trace_csv
 from polycenter.cli import (
     EXIT_INFEASIBLE,
     EXIT_MAXITER,
@@ -613,8 +613,8 @@ def test_no_numpy_overflow_warning_on_stderr(tmp_path, rows, argv, code, err):
 
 def test_compare_bi_with_an_infinite_chord_end(tmp_path):
     # the +x chord from the origin has an infinite end: the bisection
-    # search stays put and does not converge, and stderr holds no numpy
-    # warning
+    # search stays put, ends on its first sweep, which moved nothing, and
+    # does not converge; stderr names the stall and holds no numpy warning
     path = tmp_path / "over.poly"
     path.write_text("dims 4 2\n0 1 1\n1e-11 1 1e300\n-1 0 1\n0 -1 1\n")
     env = dict(os.environ)
@@ -628,7 +628,8 @@ def test_compare_bi_with_an_infinite_chord_end(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (
         EXIT_MAXITER,
-        "one or both searches did not converge\n",
+        "one or both searches did not converge "
+        "(bisection search: the last sweep moved nothing)\n",
     )
     assert "bisection center: (0.00, 0.00)\n" in proc.stdout
 
@@ -818,6 +819,38 @@ def test_center_on_its_budget_keeps_its_reason(capsys):
     err = capsys.readouterr().err
     reason = r"\(fnorm \S+ > 1e-300\)"
     assert re.fullmatch(rf"not converged after 2 iterations {reason}\n", err)
+
+
+def test_compare_bi_names_each_repeat(capsys):
+    # at --tol 1e-300 the harmonic search stalls and the bisection search
+    # comes back to an earlier iterate at a period above 1: both end long
+    # before --max-iter, and stderr gives each reason
+    argv = ["compare-bi", str(DATA / "simplex.poly"), "--start", "0.2,0.3"]
+    assert main([*argv, "--tol", "1e-300", "--max-iter", "1000"]) == EXIT_MAXITER
+    err = capsys.readouterr().err
+    match = re.fullmatch(
+        r"one or both searches did not converge \(harmonic search: the last "
+        r"sweep moved nothing; bisection search: sweep (\d+) returned to the "
+        r"point of sweep (\d+)\)\n",
+        err,
+    )
+    assert match, err
+    n, k = map(int, match.groups())
+    assert k < n - 1 and n < 1000
+
+
+def test_each_repeat_has_one_reason():
+    # a repeat at period 1 is a stall; one at a longer period names both
+    # sweeps; a search that ended on no repeat has no reason.  The reason
+    # reads only the trace's repeats and its last iteration.
+    rows = tuple(TraceRecord(i, (float(i),), 1.0) for i in range(6))
+    reasons = {
+        4: "the last sweep moved nothing",
+        2: "sweep 5 returned to the point of sweep 2",
+        None: "",
+    }
+    for repeats, reason in reasons.items():
+        assert cli._repeat(CenterTrace(rows, False, repeats)) == reason
 
 
 def test_byte_order_mark_is_skipped(tmp_path, capsys):

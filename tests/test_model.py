@@ -652,7 +652,7 @@ FIELDS = {
     "LineSection": ("distances", "parallel", "d_plus", "d_minus", "i_plus", "i_minus"),
     "Hyperplane": ("normal", "offset"),
     "TraceRecord": ("iteration", "point", "fnorm"),
-    "CenterTrace": ("records", "converged"),
+    "CenterTrace": ("records", "converged", "repeats"),
     "HarmonicSolveResult": ("h", "iterations", "residual", "method", "converged"),
 }
 
