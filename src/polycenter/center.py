@@ -209,15 +209,18 @@ class _Search:
         axis line's bracket.  An inexact stage is recorded; one whose ``h``
         is not finite (never exact) leaves the coordinate, as ``section`` would.
 
-        The stages run under ``np.errstate(divide="ignore", invalid="ignore")``,
-        set once per call: a distance that underflowed to 0 is a pole at the
-        start of a line solve, and two of opposite sign make its first sum
-        ``inf - inf`` (see :func:`newton_offset`).  No other step of a stage
-        divides by a value that can be 0, and a slack that comes out NaN is
-        not interior: the next stage or trace record raises."""
+        The stages run under ``np.errstate(all="ignore")``, set once per
+        call, so the line solve sets none (see :func:`newton_offset`).  Each
+        event a stage can meet is a value it handles: a distance ``s / g``
+        that overflows is an infinite bracket end, on which the solve does
+        not converge and the midpoint does not move; an underflowed distance
+        is a pole of the solve; a slack that comes out NaN is not interior,
+        and the next stage or trace record raises.  The trace record,
+        :meth:`offset` and :func:`section` keep the caller's state, as
+        :func:`f_vector` does."""
         polytope, q, s = self.polytope, self.q, self.s
         lines, moved, slacks = polytope.axis_lines, self.sum.moved, self.sum.slacks
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             for j in axes:
                 d, lo, hi = line_bracket(lines[j], interior(polytope, s))
                 h, _, _, exact = move(d, lo, hi, tol)

@@ -39,10 +39,6 @@ from .model import _count, _positive
 _ONES = np.ones(4096)
 _ONES.setflags(write=False)
 
-# a line whose nearest distance is below this may take reciprocals, or
-# squares of them, beyond the float range
-_NEAR = 1e-150
-
 # half the largest float: the sum of two ends within it is finite
 _HALF_MAX = sys.float_info.max / 2
 
@@ -94,12 +90,6 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     (see :func:`~polycenter.model._axis_line`), so that equal lines give
     equal floats.
 
-    A bracket whose nearer end is within ``_NEAR`` of 0 is solved under
-    ``np.errstate(over="ignore", invalid="ignore")``: its reciprocals may
-    overflow, which only sends the step to the midpoint.  Ordinary lines
-    pay one comparison per solve for this; numpy's error state is the
-    caller's again on return.
-
     A distance of exactly 0 is a quotient that underflowed (only a
     coefficient beyond ``2**51`` along the line makes one at an interior
     point).  It lies on neither side of the bracket, and it is a pole at
@@ -109,23 +99,22 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     start, a chord of zero width, so the solve stops at ``h = 0``,
     unconverged.  A NaN ``F`` later on, from reciprocals that overflowed
     on both sides of ``h``, is read as below the root: the step goes to
-    the midpoint of ``(h, hi)``.  The reciprocal of a zero divides by
-    zero and their sum is invalid, and only a look at every distance could
-    tell them apart, so the callers that can pass one run the solve under
-    ``np.errstate(divide="ignore", invalid="ignore")``: the coordinate
-    search once per sweep, :func:`solve_harmonic_offset` once per call.
+    the midpoint of ``(h, hi)``.
+
+    The loop sets no error state of its own.  Each floating-point event it
+    can meet is a value it handles: a zero's reciprocal divides by zero,
+    a reciprocal or square of a distance near 0 overflows (which sends the
+    step to the midpoint), and ``inf - inf`` is invalid.  Its two callers
+    run it under ``np.errstate(all="ignore")``, each set once per call:
+    the coordinate search's stage loop (see
+    :meth:`~polycenter.center._Search.stages`) and
+    :func:`solve_harmonic_offset`.  A direct call warns as numpy's state
+    says.
 
     Returns ``(h, iterations, residual, converged)``; ``converged`` is
     False only when ``max_iter`` ran out, and ``h`` is then the last
     bracketed estimate, or when ``F`` was NaN at the start, ``h = 0``.
     """
-    if hi < _NEAR or lo > -_NEAR:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _newton(d, lo, hi, tol, max_iter)
-    return _newton(d, lo, hi, tol, max_iter)
-
-
-def _newton(d, lo, hi, tol, max_iter):
     width = hi - lo
     if width < math.inf:
         f_tol, width_tol = tol, tol * width
@@ -172,7 +161,10 @@ def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
     in its table's order (ahead, then behind, each in row order; see
     :func:`~polycenter.model._axis_line`), with no sort and no bracket
     check: a section's bracket straddles 0 by construction.  So an axis
-    line gives the coordinate search's floats bit for bit.
+    line gives the coordinate search's floats bit for bit.  The solve runs
+    under ``np.errstate(all="ignore")``, set once per call: its division
+    by a zero distance, overflow and ``inf - inf`` are values it handles
+    (see :func:`newton_offset`).  :func:`section` keeps the caller's state.
 
     Parameters
     ----------
@@ -193,8 +185,7 @@ def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
     _positive("tol", tol)
     _count("max_iter", max_iter)
     d = sec._ordered
-    # an underflowed distance: see newton_offset
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         h, its, f, converged = newton_offset(d, sec.d_minus, sec.d_plus, tol, max_iter)
     return HarmonicSolveResult(
         h=h, iterations=its, residual=f, method="newton", converged=converged

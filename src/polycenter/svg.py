@@ -88,7 +88,7 @@ def emit_svg(traces, polytope):
     def px(pt):
         x = off_x + (pt[0] - lo[0]) * scale
         y = HEIGHT - off_y - (pt[1] - lo[1]) * scale
-        return f"{x:.2f},{y:.2f}"
+        return f"{x:.2f}", f"{y:.2f}"
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
@@ -99,9 +99,9 @@ def emit_svg(traces, polytope):
         seg = _clip_line_to_box(row, rhs, box)
         if seg is None:
             continue
-        a, b = px(seg[0]).split(","), px(seg[1]).split(",")
+        (x1, y1), (x2, y2) = px(seg[0]), px(seg[1])
         parts.append(
-            f'<line x1="{a[0]}" y1="{a[1]}" x2="{b[0]}" y2="{b[1]}" '
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
             'stroke="#999999" stroke-width="1"/>'
         )
     for idx, trace in enumerate(traces):
@@ -109,10 +109,10 @@ def emit_svg(traces, polytope):
         coords = [px(rec.point) for rec in trace.records]
         if len(coords) > 1:
             parts.append(
-                f'<polyline points="{" ".join(coords)}" fill="none" '
+                f'<polyline points="{" ".join(map(",".join, coords))}" fill="none" '
                 f'stroke="{color}" stroke-width="1.5"/>'
             )
-        cx, cy = coords[-1].split(",")
+        cx, cy = coords[-1]
         parts.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="{color}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -149,6 +149,10 @@ TABLE1 = {
     (7.0, 3.0): ((5.07, 5.52), (6.03, 5.55)),
     (5.0, 7.0): ((4.86, 5.51), (6.03, 5.55)),
 }
+# Where the search stops at stop_tol 0.01, not the exact harmonic center:
+# from (3, 0.25), (2, 7.5) and (5, 1) it stops at x = 6.0196, 6.0205 and
+# 6.0225.  The exact center is (6.0301, 5.5544), where a search at
+# stop_tol 1e-12 from (3, 0.25) ends; it prints as (6.03, 5.55).
 CENTER1 = (6.02, 5.55)
 
 # Reference trace for the 4-D fixture: iterate coordinates and f-norm.

@@ -728,8 +728,7 @@ class TestInfiniteChordEnd:
         p = np.zeros(2)
         with np.errstate(over="ignore"):
             assert math.isinf(section(poly, p, (1.0, 0.0)).d_plus)
-            q = bi_point_on_axis(poly, p, 1)
-        assert np.array_equal(q, p)
+        assert np.array_equal(bi_point_on_axis(poly, p, 1), p)
 
     def test_bi_center_does_not_converge(self):
         # the search stays interior and reports that it did not converge;
@@ -739,6 +738,35 @@ class TestInfiniteChordEnd:
         assert trace.iterations == 1 and not trace.converged
         assert np.array_equal(point, (0.0, 0.0))
         assert all(np.isfinite(rec.fnorm) for rec in trace.records)
+
+
+# the box |x|, |y| <= 1 with x <= 1e-200: at the origin the axis-1 line's
+# reciprocal distance 1e200 is finite, but its square overflows
+TINY_SLACK_BOX = Polytope(
+    np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+    np.array([1e-200, 1.0, 1.0, 1.0]),
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cs_step(TINY_SLACK_BOX, (0.0, 0.0)),
+        lambda: harmonic_point_on_axis(TINY_SLACK_BOX, (0.0, 0.0), 1),
+        lambda: solve_harmonic_offset(section(TINY_SLACK_BOX, (0.0, 0.0), (1.0, 0.0))),
+        # the +x distance overflows to an infinite bracket end
+        lambda: cs_step(TestInfiniteChordEnd._poly(), (0.0, 0.0)),
+    ],
+    ids=["cs_step", "harmonic_point_on_axis", "solve_harmonic_offset", "infinite-end"],
+)
+def test_line_solve_callers_own_its_error_state(call):
+    # under numpy's default state and this suite's error filter: the stage
+    # loop and solve_harmonic_offset each set the line solve's error state
+    # once, so no overflow or invalid operation warns, and give it back
+    with np.errstate(all="warn", under="ignore"):
+        before = np.geterr()
+        call()
+        assert np.geterr() == before
 
 
 def test_bi_center_ends_on_a_sweep_that_moves_nothing(example2):

@@ -72,7 +72,7 @@ class TestCenterCommand:
 
     def test_csv_format_matches_trace_file(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.csv"
-        main(
+        code = main(
             [
                 "center",
                 EXAMPLE2,
@@ -84,6 +84,7 @@ class TestCenterCommand:
                 str(trace_path),
             ]
         )
+        assert code == EXIT_OK
         out = capsys.readouterr().out
         assert out == trace_path.read_text()
 
@@ -303,9 +304,18 @@ class TestExitCodes:
     def test_empty_interior(self, infeasible_file, capsys):
         assert main(["center", infeasible_file]) == EXIT_INFEASIBLE
 
-    def test_unbounded(self, unbounded_file, capsys):
+    def test_unbounded(self, unbounded_file, tmp_path, capsys):
         code = main(["center", unbounded_file, "--start", "1,1"])
         assert code == EXIT_UNBOUNDED
+        # the strip |x - y| <= 1, x + y >= 0 is open along (1, 1)
+        strip = tmp_path / "strip.poly"
+        strip.write_text("dims 3 2\n1 -1 1\n-1 1 1\n-1 -1 0\n")
+        capsys.readouterr()
+        code = main(["point", str(strip), "--start", "0.5,0.5", "--dir", "1,1"])
+        assert code == EXIT_UNBOUNDED
+        assert capsys.readouterr().err == (
+            "error: line has no forward intersection: polytope unbounded along it\n"
+        )
 
     def test_max_iter_exceeded(self, capsys):
         code = main(
@@ -363,13 +373,20 @@ class TestExitCodes:
         [
             ("-1 0 0\n0 -1 0\n1 0 nan\n0 1 1\n", []),
             ("1 -1 1\n-1 1 1\n-1 -1 0\n1 1 inf\n", ["--start", "0.5,0"]),
+            # a row that is zero and non-finite is non-finite
+            ("0 0 nan\n-1 0 0\n0 -1 0\n", []),
         ],
     )
     def test_non_finite_input(self, tmp_path, capsys, rows, start):
+        lines = rows.splitlines()
         path = tmp_path / "bad.poly"
-        path.write_text("dims 4 2\n" + rows)
-        assert main(["center", str(path), *start]) == EXIT_PARSE
-        assert "non-finite" in capsys.readouterr().err
+        path.write_text(f"dims {len(lines)} 2\n{rows}")
+        # the line of the first row with a nan or inf (no number has an "n")
+        line = 2 + next(i for i, row in enumerate(lines) if "n" in row)
+        for command in ("center", "check"):
+            assert main([command, str(path), *start]) == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err == f"error: line {line}: non-finite entry\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -555,6 +572,7 @@ def test_each_command_has_only_the_options_it_reads():
         ["hyperplane", SQUARE, "--start", "0.25,0.5", "--inner-tol", "1e-8"],
         ["check", SQUARE, "--start", "0.5,0.5", "--inner-tol", "1e-8"],
         ["check", SQUARE, "--start", "0.5,0.5", "--max-iter", "5"],
+        ["check", SQUARE, "--max-iter", "5"],
     ],
 )
 def test_option_a_command_does_not_read_is_bad_usage(capsys, argv):
@@ -819,6 +837,11 @@ def test_center_on_its_budget_keeps_its_reason(capsys):
     err = capsys.readouterr().err
     reason = r"\(fnorm \S+ > 1e-300\)"
     assert re.fullmatch(rf"not converged after 2 iterations {reason}\n", err)
+    # no sweep at all: the reason is the start's f-norm
+    argv = ["center", EXAMPLE1, "--start", "3,0.25", "--max-iter", "0"]
+    assert main(argv) == EXIT_MAXITER
+    err = capsys.readouterr().err
+    assert err == "not converged after 0 iterations (fnorm 5.60252 > 0.01)\n"
 
 
 def test_compare_bi_names_each_repeat(capsys):

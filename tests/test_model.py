@@ -62,6 +62,7 @@ class TestParse:
     def test_unit_square(self):
         poly = parse_polytope(SQUARE_TEXT)
         assert (poly.m, poly.n) == (4, 2)
+        assert repr(poly) == "Polytope(m=4, n=2)"
         norms = np.linalg.norm(poly.A, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
@@ -175,6 +176,9 @@ class TestPolytopeInvariants:
         A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
         with pytest.raises(PolytopeFormatError):
             Polytope(A, np.array([1.0, 1.0]))
+        # so must the labels, when given
+        with pytest.raises(PolytopeFormatError, match="^2 labels for 3 constraints$"):
+            Polytope(A, np.array([1.0, 1.0, 0.0]), labels=["a", "b"])
 
     def test_matrix_shape(self):
         with pytest.raises(PolytopeFormatError, match="two-dimensional"):
