@@ -24,7 +24,6 @@ from .center import (
     parse_trace_csv,
 )
 from .errors import (
-    BracketInvalidError,
     DegenerateAtCenterError,
     DimensionUnsupportedError,
     InteriorSearchError,
@@ -53,7 +52,6 @@ from .svg import emit_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketInvalidError",
     "CenterTrace",
     "DegenerateAtCenterError",
     "DimensionUnsupportedError",

@@ -55,8 +55,25 @@ def f_vector(polytope, p):
 
 def _f_at(polytope, s):
     """The f-vector at the slacks ``s``: the one statement of its formula,
-    which :func:`f_vector` and each trace record read."""
-    return (1.0 / interior(polytope, s)) @ polytope.A
+    which :func:`f_vector` and each trace record read.
+
+    ``r @ A`` with the reciprocals ``r = 1 / s``, unless that product is
+    not finite: reciprocals near the largest float can overflow a partial
+    sum, or cancel as ``inf - inf``, where the true sum is finite.  Then it
+    is ``((r / r_max) @ A) * r_max``, the weights ``s_min / s`` in (0, 1]
+    (each term at most ``|A_ij|``), which overflows only where the true
+    entry does.  So every finite product keeps its floats.  Both products
+    run under ``np.errstate(over="ignore", invalid="ignore")``: an overflow
+    or ``inf - inf`` is the test's input, and a true overflow is an
+    infinite entry.
+    """
+    r = 1.0 / interior(polytope, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = r @ polytope.A
+        if not np.isfinite(f).all():
+            top = r.max()
+            f = (r / top) @ polytope.A * top
+    return f
 
 
 def f_norm(polytope, p):
@@ -215,9 +232,9 @@ class _Search:
         that overflows is an infinite bracket end, on which the solve does
         not converge and the midpoint does not move; an underflowed distance
         is a pole of the solve; a slack that comes out NaN is not interior,
-        and the next stage or trace record raises.  The trace record,
-        :meth:`offset` and :func:`section` keep the caller's state, as
-        :func:`f_vector` does."""
+        and the next stage or trace record raises.  :meth:`offset`,
+        :func:`section` and the trace record's norm keep the caller's
+        state; the f-vector's product sets its own (see :func:`_f_at`)."""
         polytope, q, s = self.polytope, self.q, self.s
         lines, moved, slacks = polytope.axis_lines, self.sum.moved, self.sum.slacks
         with np.errstate(all="ignore"):
@@ -326,9 +343,12 @@ def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
     ``p0`` is strictly interior (a NaN coordinate is not), as
     :func:`bi_center` does, and ``ValueError`` unless ``stop_tol`` and
     ``inner_tol`` are positive.
-    A NaN f-norm at a strictly interior iterate (an f-vector entry that is
-    ``inf - inf``) fails every comparison, so it stops the search there,
-    unconverged.
+    The f-vector's product is rescaled where its plain sums overflow (see
+    :func:`_f_at`), so the f-norm is infinite only where the true f-vector
+    overflows, and the search sweeps on from there.  A NaN f-norm, which
+    only rows with entries near the largest float can give (a parsed
+    file's rows are unit), fails every comparison, so it stops the search
+    there, unconverged.
 
     Returns ``(center, trace)``.
     """

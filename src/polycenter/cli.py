@@ -23,10 +23,10 @@ from .center import (
     harmonic_hyperplane,
 )
 from .errors import (
-    BracketInvalidError,
     NotInteriorError,
     PolytopeError,
     PolytopeFormatError,
+    UnboundedDirectionError,
 )
 from . import harmonic
 # not called here (point needs the line solve's converged flag), but
@@ -40,7 +40,7 @@ from .svg import emit_svg, require_plane
 EXIT_OK = 0
 EXIT_PARSE = PolytopeError.exit_code
 EXIT_INFEASIBLE = NotInteriorError.exit_code
-EXIT_UNBOUNDED = BracketInvalidError.exit_code
+EXIT_UNBOUNDED = UnboundedDirectionError.exit_code
 EXIT_MAXITER = 4
 
 
@@ -146,13 +146,20 @@ def _resolve_start(start, poly):
     return p0
 
 
-def _repeat(trace):
+def _repeat(trace, inner_tol=None):
     """Why a search ended on a revisited iterate, after which every sweep
     would repeat its rows (:attr:`~polycenter.center.CenterTrace.repeats`),
-    or '' if it did not: at period 1, that its last sweep moved nothing."""
+    or '' if it did not: at period 1, that its last sweep moved nothing.
+
+    A harmonic search passes its ``inner_tol``, which that reason names:
+    each axis solve starts from ``F(0) = f_j``, so a sweep moves nothing
+    once every ``|f_j|`` is within ``--inner-tol`` (or once each step is
+    below an ulp of its coordinate), and a smaller one would move it.
+    """
     n, k = trace.iterations, trace.repeats
     cycle = "" if k is None else f"sweep {n} returned to the point of sweep {k}"
-    return "the last sweep moved nothing" if trace.stalled else cycle
+    at = "" if inner_tol is None else f" at --inner-tol {inner_tol:.6g}"
+    return f"the last sweep moved nothing{at}" if trace.stalled else cycle
 
 
 def _harmonic_center(args, poly, p0):
@@ -185,7 +192,7 @@ def _cmd_center(args, poly, p0):
         reason = f"a line solve missed --inner-tol {args.inner_tol:.6g}"
         if not trace.final.fnorm <= args.tol:  # a NaN f-norm misses --tol too
             # a search that ended on a repeat: more sweeps would repeat its rows
-            stall = f"; {_repeat(trace)}" if trace.repeats is not None else ""
+            stall = f"; {r}" if (r := _repeat(trace, args.inner_tol)) else ""
             reason = f"fnorm {trace.final.fnorm:.6g} > {args.tol:.6g}{stall}"
         failure = f"not converged after {trace.iterations} iterations ({reason})"
     return fields, csv_text, failure
@@ -231,8 +238,8 @@ def _cmd_compare_bi(args, poly, p0):
         ["harmonic", *hc.tolist()],
         ["bisection", *bc.tolist()],
     )
-    searches = {"harmonic search": htrace, "bisection search": btrace}
-    why = "; ".join(f"{k}: {r}" for k, t in searches.items() if (r := _repeat(t)))
+    ends = {"harmonic": _repeat(htrace, args.inner_tol), "bisection": _repeat(btrace)}
+    why = "; ".join(f"{k} search: {r}" for k, r in ends.items() if r)
     failure = None
     if not (htrace.converged and btrace.converged):
         failure = "one or both searches did not converge" + (why and f" ({why})")

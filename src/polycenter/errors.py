@@ -23,26 +23,24 @@ class PolytopeFormatError(PolytopeError):
 
 
 class NotInteriorError(PolytopeError):
-    """The supplied point is not strictly inside the polytope."""
+    """The supplied point is not strictly inside the polytope: a slack, or
+    a distance given to :meth:`~polycenter.lines.LineSection.from_distances`,
+    is not above :data:`~polycenter.model.SLACK_FLOOR` (0 is a point on a
+    constraint)."""
 
     exit_code = 2
 
 
-class BracketInvalidError(PolytopeError):
-    """A line section has no valid root bracket: a zero distance, or a
-    bracket that does not straddle 0, or (:class:`UnboundedDirectionError`)
-    no distance on one side."""
-
-    exit_code = 3
-
-
-class UnboundedDirectionError(BracketInvalidError):
+class UnboundedDirectionError(PolytopeError):
     """A line through the point never meets a constraint in one direction.
 
     This signals that the input is not a closed (bounded) polytope along
-    the queried line.  A missing side is a bracket that is not valid, so
-    this is a :class:`BracketInvalidError`.
+    the queried line: a line section with no distance on one side, the one
+    way a section's bracket can fail, since at a strictly interior point
+    every distance is on one side or the other.
     """
+
+    exit_code = 3
 
 
 class InteriorSearchError(PolytopeError):

@@ -47,17 +47,17 @@ class HarmonicSolveResult(NamedTuple):
     """Root-solve outcome; a named tuple, so it compares and hashes by field.
 
     ``h`` is the offset along the line (in the same units as the section
-    distances), ``residual`` the value of the reciprocal sum at ``h``, and
-    ``method`` one of ``"newton"`` or ``"bisection"``.  ``converged`` is
-    False only when the iteration budget ran out, in which case ``h`` is
-    the best bracketed estimate, or when the Newton sum was NaN at the
-    start, ``h = 0`` (see :func:`newton_offset`).
+    distances) and ``residual`` the value of the reciprocal sum at ``h``.
+    ``converged`` is False only when the iteration budget ran out, in
+    which case ``h`` is the best bracketed estimate, or when the Newton sum
+    was NaN at the start, ``h = 0`` (see :func:`newton_offset`).  The
+    solver is the function that returned it: :func:`solve_harmonic_offset`
+    or :func:`bisection_oracle`.
     """
 
     h: float
     iterations: int
     residual: float
-    method: str
     converged: bool
 
 
@@ -187,9 +187,7 @@ def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
     d = sec._ordered
     with np.errstate(all="ignore"):
         h, its, f, converged = newton_offset(d, sec.d_minus, sec.d_plus, tol, max_iter)
-    return HarmonicSolveResult(
-        h=h, iterations=its, residual=f, method="newton", converged=converged
-    )
+    return HarmonicSolveResult(h, its, f, converged)
 
 
 def bisection_oracle(sec, tol=1e-10, max_iter=200):
@@ -233,9 +231,7 @@ def bisection_oracle(sec, tol=1e-10, max_iter=200):
             hi = h
         else:
             lo = h
-    return HarmonicSolveResult(
-        h=h, iterations=its, residual=f, method="bisection", converged=converged
-    )
+    return HarmonicSolveResult(h, its, f, converged)
 
 
 def harmonic_point_on_line(polytope, p, u, tol=1e-10):

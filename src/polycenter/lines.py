@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import BracketInvalidError, NotInteriorError, UnboundedDirectionError
-from .model import SLACK_FLOOR, _axis_line, _Frozen, residuals
+from .errors import NotInteriorError, UnboundedDirectionError
+from .model import SLACK_FLOOR, _axis_line, _Frozen, _row_label, residuals
 
 _UNIT_TOL = 1e-9
 _NO_FORWARD = "line has no forward intersection: polytope unbounded along it"
@@ -139,18 +139,22 @@ class LineSection(_Frozen):
     def from_distances(cls, values):
         """Build a section from raw signed distances.
 
-        Non-finite entries mean "no intersection".  Raises
-        :class:`BracketInvalidError` when a distance is zero (the point
-        would lie on that constraint), and its subclass
-        :class:`UnboundedDirectionError` when either side of the bracket is
-        missing.
+        Non-finite entries mean "no intersection".  The finite ones are
+        distances from a point to constraints, so their magnitudes are its
+        slacks, and :func:`interior`'s rule applies to them: a distance
+        whose magnitude is not above ``SLACK_FLOOR`` (0 and -0 included,
+        a point on that constraint) raises :class:`NotInteriorError`, in
+        :func:`section`'s words, naming entry ``i`` (0-based) ``c<i + 1>``.
+        Raises :class:`UnboundedDirectionError` when either side of the
+        bracket is missing.
         """
         d = np.array(values, dtype=float).ravel()
-        if (d == 0.0).any():
-            raise BracketInvalidError("zero distance: point lies on a constraint")
-        # slacks |d| and coefficients sign(d) (0: parallel): |d| / +-1 == d
-        line = _axis_line(np.where(np.isfinite(d), np.sign(d), 0.0))
-        return cls._of_line(line, np.abs(d))
+        finite = np.isfinite(d)
+        # slacks |d| (inf: parallel; none to test when empty) and
+        # coefficients sign(d) (0: parallel): |d| / +-1 == d
+        s = interior(None, np.where(finite, np.abs(d), np.inf)) if d.size else d
+        line = _axis_line(np.where(finite, np.sign(d), 0.0))
+        return cls._of_line(line, s)
 
     @classmethod
     def _of_line(cls, line, s):
@@ -204,7 +208,8 @@ def interior(polytope, s):
     """The slacks ``s`` of a point, if it is strictly interior: every slack
     above :data:`~polycenter.model.SLACK_FLOOR`, so that every reciprocal
     ``1 / s_i`` is finite.  The one reader of that rule; else raises
-    :func:`not_interior`'s error.
+    :func:`not_interior`'s error, which names the rows by ``polytope``'s
+    labels (``None``: ``c1``, ``c2``, ...).
     """
     if not smallest(s) > SLACK_FLOOR:
         raise not_interior(polytope, s)
@@ -222,9 +227,11 @@ def interior_slacks(polytope, p):
 
 def not_interior(polytope, s):
     """The :class:`NotInteriorError` for slacks ``s``, naming the first four
-    rows whose slack is not above ``SLACK_FLOOR`` (NaN included)."""
+    rows whose slack is not above ``SLACK_FLOOR`` (NaN included) by the
+    labels of ``polytope``, or as an unlabelled one does if it is None."""
     bad = np.flatnonzero(~(s > SLACK_FLOOR))[:4]
-    names = ", ".join(polytope.label(int(i)) for i in bad)
+    labels = None if polytope is None else polytope.labels
+    names = ", ".join(_row_label(labels, int(i)) for i in bad)
     return NotInteriorError(f"point is not strictly interior (rows: {names})")
 
 

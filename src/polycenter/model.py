@@ -38,6 +38,12 @@ BLOCK = 32
 SLACK_FLOOR = 2.0 ** -1024
 
 
+def _row_label(labels, i):
+    """Display name of row ``i`` (0-based): ``labels[i]``, or ``c<i + 1>``
+    when ``labels`` is None."""
+    return f"c{i + 1}" if labels is None else labels[i]
+
+
 def _positive(name, value):
     """Raise ``ValueError`` unless ``value > 0`` (NaN fails too)."""
     if not value > 0.0:
@@ -214,9 +220,7 @@ class Polytope(_Frozen):
 
     def label(self, i):
         """Display name of constraint ``i`` (0-based row index)."""
-        if self.labels is not None:
-            return self.labels[i]
-        return f"c{i + 1}"
+        return _row_label(self.labels, i)
 
     def __repr__(self):
         return f"Polytope(m={self.m}, n={self.n})"

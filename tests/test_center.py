@@ -270,13 +270,13 @@ class TestHarmonicCenter:
         # a NaN start is not interior
         with pytest.raises(NotInteriorError):
             harmonic_center(example2, (np.nan, 2.0, 2.5, 1.3))
-        # a NaN f-norm (f_1 = 1e330 - 1e330) stops the search at once,
-        # unconverged; the product overflows under the caller's error state
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, trace = harmonic_center(two_zeros, (0.0, 0.0))
-        assert not trace.converged
+        # f_1 = 1e330 - 1e330 overflows as a plain product; scaled by the
+        # largest reciprocal it is 1e300 - 1e300 = 0, so the origin is the
+        # center, and the search converges at once, with no warning
+        _, trace = harmonic_center(two_zeros, (0.0, 0.0))
+        assert trace.converged
         assert trace.iterations == 0
-        assert math.isnan(trace.final.fnorm)
+        assert trace.final.fnorm == 0.0
 
     def test_bad_tolerance(self, square):
         with pytest.raises(ValueError):

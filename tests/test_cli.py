@@ -653,42 +653,90 @@ def test_compare_bi_with_an_infinite_chord_end(tmp_path):
 
 
 # three rows on each side of the x axis at a slack of 6e-309: every
-# reciprocal slack is finite, but their sums overflow, so at 0,0 the
-# f-vector is not finite
+# reciprocal slack is finite, but their plain sums overflow, so at 0,0, its
+# center by symmetry, the product (1 / s) @ A is inf - inf; the f-vector is
+# (0, 0), which the product scaled by the largest reciprocal gives
 OVERFLOWING_F = (
     "dims 8 2\n" + "1 0 6e-309\n" * 3 + "-1 0 6e-309\n" * 3 + "0 1 1\n0 -1 1\n"
 )
 
+# three rows of slack 6e-309 on one side only: f_1 at 0,0 is 3 / 6e-309 - 1,
+# which itself overflows, so the f-norm is inf
+TRUE_OVERFLOW_F = "dims 6 2\n" + "1 0 6e-309\n" * 3 + "-1 0 1\n0 1 1\n0 -1 1\n"
 
-def test_center_names_a_nan_fnorm_as_the_miss(tmp_path, capsys):
-    # no line solve was inexact: the miss is the f-norm, which is NaN
+
+def _cli_warning_free(tmp_path, text, argv):
+    """Run the CLI's ``argv[0]`` on a file holding ``text``, with
+    ``argv[1:]``, in a subprocess under ``-W error``: any warning fails it."""
     path = tmp_path / "over.poly"
-    path.write_text(OVERFLOWING_F)
-    # the f-vector product itself overflows to inf - inf, which is not
-    # what this test is about
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["center", str(path), "--start", "0,0"])
-    captured = capsys.readouterr()
-    assert code == EXIT_MAXITER
-    assert "fnorm: nan\n" in captured.out
-    assert captured.err == "not converged after 1 iterations (fnorm nan > 0.01)\n"
+    path.write_text(text)
+    env = dict(os.environ)
+    src = str(DATA.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "polycenter.cli", argv[0], str(path)]
+        + argv[1:],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (
+            ["center"],
+            EXIT_OK,
+            "center: (0.00, 0.00)\nfnorm: 0.000\niterations: 0\nconverged: yes\n",
+            "",
+        ),
+        (["point", "--axis", "1"], EXIT_OK, "point: (-0.00, 0.00)\n", ""),
+        (
+            ["hyperplane"],
+            EXIT_PARSE,
+            "",
+            "error: point is the harmonic center: hyperplane undefined\n",
+        ),
+        (
+            ["compare-bi"],
+            EXIT_OK,
+            "harmonic center: (0.00, 0.00)\nbisection center: (0.00, 0.00)\n"
+            "gap: 0.00\n",
+            "",
+        ),
+        (
+            ["check"],
+            EXIT_OK,
+            "fnorm: 0\nmax |directional sum| (along f/|f|): 0\n"
+            "check: PASS (tol 0.01)\n",
+            "",
+        ),
+    ],
+    ids=["center", "point", "hyperplane", "compare-bi", "check"],
+)
+def test_overflowing_sums_of_finite_reciprocals(tmp_path, argv, code, out, err):
+    # the start is the center: the f-vector is (0, 0), with no warning
+    proc = _cli_warning_free(tmp_path, OVERFLOWING_F, [*argv, "--start", "0,0"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_center_names_an_infinite_fnorm_as_the_miss(tmp_path):
+    # no sweep ran, so no line solve was inexact: the miss is the f-norm,
+    # which is inf, and the output names it
+    argv = ["center", "--start", "0,0", "--max-iter", "0"]
+    proc = _cli_warning_free(tmp_path, TRUE_OVERFLOW_F, argv)
+    assert (proc.returncode, proc.stderr) == (
+        EXIT_MAXITER,
+        "not converged after 0 iterations (fnorm inf > 0.01)\n",
+    )
+    assert "fnorm: inf\n" in proc.stdout
 
 
 def test_check_with_an_infinite_fnorm_completes(tmp_path):
     # f / |f| is inf / inf: check reports |f| as the maximum, warns of
     # nothing (the run has -W error), fails the point and exits 0
-    path = tmp_path / "over.poly"
-    path.write_text(OVERFLOWING_F)
-    env = dict(os.environ)
-    src = str(DATA.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "polycenter.cli", "check", str(path)]
-        + ["--start", "0,0"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = _cli_warning_free(tmp_path, TRUE_OVERFLOW_F, ["check", "--start", "0,0"])
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
     assert proc.stdout == (
         "fnorm: inf\n"
@@ -825,9 +873,25 @@ def test_center_names_a_stalled_search(capsys, tmp_path, fixture):
     assert records[-1].point == records[-2].point
     assert re.fullmatch(
         rf"not converged after {payload['iterations']} iterations "
-        r"\(fnorm \S+ > 1e-300; the last sweep moved nothing\)\n",
+        r"\(fnorm \S+ > 1e-300; the last sweep moved nothing at --inner-tol "
+        r"1e-10\)\n",
         captured.err,
     )
+
+
+def test_a_stall_names_the_inner_tol(capsys):
+    # every axis solve starts from F(0) = f_j, so a sweep moves nothing once
+    # each |f_j| is within --inner-tol: the stall names it, and a smaller
+    # one converges after the same 7 sweeps
+    argv = ["center", EXAMPLE1, "--start", "3,0.25", "--tol", "1e-12"]
+    assert main(argv) == EXIT_MAXITER
+    assert capsys.readouterr().err == (
+        "not converged after 7 iterations (fnorm 5.08148e-11 > 1e-12; "
+        "the last sweep moved nothing at --inner-tol 1e-10)\n"
+    )
+    assert main([*argv, "--inner-tol", "1e-14", "--format", "json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["iterations"], payload["converged"]) == (7, True)
 
 
 def test_center_on_its_budget_keeps_its_reason(capsys):
@@ -853,8 +917,8 @@ def test_compare_bi_names_each_repeat(capsys):
     err = capsys.readouterr().err
     match = re.fullmatch(
         r"one or both searches did not converge \(harmonic search: the last "
-        r"sweep moved nothing; bisection search: sweep (\d+) returned to the "
-        r"point of sweep (\d+)\)\n",
+        r"sweep moved nothing at --inner-tol 1e-10; bisection search: sweep "
+        r"(\d+) returned to the point of sweep (\d+)\)\n",
         err,
     )
     assert match, err
@@ -863,17 +927,20 @@ def test_compare_bi_names_each_repeat(capsys):
 
 
 def test_each_repeat_has_one_reason():
-    # a repeat at period 1 is a stall; one at a longer period names both
-    # sweeps; a search that ended on no repeat has no reason.  The reason
-    # reads only the trace's repeats and its last iteration.
+    # a repeat at period 1 is a stall, named with a harmonic search's
+    # inner_tol; one at a longer period names both sweeps; a search that
+    # ended on no repeat has no reason.  The reason reads only the trace's
+    # repeats and its last iteration.
     rows = tuple(TraceRecord(i, (float(i),), 1.0) for i in range(6))
     reasons = {
-        4: "the last sweep moved nothing",
-        2: "sweep 5 returned to the point of sweep 2",
-        None: "",
+        4: ("the last sweep moved nothing", " at --inner-tol 1e-10"),
+        2: ("sweep 5 returned to the point of sweep 2", ""),
+        None: ("", ""),
     }
-    for repeats, reason in reasons.items():
-        assert cli._repeat(CenterTrace(rows, False, repeats)) == reason
+    for repeats, (reason, at) in reasons.items():
+        trace = CenterTrace(rows, False, repeats)
+        assert cli._repeat(trace) == reason
+        assert cli._repeat(trace, 1e-10) == reason + at
 
 
 def test_byte_order_mark_is_skipped(tmp_path, capsys):

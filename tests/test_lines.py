@@ -7,10 +7,10 @@ import pytest
 
 from conftest import random_polytope, random_unit
 from polycenter import (
-    BracketInvalidError,
     LineSection,
     NotInteriorError,
     Polytope,
+    PolytopeError,
     UnboundedDirectionError,
     axis_direction,
     point_at,
@@ -19,6 +19,7 @@ from polycenter import (
     unit_direction,
 )
 from polycenter.lines import largest, norm, smallest
+from polycenter.model import SLACK_FLOOR
 
 
 class TestAxisDirection:
@@ -320,15 +321,29 @@ class TestFromDistances:
         assert sec.d_minus == -0.5
 
     def test_zero_distance_rejected(self):
-        with pytest.raises(BracketInvalidError):
-            LineSection.from_distances([-0.5, 0.0, 0.5])
+        # a distance's magnitude is a slack: one not above SLACK_FLOOR,
+        # zero of either sign included, is a point on that constraint,
+        # named as section names it; that test comes before the bracket's
+        for d in (0.0, -0.0, 5e-324, SLACK_FLOOR):
+            for values, row in (([-0.5, d, 0.5], "c2"), ([d, 0.5], "c1")):
+                with pytest.raises(
+                    NotInteriorError,
+                    match=rf"^point is not strictly interior \(rows: {row}\)$",
+                ):
+                    LineSection.from_distances(values)
+        # the smallest slack above the floor is interior, and is the bracket
+        d = np.nextafter(SLACK_FLOOR, 1.0)
+        assert LineSection.from_distances([-0.5, d, 0.5]).d_plus == d
+        assert LineSection.from_distances([-0.5, -d, 0.5]).d_minus == -d
 
     def test_one_sided_rejected(self):
-        with pytest.raises(BracketInvalidError):
-            LineSection.from_distances([0.5, 1.5, np.inf])
+        with pytest.raises(UnboundedDirectionError, match="no forward"):
+            LineSection.from_distances([-0.5, -1.5, np.nan])
 
     def test_missing_side_is_an_unbounded_line(self):
-        # one bracket error: an unbounded line is an invalid bracket
-        assert issubclass(UnboundedDirectionError, BracketInvalidError)
+        # the one bracket error, exit 3: at an interior point every
+        # distance lies on one side or the other
+        assert UnboundedDirectionError.__bases__ == (PolytopeError,)
+        assert UnboundedDirectionError.exit_code == 3
         with pytest.raises(UnboundedDirectionError, match="no backward"):
             LineSection.from_distances([0.5, 1.5, np.inf])

@@ -657,7 +657,7 @@ FIELDS = {
     "Hyperplane": ("normal", "offset"),
     "TraceRecord": ("iteration", "point", "fnorm"),
     "CenterTrace": ("records", "converged", "repeats"),
-    "HarmonicSolveResult": ("h", "iterations", "residual", "method", "converged"),
+    "HarmonicSolveResult": ("h", "iterations", "residual", "converged"),
 }
 
 
