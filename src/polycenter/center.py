@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateAtCenterError
+from .errors import DegenerateAtCenterError, PolytopeError
 
 # section and solve_harmonic_offset are not called here, but perfbench's
 # tracer wraps them under these module names.
@@ -29,6 +29,7 @@ from .lines import (  # noqa: F401
     checked_unit,
     interior,
     interior_slacks,
+    largest,
     line_bracket,
     norm,
     section,
@@ -62,16 +63,21 @@ def _f_at(polytope, s):
     sum, or cancel as ``inf - inf``, where the true sum is finite.  Then it
     is ``((r / r_max) @ A) * r_max``, the weights ``s_min / s`` in (0, 1]
     (each term at most ``|A_ij|``), which overflows only where the true
-    entry does.  So every finite product keeps its floats.  Both products
-    run under ``np.errstate(over="ignore", invalid="ignore")``: an overflow
-    or ``inf - inf`` is the test's input, and a true overflow is an
-    infinite entry.
+    entry does.  So every finite product keeps its floats.
+    When ``r_max`` is within the polytope's ``_reciprocal_cap``, no partial
+    sum can overflow, so the plain product is returned as it is, with no
+    error state and no test.  Only above it do both products run, under
+    ``np.errstate(over="ignore", invalid="ignore")``: an overflow or
+    ``inf - inf`` is the test's input, and a true overflow is an infinite
+    entry.
     """
     r = 1.0 / interior(polytope, s)
+    top = largest(r)
+    if top <= polytope._reciprocal_cap:
+        return r @ polytope.A
     with np.errstate(over="ignore", invalid="ignore"):
         f = r @ polytope.A
         if not np.isfinite(f).all():
-            top = r.max()
             f = (r / top) @ polytope.A * top
     return f
 
@@ -115,8 +121,12 @@ def harmonic_hyperplane(polytope, p):
     f-vector vanishes and no single such hyperplane exists: an f-norm
     (:func:`~polycenter.lines.norm`) at or below ``_DEGENERATE_EPS`` raises
     :class:`DegenerateAtCenterError` (every direction is harmonic there).
+    Where the f-vector itself overflows (see :func:`_f_at`), the normal
+    has no finite value: that raises :class:`PolytopeError`.
     """
     v = f_vector(polytope, p)
+    if not np.isfinite(v).all():
+        raise PolytopeError("the f-vector overflows at the point: hyperplane undefined")
     if norm(v) <= _DEGENERATE_EPS:
         raise DegenerateAtCenterError(
             "point is the harmonic center: hyperplane undefined"
@@ -140,12 +150,16 @@ class CenterTrace(NamedTuple):
     iteration of the earlier row whose point the last row has, else
     ``None``: a search ends on such a revisited iterate, since the rows
     from ``repeats`` on would recur forever, and ``iterations - repeats``
-    is the period of that cycle.  It defaults to ``None``, so a trace
-    built from its rows alone repeats nothing."""
+    is the period of that cycle.  ``measure`` is the stop measure at the
+    last row, the value the search compared with its ``stop_tol``: the
+    f-norm ``final.fnorm`` of a harmonic search, the largest axis midpoint
+    offset of a bisection search.  Both default to ``None``, so a trace
+    built from its rows alone repeats nothing and has no measure."""
 
     records: tuple
     converged: bool
     repeats: object = None
+    measure: object = None
 
     @property
     def final(self):
@@ -277,10 +291,11 @@ def _search(polytope, p0, sweep, measure, stop_tol, max_iter):
     :attr:`CenterTrace.stalled`).  A sweep is a pure function of its
     iterate (kept slacks equal a fresh sum's bit for bit), so the rows from
     that earlier one on would recur forever, each with a measure that
-    already missed ``stop_tol``.  The trace holds the start as iteration 0
-    and at most ``max_iter`` sweeps; it is ``converged`` if the last
-    measure is within ``stop_tol`` and every stage was exact, so a search
-    that ends on a repeat is not.  ``ValueError`` unless ``stop_tol > 0``,
+    already missed ``stop_tol``.  The trace holds the start as iteration 0,
+    at most ``max_iter`` sweeps and the last measure
+    (:attr:`CenterTrace.measure`); it is ``converged`` if that measure is
+    within ``stop_tol`` and every stage was exact, so a search that ends on
+    a repeat is not.  ``ValueError`` unless ``stop_tol > 0``,
     ``max_iter >= 0``."""
     _positive("stop_tol", stop_tol)
     _count("max_iter", max_iter)
@@ -293,7 +308,7 @@ def _search(polytope, p0, sweep, measure, stop_tol, max_iter):
         rows.append(run.record(len(rows)))
         value = measure(run, rows[-1])
     converged = value <= stop_tol and not run.inexact
-    return run.q, CenterTrace(tuple(rows), converged, seen.get(rows[-1].point))
+    return run.q, CenterTrace(tuple(rows), converged, seen.get(rows[-1].point), value)
 
 
 def harmonic_point_on_axis(polytope, p, k, tol=1e-10):

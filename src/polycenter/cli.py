@@ -28,11 +28,8 @@ from .errors import (
     PolytopeFormatError,
     UnboundedDirectionError,
 )
-from . import harmonic
-# not called here (point needs the line solve's converged flag), but
-# perfbench's tracer wraps it under this module name
-from .harmonic import harmonic_point_on_line  # noqa: F401
-from .lines import axis_direction, norm, point_at, unit_direction
+from .harmonic import harmonic_point_on_line
+from .lines import axis_direction, norm, unit_direction
 from .model import find_interior_point, load_polytope
 from .svg import emit_svg, require_plane
 
@@ -146,20 +143,36 @@ def _resolve_start(start, poly):
     return p0
 
 
-def _repeat(trace, inner_tol=None):
-    """Why a search ended on a revisited iterate, after which every sweep
-    would repeat its rows (:attr:`~polycenter.center.CenterTrace.repeats`),
-    or '' if it did not: at period 1, that its last sweep moved nothing.
+def _unconverged(trace, tol, inner_tol=None):
+    """``not converged after N iterations (reason)``: the stderr line of a
+    search that did not converge, read from its trace alone; else None.
 
-    A harmonic search passes its ``inner_tol``, which that reason names:
-    each axis solve starts from ``F(0) = f_j``, so a sweep moves nothing
-    once every ``|f_j|`` is within ``--inner-tol`` (or once each step is
-    below an ulp of its coordinate), and a smaller one would move it.
+    A harmonic search passes its ``inner_tol``, a bisection search none.
+    When the stop measure (:attr:`~polycenter.center.CenterTrace.measure`,
+    ``fnorm`` or ``offset``) missed ``tol``, as a NaN one does, the reason
+    is that measure, then any revisited iterate the search ended on
+    (:attr:`~polycenter.center.CenterTrace.repeats`), after which every
+    sweep would repeat its rows.  At period 1 that is a sweep that moved
+    nothing, and a harmonic one names ``inner_tol``: each axis solve starts
+    from ``F(0) = f_j``, so a sweep moves nothing once every ``|f_j|`` is
+    within it (or each step is below an ulp of its coordinate).  Else the
+    measure met ``tol`` and a stage missed: a line solve missed
+    ``inner_tol``, or a chord had no finite midpoint.
     """
-    n, k = trace.iterations, trace.repeats
-    cycle = "" if k is None else f"sweep {n} returned to the point of sweep {k}"
+    if trace.converged:
+        return None
+    n = trace.iterations
     at = "" if inner_tol is None else f" at --inner-tol {inner_tol:.6g}"
-    return f"the last sweep moved nothing{at}" if trace.stalled else cycle
+    parts = [f"{'fnorm' if at else 'offset'} {trace.measure:.6g} > {tol:.6g}"]
+    if trace.measure <= tol:  # so a stage missed (a NaN measure is not within)
+        parts = ["a chord had no finite midpoint"]
+        if at:
+            parts = [f"a line solve missed --inner-tol {inner_tol:.6g}"]
+    elif trace.stalled:
+        parts.append(f"the last sweep moved nothing{at}")
+    elif trace.repeats is not None:
+        parts.append(f"sweep {n} returned to the point of sweep {trace.repeats}")
+    return f"not converged after {n} iterations ({'; '.join(parts)})"
 
 
 def _harmonic_center(args, poly, p0):
@@ -187,15 +200,7 @@ def _cmd_center(args, poly, p0):
         _field("iterations", trace.iterations, "d"),
         _field("converged", trace.converged),
     ]
-    failure = None
-    if not trace.converged:
-        reason = f"a line solve missed --inner-tol {args.inner_tol:.6g}"
-        if not trace.final.fnorm <= args.tol:  # a NaN f-norm misses --tol too
-            # a search that ended on a repeat: more sweeps would repeat its rows
-            stall = f"; {r}" if (r := _repeat(trace, args.inner_tol)) else ""
-            reason = f"fnorm {trace.final.fnorm:.6g} > {args.tol:.6g}{stall}"
-        failure = f"not converged after {trace.iterations} iterations ({reason})"
-    return fields, csv_text, failure
+    return fields, csv_text, _unconverged(trace, args.tol, args.inner_tol)
 
 
 def _cmd_point(args, poly, p0):
@@ -203,11 +208,7 @@ def _cmd_point(args, poly, p0):
         u = axis_direction(args.axis, poly.n)
     else:
         u = unit_direction(_sized(args.direction, poly, "direction", "components"))
-    # through the harmonic module's names, which perfbench's tracer wraps
-    res = harmonic.solve_harmonic_offset(
-        harmonic.section(poly, p0, u), tol=args.inner_tol
-    )
-    q = point_at(p0, u, res.h)
+    q, res = harmonic_point_on_line(poly, p0, u, tol=args.inner_tol)
     csv_text = csv_rows([f"x{j + 1}" for j in range(poly.n)], q.tolist())
     failure = None
     if not res.converged:
@@ -238,12 +239,10 @@ def _cmd_compare_bi(args, poly, p0):
         ["harmonic", *hc.tolist()],
         ["bisection", *bc.tolist()],
     )
-    ends = {"harmonic": _repeat(htrace, args.inner_tol), "bisection": _repeat(btrace)}
-    why = "; ".join(f"{k} search: {r}" for k, r in ends.items() if r)
-    failure = None
-    if not (htrace.converged and btrace.converged):
-        failure = "one or both searches did not converge" + (why and f" ({why})")
-    return fields, csv_text, failure
+    why = {"harmonic": _unconverged(htrace, args.tol, args.inner_tol)}
+    why["bisection"] = _unconverged(btrace, args.tol)
+    failure = "; ".join(f"{k} search: {r}" for k, r in why.items() if r)
+    return fields, csv_text, failure or None
 
 
 def _cmd_check(args, poly, p0):

@@ -237,11 +237,13 @@ def bisection_oracle(sec, tol=1e-10, max_iter=200):
 def harmonic_point_on_line(polytope, p, u, tol=1e-10):
     """Harmonic point of the line through interior point ``p`` along unit ``u``.
 
-    The result is strictly interior and is a property of the line, not of
-    its orientation: ``u`` and ``-u`` give the same point.  Raises
-    ``ValueError`` unless ``tol > 0``.  The point is returned even when the
-    line solve runs out of its budget; call :func:`solve_harmonic_offset`
-    on the :func:`section` to see whether it converged.
+    Returns ``(point, result)``: the point at the offset ``result.h`` along
+    ``u``, and the :class:`HarmonicSolveResult` of the line solve, which
+    :func:`solve_harmonic_offset` gives on the :func:`section`.  The point
+    is returned even when that solve runs out of its budget, with
+    ``result.converged`` False.  It is strictly interior and is a property
+    of the line, not of its orientation: ``u`` and ``-u`` give the same
+    point.  Raises ``ValueError`` unless ``tol > 0``.
     """
     res = solve_harmonic_offset(section(polytope, p, u), tol=tol)
-    return point_at(p, u, res.h)
+    return point_at(p, u, res.h), res

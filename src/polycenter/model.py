@@ -16,6 +16,7 @@ Every bound, including nonnegativity, must appear as an explicit row
 or scientific notation; parsing is locale-independent.
 """
 
+import sys
 from functools import cached_property
 from typing import NamedTuple
 
@@ -40,8 +41,8 @@ SLACK_FLOOR = 2.0 ** -1024
 
 def _row_label(labels, i):
     """Display name of row ``i`` (0-based): ``labels[i]``, or ``c<i + 1>``
-    when ``labels`` is None."""
-    return f"c{i + 1}" if labels is None else labels[i]
+    when ``labels`` or that entry is None."""
+    return f"c{i + 1}" if labels is None or labels[i] is None else labels[i]
 
 
 def _positive(name, value):
@@ -218,9 +219,15 @@ class Polytope(_Frozen):
         """
         return tuple(_axis_line(column) for column in self.A.T)
 
-    def label(self, i):
-        """Display name of constraint ``i`` (0-based row index)."""
-        return _row_label(self.labels, i)
+    @cached_property
+    def _reciprocal_cap(self):
+        """The largest reciprocal slack at which no partial sum of ``r @ A``
+        can overflow, worked out on first use and then kept (see
+        :func:`~polycenter.center._f_at`): half the largest float over the
+        sum of the row norms, which bounds every column's ``sum_i |A_ij|``.
+        The squares are summed by ``einsum``, as in :func:`_check_rows`."""
+        norms = np.sqrt(np.einsum("ij,ij->i", self.A, self.A))
+        return sys.float_info.max / 2 / float(norms.sum())
 
     def __repr__(self):
         return f"Polytope(m={self.m}, n={self.n})"
@@ -316,9 +323,7 @@ def parse_polytope(text):
         raise PolytopeFormatError(
             f"expected {dims[0]} constraint rows, found {len(rows)}"
         )
-    named = tuple(
-        lab if lab is not None else f"c{i + 1}" for i, lab in enumerate(labels)
-    )
+    named = tuple(_row_label(labels, i) for i in range(len(labels)))
     return normalize_rows(Polytope(np.array(rows), np.array(rhs), named))
 
 

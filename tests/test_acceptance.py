@@ -129,7 +129,7 @@ def test_criterion_5_hyperplane_property():
                 wn = float(np.linalg.norm(w))
                 if wn < 1e-8:
                     continue
-                q = harmonic_point_on_line(poly, p, w / wn)
+                q, _ = harmonic_point_on_line(poly, p, w / wn)
                 assert np.max(np.abs(q - p)) <= 1e-8
                 lines += 1
             done += 1

@@ -1,6 +1,7 @@
 """F-vector, coordinate search to the harmonic center, hyperplanes, BI center."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from polycenter import (
     DegenerateAtCenterError,
     NotInteriorError,
     Polytope,
+    PolytopeError,
     UnboundedDirectionError,
     axis_direction,
     bi_center,
@@ -34,11 +36,13 @@ from polycenter import (
     harmonic_point_on_axis,
     harmonic_point_on_line,
     normalize_rows,
+    parse_polytope,
     parse_trace_csv,
     residuals,
     section,
     solve_harmonic_offset,
 )
+from polycenter.center import _f_at
 
 THIRD = 1.0 / 3.0
 
@@ -78,6 +82,27 @@ class TestFVector:
         got = f_vector(example2, p)
         assert np.max(np.abs(got - expected)) <= 1e-10
         assert f_norm(example2, p) == pytest.approx(1.013, abs=TABLE_TOL)
+
+    def test_plain_product_is_the_fallback_float_for_float(self, monkeypatch):
+        # within the polytope's reciprocal cap the plain product is taken
+        # bare; with a cap of 0, every call runs the fallback block, whose
+        # product is finite here and so gives the same floats
+        rng = np.random.default_rng(503)
+        poly, anchor = random_polytope(rng, 10, extra=40)
+        points = [random_interior_point(rng, poly, anchor) for _ in range(10)]
+        slacks = [residuals(poly, p) for p in points]
+        assert all((1.0 / s).max() <= poly._reciprocal_cap for s in slacks)
+        bare = [_f_at(poly, s) for s in slacks]
+        monkeypatch.setitem(poly.__dict__, "_reciprocal_cap", 0.0)
+        for s, f in zip(slacks, bare):
+            assert np.array_equal(_f_at(poly, s), f)
+
+    def test_reciprocal_cap_bounds_every_partial_sum(self, example2):
+        # half the largest float over the sum of the row norms, which are
+        # 1 for a parsed file: no column's sum of |r_i A_ij| can overflow
+        cap = example2._reciprocal_cap
+        assert cap == pytest.approx(sys.float_info.max / 2 / example2.m, rel=1e-12)
+        assert cap * np.abs(example2.A).sum(axis=0).max() < sys.float_info.max / 2
 
 
 class TestDirectionalSum:
@@ -159,6 +184,17 @@ class TestHarmonicHyperplane:
         with pytest.raises(DegenerateAtCenterError):
             harmonic_hyperplane(square, (0.5, 0.5))
 
+    def test_overflowing_f_vector_has_no_hyperplane(self):
+        # three rows of slack 6e-309 on one side: f_1 at 0,0 overflows, so
+        # the normal has no finite value; raised before any product with p
+        poly = parse_polytope(
+            "dims 6 2\n" + "1 0 6e-309\n" * 3 + "-1 0 1\n0 1 1\n0 -1 1\n"
+        )
+        assert f_vector(poly, (0.0, 0.0))[0] == np.inf
+        with pytest.raises(PolytopeError, match="f-vector overflows") as info:
+            harmonic_hyperplane(poly, (0.0, 0.0))
+        assert type(info.value) is PolytopeError and info.value.exit_code == 1
+
     def test_point_is_harmonic_along_in_plane_lines(self):
         rng = np.random.default_rng(229)
         done = 0
@@ -175,7 +211,7 @@ class TestHarmonicHyperplane:
             if np.linalg.norm(w) < 1e-8:
                 continue
             u = w / np.linalg.norm(w)
-            q = harmonic_point_on_line(poly, p, u)
+            q, _ = harmonic_point_on_line(poly, p, u)
             assert np.max(np.abs(q - p)) <= 1e-8
             done += 1
 
@@ -818,6 +854,42 @@ def test_bi_center_ends_on_a_revisited_iterate(request, case):
     assert again.iterations == period and again.repeats == 0
     cycle = [rec[1:] for rec in trace.records[trace.repeats :]]
     assert [rec[1:] for rec in again.records] == cycle
+
+
+# each fixture from its table start, at the default tolerance and at one
+# that only a stall or a repeat ends
+MEASURED = [
+    (fixture, start, tol)
+    for fixture, start in (
+        ("example1", (3.0, 0.25)),
+        ("example2", (1.0, 2.0, 2.5, 1.3)),
+        ("square", (0.25, 0.5)),
+        ("simplex", (0.2, 0.3)),
+    )
+    for tol in (0.01, 1e-300)
+]
+
+
+@pytest.mark.parametrize("fixture, start, tol", MEASURED)
+def test_trace_keeps_the_harmonic_stop_measure(request, fixture, start, tol):
+    # the last row's f-norm, the very float the search compared with tol
+    poly = request.getfixturevalue(fixture)
+    _, trace = harmonic_center(poly, start, stop_tol=tol, max_iter=1000)
+    assert trace.measure is trace.final.fnorm
+    assert trace.converged is (tol == 0.01)
+
+
+@pytest.mark.parametrize("fixture, start, tol", MEASURED)
+def test_trace_keeps_the_bisection_stop_measure(request, fixture, start, tol):
+    # the largest axis midpoint offset at the returned point, each read
+    # here from the section of the axis line through it
+    poly = request.getfixturevalue(fixture)
+    point, trace = bi_center(poly, start, stop_tol=tol, max_iter=1000)
+    axes = (axis_direction(k, poly.n) for k in range(1, poly.n + 1))
+    sections = (section(poly, point, u) for u in axes)
+    offset = max(abs(0.5 * (sec.d_plus + sec.d_minus)) for sec in sections)
+    assert type(trace.measure) is float and trace.measure == offset
+    assert trace.converged is (offset <= tol)
 
 
 class TestHarmonicStall:

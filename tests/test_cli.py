@@ -14,7 +14,14 @@ import pytest
 
 import polycenter
 from conftest import DATA
-from polycenter import CenterTrace, TraceRecord, cli, parse_trace_csv
+from polycenter import (
+    CenterTrace,
+    TraceRecord,
+    bi_center,
+    cli,
+    harmonic_center,
+    parse_trace_csv,
+)
 from polycenter.cli import (
     EXIT_INFEASIBLE,
     EXIT_MAXITER,
@@ -250,9 +257,13 @@ class TestCompareBiCommand:
         code = main(["compare-bi", EXAMPLE1, "--start", "9,6", "--max-iter", "1"])
         assert code == EXIT_MAXITER
         captured = capsys.readouterr()
-        # the partial result is still reported
+        # the partial result is still reported, and the search that missed
+        # --tol is named with its stop measure
         assert "gap: " in captured.out
-        assert captured.err == "one or both searches did not converge\n"
+        assert captured.err == (
+            "bisection search: not converged after 1 iterations "
+            "(offset 0.693125 > 0.01)\n"
+        )
 
     def test_json(self, capsys):
         main(["compare-bi", SQUARE, "--start", "0.3,0.4", "--format", "json"])
@@ -632,7 +643,8 @@ def test_no_numpy_overflow_warning_on_stderr(tmp_path, rows, argv, code, err):
 def test_compare_bi_with_an_infinite_chord_end(tmp_path):
     # the +x chord from the origin has an infinite end: the bisection
     # search stays put, ends on its first sweep, which moved nothing, and
-    # does not converge; stderr names the stall and holds no numpy warning
+    # does not converge; the harmonic search's solve on that line has no
+    # root to meet.  stderr names both and holds no numpy warning
     path = tmp_path / "over.poly"
     path.write_text("dims 4 2\n0 1 1\n1e-11 1 1e300\n-1 0 1\n0 -1 1\n")
     env = dict(os.environ)
@@ -646,8 +658,9 @@ def test_compare_bi_with_an_infinite_chord_end(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (
         EXIT_MAXITER,
-        "one or both searches did not converge "
-        "(bisection search: the last sweep moved nothing)\n",
+        "harmonic search: not converged after 1 iterations (a line solve "
+        "missed --inner-tol 1e-10); bisection search: not converged after 1 "
+        "iterations (offset inf > 0.01; the last sweep moved nothing)\n",
     )
     assert "bisection center: (0.00, 0.00)\n" in proc.stdout
 
@@ -731,6 +744,19 @@ def test_center_names_an_infinite_fnorm_as_the_miss(tmp_path):
         "not converged after 0 iterations (fnorm inf > 0.01)\n",
     )
     assert "fnorm: inf\n" in proc.stdout
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_hyperplane_with_an_infinite_f_vector_is_undefined(tmp_path, fmt):
+    # the normal would be (inf, 0) and the offset inf * 0: no hyperplane,
+    # exit 1 with nothing on stdout in either format, and no warning
+    argv = ["hyperplane", "--start", "0,0", "--format", fmt]
+    proc = _cli_warning_free(tmp_path, TRUE_OVERFLOW_F, argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_PARSE,
+        "",
+        "error: the f-vector overflows at the point: hyperplane undefined\n",
+    )
 
 
 def test_check_with_an_infinite_fnorm_completes(tmp_path):
@@ -908,39 +934,81 @@ def test_center_on_its_budget_keeps_its_reason(capsys):
     assert err == "not converged after 0 iterations (fnorm 5.60252 > 0.01)\n"
 
 
-def test_compare_bi_names_each_repeat(capsys):
+def test_compare_bi_names_each_repeat(capsys, simplex):
     # at --tol 1e-300 the harmonic search stalls and the bisection search
     # comes back to an earlier iterate at a period above 1: both end long
-    # before --max-iter, and stderr gives each reason
+    # before --max-iter, and stderr gives each one's measure and reason.
+    # The counts and measures are the library's, which other numpy builds
+    # can sum to other floats
     argv = ["compare-bi", str(DATA / "simplex.poly"), "--start", "0.2,0.3"]
     assert main([*argv, "--tol", "1e-300", "--max-iter", "1000"]) == EXIT_MAXITER
     err = capsys.readouterr().err
-    match = re.fullmatch(
-        r"one or both searches did not converge \(harmonic search: the last "
-        r"sweep moved nothing at --inner-tol 1e-10; bisection search: sweep "
-        r"(\d+) returned to the point of sweep (\d+)\)\n",
-        err,
+    _, h = harmonic_center(simplex, (0.2, 0.3), stop_tol=1e-300, max_iter=1000)
+    _, b = bi_center(simplex, (0.2, 0.3), stop_tol=1e-300, max_iter=1000)
+    assert h.stalled and b.repeats < b.iterations - 1 and b.iterations < 1000
+    assert err == (
+        f"harmonic search: not converged after {h.iterations} iterations "
+        f"(fnorm {h.measure:.6g} > 1e-300; the last sweep moved nothing at "
+        f"--inner-tol 1e-10); bisection search: not converged after "
+        f"{b.iterations} iterations (offset {b.measure:.6g} > 1e-300; sweep "
+        f"{b.iterations} returned to the point of sweep {b.repeats})\n"
     )
-    assert match, err
-    n, k = map(int, match.groups())
-    assert k < n - 1 and n < 1000
+
+
+def test_compare_bi_names_each_budget_miss(capsys):
+    # --max-iter runs out in both searches, each above --tol: each is
+    # named with its own stop measure, and no repeat
+    argv = ["compare-bi", EXAMPLE1, "--start", "9,6", "--tol", "1e-300"]
+    assert main([*argv, "--max-iter", "3"]) == EXIT_MAXITER
+    assert capsys.readouterr().err == (
+        "harmonic search: not converged after 3 iterations "
+        "(fnorm 1.41834e-07 > 1e-300); bisection search: not converged after "
+        "3 iterations (offset 0.000849078 > 1e-300)\n"
+    )
+
+
+def test_compare_bi_names_an_inner_tol_miss(capsys):
+    # the harmonic f-norm met --tol but a line solve missed --inner-tol, in
+    # center's words; the bisection search converged and is not named
+    argv = ["compare-bi", EXAMPLE2, "--start", "1,2,2.5,1.3"]
+    assert main([*argv, "--inner-tol", "1e-300"]) == EXIT_MAXITER
+    assert capsys.readouterr().err == (
+        "harmonic search: not converged after 3 iterations "
+        "(a line solve missed --inner-tol 1e-300)\n"
+    )
+
+
+def test_compare_bi_names_a_chord_with_no_finite_midpoint(tmp_path):
+    # from 0,0 the +x chord ends at 1e300 / 3e-9, beyond the largest float:
+    # its first stage stays put.  Once y has moved up the chord is finite
+    # again, and the offset meets --tol 1e299, but the search is inexact
+    argv = ["compare-bi", "--start", "0,0", "--tol", "1e299", "--max-iter", "50"]
+    proc = _cli_warning_free(tmp_path, "dims 3 2\n3e-9 1 1e300\n-1 0 1\n0 -1 1\n", argv)
+    assert (proc.returncode, proc.stderr) == (
+        EXIT_MAXITER,
+        "bisection search: not converged after 16 iterations "
+        "(a chord had no finite midpoint)\n",
+    )
 
 
 def test_each_repeat_has_one_reason():
     # a repeat at period 1 is a stall, named with a harmonic search's
     # inner_tol; one at a longer period names both sweeps; a search that
-    # ended on no repeat has no reason.  The reason reads only the trace's
-    # repeats and its last iteration.
+    # ended on no repeat names only its measure: fnorm for a harmonic
+    # search, offset for a bisection one.  The line reads only the trace's
+    # measure, its repeats and its last iteration.
     rows = tuple(TraceRecord(i, (float(i),), 1.0) for i in range(6))
     reasons = {
-        4: ("the last sweep moved nothing", " at --inner-tol 1e-10"),
-        2: ("sweep 5 returned to the point of sweep 2", ""),
+        4: ("; the last sweep moved nothing", " at --inner-tol 1e-10"),
+        2: ("; sweep 5 returned to the point of sweep 2", ""),
         None: ("", ""),
     }
+    head = "not converged after 5 iterations ("
     for repeats, (reason, at) in reasons.items():
-        trace = CenterTrace(rows, False, repeats)
-        assert cli._repeat(trace) == reason
-        assert cli._repeat(trace, 1e-10) == reason + at
+        trace = CenterTrace(rows, False, repeats, 0.75)
+        assert cli._unconverged(trace, 0.5) == f"{head}offset 0.75 > 0.5{reason})"
+        harmonic = cli._unconverged(trace, 0.5, 1e-10)
+        assert harmonic == f"{head}fnorm 0.75 > 0.5{reason}{at})"
 
 
 def test_byte_order_mark_is_skipped(tmp_path, capsys):

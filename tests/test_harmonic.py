@@ -19,7 +19,7 @@ from polycenter import (
     unit_direction,
 )
 from polycenter.harmonic import _ONES, newton_offset
-from polycenter.lines import line_bracket
+from polycenter.lines import line_bracket, point_at
 
 # root of 1/(-1-h) + 1/(1-h) + 1/(2-h) = 0 inside (-1, 1): the equation
 # clears to 3h^2 - 4h - 1 = 0, and only this quadratic root is bracketed
@@ -269,7 +269,7 @@ class TestInfiniteBracketEnd:
 
 class TestHarmonicPoints:
     def test_square_horizontal_line(self, square):
-        q = harmonic_point_on_line(square, (0.25, 0.5), (1.0, 0.0))
+        q, _ = harmonic_point_on_line(square, (0.25, 0.5), (1.0, 0.0))
         assert np.allclose(q, (0.5, 0.5), atol=1e-10)
 
     def test_simplex_diagonal(self, simplex):
@@ -278,7 +278,7 @@ class TestHarmonicPoints:
         # lands on (1/3, 1/3) for every start on the line
         u = unit_direction((1.0, 1.0))
         for a in (0.05, 0.2, 0.4):
-            q = harmonic_point_on_line(simplex, (a, a), u)
+            q, _ = harmonic_point_on_line(simplex, (a, a), u)
             assert np.allclose(q, (1.0 / 3.0, 1.0 / 3.0), atol=1e-9)
 
     def test_orientation_invariant(self):
@@ -287,9 +287,20 @@ class TestHarmonicPoints:
             poly, anchor = random_polytope(rng, 3)
             p = random_interior_point(rng, poly, anchor)
             u = random_unit(rng, 3)
-            fwd = harmonic_point_on_line(poly, p, u)
-            rev = harmonic_point_on_line(poly, p, -u)
+            fwd, _ = harmonic_point_on_line(poly, p, u)
+            rev, _ = harmonic_point_on_line(poly, p, -u)
             assert np.max(np.abs(fwd - rev)) <= 1e-9
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-300])
+    def test_point_comes_with_its_line_solve(self, example1, tol):
+        # the result is the section's solve, field for field, converged or
+        # not (no solve of this line meets 1e-300), and the point is at its h
+        p, u = (9.0, 6.0), axis_direction(2, 2)
+        q, res = harmonic_point_on_line(example1, p, u, tol=tol)
+        want = solve_harmonic_offset(section(example1, p, u), tol=tol)
+        assert type(res) is type(want) and res == want
+        assert res.converged is (tol == 1e-10)
+        assert np.array_equal(q, point_at(p, u, want.h))
 
     def test_axis_form_matches_line_form(self, square):
         q = harmonic_point_on_axis(square, (0.25, 0.5), 1)
@@ -311,7 +322,7 @@ class TestHarmonicPoints:
         for _ in range(25):
             poly, anchor = random_polytope(rng, 3)
             p = random_interior_point(rng, poly, anchor, frac=0.9)
-            q = harmonic_point_on_line(poly, p, random_unit(rng, 3))
+            q, _ = harmonic_point_on_line(poly, p, random_unit(rng, 3))
             assert np.min(residuals(poly, q)) > 0.0
 
     def test_idempotent_within_tolerance(self):
@@ -320,8 +331,8 @@ class TestHarmonicPoints:
             poly, anchor = random_polytope(rng, 3)
             p = random_interior_point(rng, poly, anchor)
             u = random_unit(rng, 3)
-            q1 = harmonic_point_on_line(poly, p, u, tol=1e-10)
-            q2 = harmonic_point_on_line(poly, q1, u, tol=1e-10)
+            q1, _ = harmonic_point_on_line(poly, p, u, tol=1e-10)
+            q2, _ = harmonic_point_on_line(poly, q1, u, tol=1e-10)
             assert np.linalg.norm(q2 - q1) < 1e-10
 
 

@@ -656,7 +656,7 @@ FIELDS = {
     "LineSection": ("distances", "parallel", "d_plus", "d_minus", "i_plus", "i_minus"),
     "Hyperplane": ("normal", "offset"),
     "TraceRecord": ("iteration", "point", "fnorm"),
-    "CenterTrace": ("records", "converged", "repeats"),
+    "CenterTrace": ("records", "converged", "repeats", "measure"),
     "HarmonicSolveResult": ("h", "iterations", "residual", "converged"),
 }
 

@@ -14,6 +14,7 @@ from polycenter import (
     LineSection,
     bi_center,
     center,
+    cli,
     harmonic_center,
     harmonic_hyperplane,
     solve_harmonic_offset,
@@ -68,3 +69,21 @@ def test_each_harmonic_sweep_calls_cs_step_by_module_name(monkeypatch, example1)
     calls.clear()
     _, trace = bi_center(example1, (9.0, 6.0), stop_tol=1e-8)
     assert trace.iterations > 1 and calls == []
+
+
+def test_point_calls_harmonic_point_on_line_by_module_name(monkeypatch, capsys):
+    # the tracer's harmonic.point_on_line span is the wrapper of this name:
+    # one per point command, on the converged and the unconverged path
+    calls = []
+    point_on_line = cli.harmonic_point_on_line
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return point_on_line(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "harmonic_point_on_line", counted)
+    argv = ["point", str(DATA / "example1.poly"), "--start", "9,6", "--axis", "2"]
+    assert cli.main(argv) == 0
+    assert cli.main([*argv, "--inner-tol", "1e-300"]) == 4
+    capsys.readouterr()
+    assert len(calls) == 2
