@@ -224,31 +224,32 @@ def _midpoint(d, lo, hi, tol):
 class _Search:
     """What a search keeps across its sweeps: its own float copy ``q`` of
     the start, the :class:`~polycenter.model.SlackSum` at ``q``, its slacks
-    ``s`` and the 1-based axes of the stages that missed their tolerance."""
+    ``s`` and whether every stage so far met its tolerance, ``exact``."""
 
-    __slots__ = ("polytope", "q", "sum", "s", "inexact")
+    __slots__ = ("polytope", "q", "sum", "s", "exact")
 
-    def __init__(self, polytope, p, inexact=None):
+    def __init__(self, polytope, p):
         self.polytope, self.q = polytope, np.array(p, dtype=float)
         self.sum = SlackSum(polytope, self.q)
         self.s = self.sum.slacks()
-        self.inexact = [] if inexact is None else inexact
+        self.exact = True
 
     def stages(self, axes, move, tol):
         """One stage per 0-based axis of ``axes``; returns ``q``.  A stage
         moves by ``h`` from ``h, _, _, exact = move(d, lo, hi, tol)`` on its
-        axis line's bracket.  An inexact stage is recorded; one whose ``h``
-        is not finite (never exact) leaves the coordinate, as ``section`` would.
+        axis line's bracket.  An inexact stage clears ``exact``; one whose
+        ``h`` is not finite (never exact) leaves the coordinate, as
+        ``section`` would.
 
         The stages run under ``np.errstate(all="ignore")``, set once per
         call, so the line solve sets none (see :func:`newton_offset`).  Each
         event a stage can meet is a value it handles: a distance ``s / g``
         that overflows is an infinite bracket end, on which the solve does
-        not converge and the midpoint does not move; an underflowed distance
-        is a pole of the solve; a slack that comes out NaN is not interior,
-        and the next stage or trace record raises.  :meth:`offset`,
-        :func:`section` and the trace record's norm keep the caller's
-        state; the f-vector's product sets its own (see :func:`_f_at`)."""
+        not converge and the midpoint does not move; a slack that comes out
+        NaN is not interior, and the next stage or trace record raises.
+        :meth:`offset`, :func:`section` and the trace record's norm keep the
+        caller's state; the f-vector's product sets its own (see
+        :func:`_f_at`)."""
         polytope, q, s = self.polytope, self.q, self.s
         lines, moved, slacks = polytope.axis_lines, self.sum.moved, self.sum.slacks
         with np.errstate(all="ignore"):
@@ -256,7 +257,7 @@ class _Search:
                 d, lo, hi = line_bracket(lines[j], interior(polytope, s))
                 h, _, _, exact = move(d, lo, hi, tol)
                 if not exact:
-                    self.inexact.append(j + 1)
+                    self.exact = False
                     if not math.isfinite(h):
                         continue
                 q[j] += h
@@ -307,7 +308,7 @@ def _search(polytope, p0, sweep, measure, stop_tol, max_iter):
         sweep(run)
         rows.append(run.record(len(rows)))
         value = measure(run, rows[-1])
-    converged = value <= stop_tol and not run.inexact
+    converged = value <= stop_tol and run.exact
     return run.q, CenterTrace(tuple(rows), converged, seen.get(rows[-1].point), value)
 
 
@@ -321,7 +322,7 @@ def harmonic_point_on_axis(polytope, p, k, tol=1e-10):
     return _Search(polytope, p).stages((axis_index(k, polytope.n),), newton_offset, tol)
 
 
-def cs_step(polytope, p, tol=1e-10, inexact=None, *, _run=None):
+def cs_step(polytope, p, tol=1e-10, *, _run=None):
     """One coordinate-search sweep: n sequential axis updates.
 
     For k = 1..n, moves coordinate k of the current point to the harmonic
@@ -330,14 +331,12 @@ def cs_step(polytope, p, tol=1e-10, inexact=None, *, _run=None):
     order, and takes the line's distances from them and the axis-k entry
     of ``polytope.axis_lines``, with no line section or direction vector.
     The result is bit-identical to n chained :func:`harmonic_point_on_axis`
-    calls, which are one-stage runs of the same loop.
-    If ``inexact`` is a list, the axis of every stage whose root solve ran
-    out of its iteration budget before meeting ``tol`` is appended to it.
-    Returns the point after stage n, a new array; with ``_run``, a kept
-    :class:`_Search` whose point is ``p``, the sweep continues it in place.
+    calls, which are one-stage runs of the same loop.  Returns the point
+    after stage n, a new array; with ``_run``, a kept :class:`_Search`
+    whose point is ``p``, the sweep continues it in place.
     """
     _positive("tol", tol)
-    run = _Search(polytope, p, inexact) if _run is None else _run
+    run = _Search(polytope, p) if _run is None else _run
     return run.stages(range(polytope.n), newton_offset, tol)
 
 
@@ -360,10 +359,10 @@ def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
     ``inner_tol`` are positive.
     The f-vector's product is rescaled where its plain sums overflow (see
     :func:`_f_at`), so the f-norm is infinite only where the true f-vector
-    overflows, and the search sweeps on from there.  A NaN f-norm, which
-    only rows with entries near the largest float can give (a parsed
-    file's rows are unit), fails every comparison, so it stops the search
-    there, unconverged.
+    overflows, and the search sweeps on from there.  It is never NaN: a
+    polytope's rows are unit, so the rescaled product's sums, of weights
+    in (0, 1] times entries at most 1, are finite, and their product with
+    the largest reciprocal is finite or infinite.
 
     Returns ``(center, trace)``.
     """

@@ -90,16 +90,16 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     (see :func:`~polycenter.model._axis_line`), so that equal lines give
     equal floats.
 
-    A distance of exactly 0 is a quotient that underflowed (only a
-    coefficient beyond ``2**51`` along the line makes one at an interior
-    point).  It lies on neither side of the bracket, and it is a pole at
-    the start.  One such zero makes ``F`` infinite there: the first step
-    cuts the bracket at 0 on the zero's side and goes to the midpoint.  A
-    +0 and a -0 make ``F`` NaN, ``inf - inf``: poles on both sides of the
-    start, a chord of zero width, so the solve stops at ``h = 0``,
-    unconverged.  A NaN ``F`` later on, from reciprocals that overflowed
-    on both sides of ``h``, is read as below the root: the step goes to
-    the midpoint of ``(h, hi)``.
+    A distance of exactly 0 comes only from a direct call: a polytope's
+    rows are unit, so at an interior point no line's distance is zero (see
+    :func:`~polycenter.lines.line_bracket`).  It lies on neither side of
+    the bracket, and it is a pole at the start.  One such zero makes ``F``
+    infinite there: the first step cuts the bracket at 0 on the zero's
+    side and goes to the midpoint.  A +0 and a -0 make ``F`` NaN,
+    ``inf - inf``: poles on both sides of the start, a chord of zero
+    width, so the solve stops at ``h = 0``, unconverged.  A NaN ``F``
+    later on, from reciprocals that overflowed on both sides of ``h``, is
+    read as below the root: the step goes to the midpoint of ``(h, hi)``.
 
     The loop sets no error state of its own.  Each floating-point event it
     can meet is a value it handles: a zero's reciprocal divides by zero,
@@ -162,9 +162,9 @@ def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
     :func:`~polycenter.model._axis_line`), with no sort and no bracket
     check: a section's bracket straddles 0 by construction.  So an axis
     line gives the coordinate search's floats bit for bit.  The solve runs
-    under ``np.errstate(all="ignore")``, set once per call: its division
-    by a zero distance, overflow and ``inf - inf`` are values it handles
-    (see :func:`newton_offset`).  :func:`section` keeps the caller's state.
+    under ``np.errstate(all="ignore")``, set once per call: its overflow
+    and ``inf - inf`` are values it handles (see :func:`newton_offset`).
+    :func:`section` keeps the caller's state.
 
     Parameters
     ----------

@@ -240,38 +240,21 @@ def line_bracket(line, s):
     :class:`~polycenter.model.AxisLine`) at slacks ``s``.
 
     Returns ``(d, d_minus, d_plus)``: ``s[rows] / g``, ahead then behind,
-    and the nearest of them on each side.  Each end is one :func:`smallest`
-    or :func:`largest` read over its side; :func:`_nearest` reads it again
-    only when a side is empty or its nearest distance is zero.  Raises
+    and the nearest of them on each side, one :func:`smallest` or
+    :func:`largest` read over it.  A slack above ``SLACK_FLOOR`` over a
+    coefficient of a unit row or direction, at most 1 up to rounding, is
+    no zero, so each distance lies on its coefficient's side.  Raises
     :class:`UnboundedDirectionError` when a side has no distance, the
     forward one first.
     """
     rows, g, ahead = line
     d = s.take(rows)
     d /= g
-    if 0 < ahead < d.size:
-        d_plus = smallest(d[:ahead])
-        d_minus = largest(d[ahead:])
-        if d_plus and d_minus:
-            return d, float(d_minus), float(d_plus)
-    d_plus = _nearest(d[:ahead], smallest, _NO_FORWARD)
-    return d, _nearest(d[ahead:], largest, _NO_BACKWARD), d_plus
-
-
-def _nearest(near, reduce, message):
-    """``reduce`` (:func:`smallest` or :func:`largest`) of the nonzero
-    distances ``near`` on one side of the line.
-
-    With positive slacks each of these distances has the sign of its
-    coefficient, except a quotient that underflowed to a signed zero,
-    which lies on neither side of the bracket.  Raises
-    :class:`UnboundedDirectionError` with ``message`` when no distance is
-    left.
-    """
-    near = near[near != 0.0]
-    if not near.size:
-        raise UnboundedDirectionError(message)
-    return float(reduce(near))
+    if not ahead:
+        raise UnboundedDirectionError(_NO_FORWARD)
+    if ahead == d.size:
+        raise UnboundedDirectionError(_NO_BACKWARD)
+    return d, float(largest(d[ahead:])), float(smallest(d[:ahead]))
 
 
 def section(polytope, p, u):

@@ -83,9 +83,10 @@ def _axis_line(column):
     ``-PARALLEL_EPS``, each in row order, without a sort.  This is the one
     statement of the order in which a line's distances are summed: the
     coordinate search reads them in it, a ``LineSection`` keeps them in it,
-    and ``solve_harmonic_offset`` solves on them as kept.  At positive
-    slacks a distance has the sign bit of its coefficient, an underflowed
-    signed zero included, so the order is also ahead, then behind.
+    and ``solve_harmonic_offset`` solves on them as kept.  At an interior
+    point a distance has the sign of its coefficient (see
+    :func:`~polycenter.lines.line_bracket`), so the order is also ahead,
+    then behind.
     """
     above = column > PARALLEL_EPS
     below = column < -PARALLEL_EPS
@@ -108,7 +109,7 @@ def _check_rows(A, b, line=None):
     :class:`PolytopeFormatError` for the first row with a non-finite entry
     in ``A`` or ``b``, else for the first whose norm is at most
     ``_ZERO_ROW_TOL``.  The error names the row's index, or, for the one
-    row of a file line, the ``line``.
+    row of a file line, the ``line``.  Returns the row norms.
 
     The squares are summed by ``einsum``, so no m x n temporary is made.  A
     non-finite entry makes the sum non-finite, and so do finite entries
@@ -126,6 +127,7 @@ def _check_rows(A, b, line=None):
     if zero.size:
         at = f" at index {zero[0]}" if line is None else ""
         raise PolytopeFormatError("zero coefficient row" + at, line=line)
+    return norms
 
 
 class _Frozen:
@@ -145,18 +147,23 @@ class _Frozen:
 
 
 class Polytope(_Frozen):
-    """Closed convex polytope ``{x : A @ x <= b}``.
+    """Closed convex polytope ``{x : A @ x <= b}``, with unit rows.
 
-    ``A`` and ``b`` are stored as read-only float arrays, copied from the
-    arguments; ``A`` is column-major, so that a block of its columns, as
-    :class:`SlackSum` reads it, is one contiguous slab.  ``labels``, when
-    given, names each constraint row.  Construction requires more rows than
-    columns (``m > n``) and rejects the first row with a non-finite entry,
-    else the first whose norm is at most 1e-12 (:func:`_check_rows`).  It
-    does not normalize rows (see :func:`normalize_rows`) and does not
-    verify boundedness.  The per-axis table :attr:`axis_lines` is derived
-    from ``A`` on first use and kept; it is read-only too.  Polytopes
-    compare and hash by identity, and their fields cannot be reassigned.
+    ``A`` and ``b`` are stored as read-only float arrays: the arguments,
+    each row ``(A_i, b_i)`` divided by the norm of ``A_i``, so the feasible
+    set is the arguments' and the slack of a constraint at a point is the
+    distance to its boundary.  ``A`` is column-major, so that a block of
+    its columns, as :class:`SlackSum` reads it, is one contiguous slab; the
+    quotient is taken in place in that copy, the one m x n array made.
+    ``labels``, when given, names each constraint row.  Construction
+    requires more rows than columns (``m > n``) and rejects the first row
+    with a non-finite entry, else the first whose norm is at most 1e-12
+    (:func:`_check_rows`); then, after the labels, the first row whose
+    quotient breaks that rule: a norm that overflowed leaves a zero row, a
+    tiny one can overflow ``b_i``.  It does not verify boundedness.  The
+    per-axis table :attr:`axis_lines` is derived from ``A`` on first use
+    and kept; it is read-only too.  Polytopes compare and hash by identity,
+    and their fields cannot be reassigned.
     """
 
     def __init__(self, A, b, labels=None):
@@ -175,31 +182,19 @@ class Polytope(_Frozen):
             raise PolytopeFormatError(
                 f"need more constraints than dimensions, got m={m} <= n={n}"
             )
-        _check_rows(A, b)
+        norms = _check_rows(A, b)
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != m:
                 raise PolytopeFormatError(
                     f"{len(labels)} labels for {m} constraints"
                 )
-        self._freeze(A, b, labels)
-
-    def _freeze(self, A, b, labels):
+        A /= norms[:, None]
+        b /= norms
+        _check_rows(A, b)
         A.setflags(write=False)
         b.setflags(write=False)
         self.__dict__.update(A=A, b=b, labels=labels)
-
-    @classmethod
-    def _adopt(cls, A, b, labels):
-        """A polytope that keeps ``A`` and ``b`` themselves.
-
-        For arrays the caller made and validated and holds no other
-        reference to: ``A`` must be column-major float64, ``labels`` a
-        tuple or None.  Nothing is copied or checked.
-        """
-        poly = object.__new__(cls)
-        poly._freeze(A, b, labels)
-        return poly
 
     @property
     def m(self):
@@ -222,33 +217,20 @@ class Polytope(_Frozen):
     @cached_property
     def _reciprocal_cap(self):
         """The largest reciprocal slack at which no partial sum of ``r @ A``
-        can overflow, worked out on first use and then kept (see
-        :func:`~polycenter.center._f_at`): half the largest float over the
-        sum of the row norms, which bounds every column's ``sum_i |A_ij|``.
-        The squares are summed by ``einsum``, as in :func:`_check_rows`."""
-        norms = np.sqrt(np.einsum("ij,ij->i", self.A, self.A))
-        return sys.float_info.max / 2 / float(norms.sum())
+        can overflow (see :func:`~polycenter.center._f_at`): a quarter of
+        the largest float over ``m``.  A unit row's entries are at most 1 up
+        to rounding, so every column's ``sum_i |A_ij|`` is at most ``m``
+        up to rounding, well within the factor 2 the quarter leaves."""
+        return sys.float_info.max / 4 / self.m
 
     def __repr__(self):
         return f"Polytope(m={self.m}, n={self.n})"
 
 
 def normalize_rows(polytope):
-    """Return a copy with every row of ``A`` scaled to unit Euclidean norm.
-
-    The right-hand side entry is divided by the same norm, so the feasible
-    set is unchanged.  Already-normalized polytopes come back unchanged up
-    to floating-point rounding.  The new polytope keeps the quotient
-    ``A / norms[:, None]`` itself, column-major like ``A``, so the call
-    holds at most one m x n array beyond ``polytope.A`` at a time.
-    """
-    norms = np.linalg.norm(polytope.A, axis=1)
-    A = polytope.A / norms[:, None]
-    b = polytope.b / norms
-    # the rows of a polytope pass the rule, so the quotients do too, unless
-    # a norm overflowed (a zero row) or an entry of b did (non-finite)
-    _check_rows(A, b)
-    return Polytope._adopt(A, b, polytope.labels)
+    """Return ``polytope`` itself: its rows are unit already, since
+    :class:`Polytope` divides every row by its norm when it is made."""
+    return polytope
 
 
 def parse_polytope(text):
@@ -324,7 +306,7 @@ def parse_polytope(text):
             f"expected {dims[0]} constraint rows, found {len(rows)}"
         )
     named = tuple(_row_label(labels, i) for i in range(len(labels)))
-    return normalize_rows(Polytope(np.array(rows), np.array(rhs), named))
+    return Polytope(np.array(rows), np.array(rhs), named)
 
 
 def load_polytope(path):

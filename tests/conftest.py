@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polycenter import LineSection, Polytope, normalize_rows, parse_polytope, section
+from polycenter import LineSection, Polytope, parse_polytope, section
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -30,16 +30,19 @@ def example2():
     return parse_polytope((DATA / "example2.poly").read_text())
 
 
+# three rows on each side of the x axis at a slack of 6e-309: every
+# reciprocal slack is finite, but their plain sums overflow, so at 0,0, its
+# center by symmetry, the product (1 / s) @ A is inf - inf; the f-vector is
+# (0, 0), which the product scaled by the largest reciprocal gives
+OVERFLOWING_F = (
+    "dims 8 2\n" + "1 0 6e-309\n" * 3 + "-1 0 6e-309\n" * 3 + "0 1 1\n0 -1 1\n"
+)
+
+
 @pytest.fixture(scope="session")
-def two_zeros():
-    """The box ``|x|, |y| <= 1`` plus the unnormalized rows ``(1e300, 0)``
-    and ``(-1e300, 0)``, each with right-hand side 1e-30.  At the origin
-    their axis-1 distances +-1e-330 underflow to +0 and -0, so the line
-    solve's first sum is ``inf - inf``, and so is ``f_1``."""
-    A = [[1e300, 0.0], [-1e300, 0.0], [1.0, 0.0], [-1.0, 0.0]]
-    A += [[0.0, 1.0], [0.0, -1.0]]
-    with np.errstate(over="ignore"):  # the two row norms overflow
-        return Polytope(np.array(A), np.array([1e-30, 1e-30, 1.0, 1.0, 1.0, 1.0]))
+def overflowing_f():
+    """The polytope of ``OVERFLOWING_F``."""
+    return parse_polytope(OVERFLOWING_F)
 
 
 def random_polytope(rng, n, extra=3):
@@ -64,8 +67,7 @@ def random_polytope(rng, n, extra=3):
         a /= np.linalg.norm(a)
         rows.append(a)
         rhs.append(float(a @ anchor) + rng.uniform(0.4, 2.0))
-    poly = normalize_rows(Polytope(np.array(rows), np.array(rhs)))
-    return poly, anchor
+    return Polytope(np.array(rows), np.array(rhs)), anchor
 
 
 def random_unit(rng, n):

@@ -35,7 +35,6 @@ from polycenter import (
     harmonic_hyperplane,
     harmonic_point_on_axis,
     harmonic_point_on_line,
-    normalize_rows,
     parse_polytope,
     parse_trace_csv,
     residuals,
@@ -43,6 +42,7 @@ from polycenter import (
     solve_harmonic_offset,
 )
 from polycenter.center import _f_at
+from polycenter.harmonic import newton_offset
 
 THIRD = 1.0 / 3.0
 
@@ -98,10 +98,10 @@ class TestFVector:
             assert np.array_equal(_f_at(poly, s), f)
 
     def test_reciprocal_cap_bounds_every_partial_sum(self, example2):
-        # half the largest float over the sum of the row norms, which are
-        # 1 for a parsed file: no column's sum of |r_i A_ij| can overflow
+        # a quarter of the largest float over m, the bound on every column's
+        # sum of |A_ij| for unit rows: no column's sum of |r_i A_ij| can overflow
         cap = example2._reciprocal_cap
-        assert cap == pytest.approx(sys.float_info.max / 2 / example2.m, rel=1e-12)
+        assert cap == sys.float_info.max / 4 / example2.m
         assert cap * np.abs(example2.A).sum(axis=0).max() < sys.float_info.max / 2
 
 
@@ -296,7 +296,7 @@ class TestHarmonicCenter:
         with pytest.raises(NotInteriorError):
             harmonic_center(square, (2.0, 2.0))
 
-    def test_max_iter_flag(self, example2, two_zeros):
+    def test_max_iter_flag(self, example2, overflowing_f):
         point, trace = harmonic_center(
             example2, (1.0, 2.0, 2.5, 1.3), stop_tol=1e-9, max_iter=2
         )
@@ -306,10 +306,10 @@ class TestHarmonicCenter:
         # a NaN start is not interior
         with pytest.raises(NotInteriorError):
             harmonic_center(example2, (np.nan, 2.0, 2.5, 1.3))
-        # f_1 = 1e330 - 1e330 overflows as a plain product; scaled by the
-        # largest reciprocal it is 1e300 - 1e300 = 0, so the origin is the
+        # f_1 = 3 / 6e-309 - 3 / 6e-309 overflows as a plain product; scaled
+        # by the largest reciprocal it is 3 - 3 = 0, so the origin is the
         # center, and the search converges at once, with no warning
-        _, trace = harmonic_center(two_zeros, (0.0, 0.0))
+        _, trace = harmonic_center(overflowing_f, (0.0, 0.0))
         assert trace.converged
         assert trace.iterations == 0
         assert trace.final.fnorm == 0.0
@@ -344,12 +344,6 @@ class TestHarmonicCenter:
         assert trace.final.fnorm <= 0.01
         assert not trace.converged
         assert np.min(residuals(example2, point)) > 0.0
-        inexact = []
-        cs_step(example2, start, tol=1e-300, inexact=inexact)
-        assert inexact and set(inexact) <= {1, 2, 3, 4}
-        inexact = []
-        cs_step(example2, start, inexact=inexact)
-        assert inexact == []
 
 
 class TestStageDiagnostics:
@@ -555,58 +549,22 @@ class TestAxisStageMatchesSection:
             poly = Polytope(A * [1.0, sign], np.array([1.0, 0.0, 1.0]))
             self._same_error(UnboundedDirectionError, call, poly, (0.5, 0.0), 2)
 
-    def test_underflowed_distance(self):
-        # an unnormalized row (+-1e300, 0) with slack 1e-30 at x1 = 0: its
-        # axis-1 distance 1e-330 underflows to a signed zero, which section
-        # leaves out of the bracket (and keeps among the finite distances)
-        p = np.zeros(2)
-        for sign in (1.0, -1.0):
-            tiny = [sign * 1e300, 0.0]
-            y_box = [[0.0, 1.0], [0.0, -1.0]]
-            cases = [
-                ([tiny, [-1.0, 0.0], [1.0, 0.0], *y_box], [1e-30, 1.0, 1.0, 1.0, 1.0]),
-                # the zero is the only contact on its side: unbounded there
-                ([tiny, [-sign, 0.0], *y_box], [1e-30, 1.0, 1.0, 1.0]),
-            ]
-            # the row norm overflows and the zero distance is a pole
-            with np.errstate(over="ignore"):
-                for A, b in cases:
-                    poly = Polytope(np.array(A), np.array(b))
-                    assert poly.b[0] / poly.A[0, 0] == 0.0
-                    for call, move in [
-                        (harmonic_point_on_axis, _harmonic_offset),
-                        (bi_point_on_axis, _chord_midpoint),
-                    ]:
-                        self._same_outcome(
-                            lambda: call(poly, p, 1),
-                            lambda: _section_stage(poly, p, 1, move),
-                        )
-                    self._same_outcome(
-                        lambda: cs_step(poly, p),
-                        lambda: _section_sweep(poly, p, _harmonic_offset),
-                    )
-
-    def test_two_signed_zeros(self, two_zeros):
-        # at the origin the axis-1 distances of rows c1 and c2 are +0 and
-        # -0: the first sum is inf - inf, a chord of zero width, and the
-        # solve stops at h = 0, unconverged, with no warning
-        p = np.zeros(2)
-        res = solve_harmonic_offset(section(two_zeros, p, axis_direction(1, 2)))
-        assert (res.h, res.iterations, res.converged) == (0.0, 1, False)
-        assert math.isnan(res.residual)
-        assert harmonic_point_on_axis(two_zeros, p, 1).tolist() == [0.0, 0.0]
-        assert cs_step(two_zeros, p).tolist() == [0.0, 0.0]
-
-    @staticmethod
-    def _same_outcome(call, reference):
-        try:
-            want = reference()
-        except UnboundedDirectionError as exc:
-            with pytest.raises(UnboundedDirectionError) as got:
-                call()
-            assert str(got.value) == str(exc)
-        else:
-            assert np.array_equal(call(), want)
+    def test_two_signed_zeros(self):
+        # distances +0 and -0, which only a direct call can pass (a unit
+        # row's distance at an interior point is never zero), ahead then
+        # behind as a line's table orders them: the first sum is inf - inf,
+        # a chord of zero width, and the solve stops at h = 0, unconverged
+        d = np.array([0.0, 1.0, -0.0, -1.0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h, its, f, converged = newton_offset(d, -1.0, 1.0)
+            # one zero is a pole at the start: the solve cuts the bracket
+            # there and finds the root on the other side
+            ahead = newton_offset(np.array([0.0, 1.0, -1.0]), -1.0, 1.0)
+            behind = newton_offset(np.array([1.0, -0.0, -1.0]), -1.0, 1.0)
+        assert (h, its, converged) == (0.0, 1, False)
+        assert math.isnan(f)
+        assert -1.0 < ahead[0] < 0.0 < behind[0] < 1.0
+        assert ahead[3] and behind[3]
 
 
 # every reader of a point's slacks that README's "Library" names
@@ -643,13 +601,20 @@ class TestKeptSearch:
 
     @staticmethod
     def _harmonic_reference(poly, p0, stop_tol, max_iter):
-        # cs_step from scratch each sweep, f_norm from fresh residuals
-        p, inexact = np.array(p0, dtype=float), []
+        # cs_step from scratch each sweep, f_norm from fresh residuals; each
+        # stage's exactness from the solve of its axis line's section, whose
+        # point is the stage's, float for float
+        p, exact = np.array(p0, dtype=float), True
         records = [(p, f_norm(poly, p))]
         while records[-1][1] > stop_tol and len(records) <= max_iter:
-            p = cs_step(poly, p, inexact=inexact)
+            q = p
+            for k in range(1, poly.n + 1):
+                q, res = harmonic_point_on_line(poly, q, axis_direction(k, poly.n))
+                exact = exact and res.converged
+            p = cs_step(poly, p)
+            assert np.array_equal(q, p)
             records.append((p, f_norm(poly, p)))
-        return records, records[-1][1] <= stop_tol and not inexact
+        return records, records[-1][1] <= stop_tol and exact
 
     @staticmethod
     def _bi_reference(poly, p0, stop_tol, max_iter):
@@ -980,9 +945,7 @@ class TestInvariances:
         for _ in range(10):
             poly, anchor = random_polytope(rng, 3)
             scales = rng.uniform(0.1, 10.0, size=poly.m)
-            scaled = normalize_rows(
-                Polytope(poly.A * scales[:, None], poly.b * scales)
-            )
+            scaled = Polytope(poly.A * scales[:, None], poly.b * scales)
             a, _ = harmonic_center(poly, anchor, inner_tol=1e-12)
             b, _ = harmonic_center(scaled, anchor, inner_tol=1e-12)
             assert np.max(np.abs(a - b)) <= 1e-9
@@ -1013,7 +976,7 @@ class TestRotation:
             rng = np.random.default_rng([91, n, seed])
             poly, anchor = random_polytope(rng, n, extra=3 * n)
             Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            yield poly, anchor, normalize_rows(Polytope(poly.A @ Q.T, poly.b)), Q
+            yield poly, anchor, Polytope(poly.A @ Q.T, poly.b), Q
 
     @pytest.mark.parametrize("n", [2, 5, 10])
     def test_harmonic_center_moves_with_the_rotation(self, n):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import polycenter
-from conftest import DATA
+from conftest import DATA, OVERFLOWING_F
 from polycenter import (
     CenterTrace,
     TraceRecord,
@@ -664,14 +664,6 @@ def test_compare_bi_with_an_infinite_chord_end(tmp_path):
     )
     assert "bisection center: (0.00, 0.00)\n" in proc.stdout
 
-
-# three rows on each side of the x axis at a slack of 6e-309: every
-# reciprocal slack is finite, but their plain sums overflow, so at 0,0, its
-# center by symmetry, the product (1 / s) @ A is inf - inf; the f-vector is
-# (0, 0), which the product scaled by the largest reciprocal gives
-OVERFLOWING_F = (
-    "dims 8 2\n" + "1 0 6e-309\n" * 3 + "-1 0 6e-309\n" * 3 + "0 1 1\n0 -1 1\n"
-)
 
 # three rows of slack 6e-309 on one side only: f_1 at 0,0 is 3 / 6e-309 - 1,
 # which itself overflows, so the f-norm is inf

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_interior_point, random_polytope
+from conftest import random_interior_point, random_polytope, random_unit
 from polycenter import (
     InteriorSearchError,
     LineSection,
@@ -30,6 +30,7 @@ from polycenter import (
     section,
     solve_harmonic_offset,
 )
+from polycenter.lines import line_bracket
 from polycenter.model import (
     _ZERO_ROW_TOL,
     PARALLEL_EPS,
@@ -159,8 +160,10 @@ class TestPolytopeInvariants:
                 parse_polytope(f"dims 4 2\n-1 0 0\n{row}\n1 0 1\n0 1 1\n")
 
     def test_construction_makes_no_second_copy(self):
-        # the row rule sums squares row by row, so the copy of A is the
-        # only m x n array made (with np.linalg.norm's row norms: 2.02x)
+        # the row rule sums squares row by row and the rows are divided by
+        # their norms in place, so the copy of A is the only m x n array
+        # made (with np.linalg.norm's row norms: 2.02x; with the quotient
+        # taken into a second array: 2.05x)
         rng = np.random.default_rng(17)
         A = rng.normal(size=(1000, 200))
         b = rng.uniform(1, 2, 1000)
@@ -171,6 +174,42 @@ class TestPolytopeInvariants:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * A.nbytes
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_rows_are_unit_at_any_scale(self, n):
+        # each row (A_i, b_i) scaled by 10**U(-11, 150): a smaller norm is
+        # a zero row (_ZERO_ROW_TOL), and a larger one's squares can overflow
+        rng = np.random.default_rng([61, n])
+        # the rounding of n squares' sum, its root, the scaling and the
+        # quotient, in each of the two polytopes compared
+        rel = (n + 4) * 2.0**-53
+        for _ in range(5):
+            unit, anchor = random_polytope(rng, n, extra=2 * n)
+            scales = 10.0 ** rng.uniform(-11.0, 150.0, size=unit.m)
+            poly = Polytope(unit.A * scales[:, None], unit.b * scales)
+            assert np.abs(np.linalg.norm(poly.A, axis=1) - 1.0).max() <= 1e-15
+            assert (np.abs(poly.A - unit.A) <= rel * np.abs(unit.A)).all()
+            assert (np.abs(poly.b - unit.b) <= rel * np.abs(unit.b)).all()
+            # no distance at an interior point is +-0, which line_bracket
+            # has no branch for
+            p = random_interior_point(rng, poly, anchor)
+            s = residuals(poly, p)
+            for line in poly.axis_lines:
+                assert line_bracket(line, s)[0].all()
+            for _ in range(3):
+                assert section(poly, p, random_unit(rng, n)).finite_distances.all()
+        # nor at the smallest interior slack: a box whose every slack at
+        # the origin is one ulp above the floor, its rows scaled by powers
+        # of two, so that the quotients are exact
+        s_min = float(np.nextafter(SLACK_FLOOR, 1.0))
+        scales = 2.0 ** rng.integers(0, 500, size=2 * n)
+        A = np.vstack([np.eye(n), -np.eye(n)]) * scales[:, None]
+        box = Polytope(A, s_min * scales)
+        p = np.zeros(n)
+        assert residuals(box, p).tolist() == [s_min] * (2 * n)
+        for line in box.axis_lines:
+            assert line_bracket(line, residuals(box, p))[0].all()
+        assert section(box, p, random_unit(rng, n)).finite_distances.all()
 
     def test_rhs_length_mismatch(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
@@ -201,7 +240,9 @@ class TestPolytopeInvariants:
         poly = Polytope(given, [1.0, 1.0, 0.0])
         assert poly.A.flags.f_contiguous and not poly.A.flags.writeable
         assert poly.A.dtype == np.float64
-        assert np.array_equal(poly.A, np.asarray(given))
+        # the rows, each divided by its norm
+        want = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -2.0]])
+        assert np.array_equal(poly.A, want / np.sqrt([[1.0], [1.0], [5.0]]))
         if isinstance(given, np.ndarray):
             assert not np.shares_memory(poly.A, given)
 
@@ -225,7 +266,7 @@ class TestRowRule:
         )
         return A, b, text
 
-    # (row, rhs, error, found by normalize_rows rather than Polytope)
+    # (row, rhs, error, found in the quotient rather than the raw rows)
     @pytest.mark.parametrize(
         "row, rhs, error, on_normalize",
         [
@@ -249,16 +290,12 @@ class TestRowRule:
     def test_same_error_everywhere(self, row, rhs, error, on_normalize):
         A, b, text = self._rows(row, rhs)
         at = " in row at index 1" if error == NON_FINITE else " at index 1"
+        # the parser checks each raw row as it reads its line; Polytope
+        # checks all the raw rows, then their quotients by the row norms
+        parse_message = error + at if on_normalize else f"line 3: {error}"
         with np.errstate(over="ignore"):
-            if on_normalize:
-                raw = Polytope(A, b)
-                with pytest.raises(PolytopeFormatError) as lib:
-                    normalize_rows(raw)
-                parse_message = error + at
-            else:
-                with pytest.raises(PolytopeFormatError) as lib:
-                    Polytope(A, b)
-                parse_message = f"line 3: {error}"
+            with pytest.raises(PolytopeFormatError) as lib:
+                Polytope(A, b)
             with pytest.raises(PolytopeFormatError) as parsed:
                 parse_polytope(text)
         assert str(lib.value) == error + at
@@ -266,7 +303,7 @@ class TestRowRule:
 
     def test_one_ulp_above_the_threshold_is_kept(self):
         A, b, text = self._rows((float(np.nextafter(_ZERO_ROW_TOL, 1.0)), 0.0), 1.0)
-        poly = normalize_rows(Polytope(A, b))
+        poly = Polytope(A, b)
         assert np.array_equal(poly.A, parse_polytope(text).A)
         assert poly.A[1, 0] == 1.0
 
@@ -351,7 +388,7 @@ class TestAxisLines:
         for n in (1, 2, 10, 33, 100):
             rng = np.random.default_rng([41, n])
             polys.append(random_polytope(rng, n, extra=2 * n)[0])
-        # an unnormalized row with entries on both sides of the threshold
+        # rows with entries on both sides of the threshold
         polys.append(
             Polytope(
                 np.array([[1.0, 1e-12], [-1.0, -2e-12], [3.0, -1e-13], [0.0, 1.0]]),
@@ -463,42 +500,44 @@ class TestNormalizeRows:
         assert poly.b[0] == pytest.approx(4.43760, abs=5e-6)
 
     def test_idempotent_bitwise(self):
+        # a polytope made from a polytope's unit rows divides them again
         rng = np.random.default_rng(7)
-        poly, _ = random_polytope(rng, 3)
-        once = normalize_rows(poly)
-        twice = normalize_rows(once)
+        once, _ = random_polytope(rng, 3)
+        twice = Polytope(once.A, once.b)
         assert np.max(np.abs(twice.A - once.A)) <= 1e-15
         assert np.max(np.abs(twice.b - once.b)) <= 1e-15
 
     def test_quotient_kept_column_major(self):
         rng = np.random.default_rng(13)
-        raw, _ = random_polytope(rng, 40, extra=60)
-        raw = Polytope(raw.A * rng.uniform(0.5, 3.0, size=(raw.m, 1)), raw.b)
-        out = normalize_rows(raw)
-        norms = np.linalg.norm(raw.A, axis=1)
-        assert np.array_equal(out.A, raw.A / norms[:, None])
-        assert np.array_equal(out.b, raw.b / norms)
+        unit, _ = random_polytope(rng, 40, extra=60)
+        A = unit.A * rng.uniform(0.5, 3.0, size=(unit.m, 1))
+        out = Polytope(A, unit.b)
+        norms = np.linalg.norm(A, axis=1)
+        assert np.array_equal(out.A, A / norms[:, None])
+        assert np.array_equal(out.b, unit.b / norms)
         assert out.A.flags.f_contiguous and not out.A.flags.writeable
         assert not out.b.flags.writeable
-        assert not np.shares_memory(out.A, raw.A)
+        assert not np.shares_memory(out.A, A)
+        assert not np.shares_memory(out.b, unit.b)
 
     def test_one_copy_of_A(self):
-        # the sweep_large shape: the quotient is the only m x n array kept
-        # or made beyond the input's (the parent made three: 3.0x)
+        # the sweep_large shape: a polytope's rows are unit when it is made,
+        # so normalize_rows returns its argument and copies nothing
         rng = np.random.default_rng(17)
-        raw = Polytope(rng.normal(size=(1000, 200)), rng.uniform(1, 2, 1000))
+        poly = Polytope(rng.normal(size=(1000, 200)), rng.uniform(1, 2, 1000))
         tracemalloc.start()
         try:
-            out = normalize_rows(raw)
+            out = normalize_rows(poly)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.A.nbytes == raw.A.nbytes
-        assert peak <= 2 * raw.A.nbytes
+        assert out is poly
+        assert peak < poly.A.nbytes / 100
 
     def test_overflow_keeps_construction_errors(self):
         # a row norm that overflows leaves a zero row, a tiny norm can
-        # overflow b: the errors Polytope raises, non-finite first
+        # overflow b: the errors of the row rule, non-finite first, raised
+        # by Polytope on the quotients of rows that passed it
         A = [[1.0, 0.0], [1e200, 1e200], [0.0, 1.0], [1e-11, -1e-11]]
         cases = [
             ([1.0, 1.0, 1.0, 1.0], "zero coefficient row at index 1"),
@@ -506,20 +545,17 @@ class TestNormalizeRows:
         ]
         for b, message in cases:
             with np.errstate(over="ignore"):
-                raw = Polytope(A, b)
                 with pytest.raises(PolytopeFormatError, match=message):
-                    normalize_rows(raw)
+                    Polytope(A, b)
 
     def test_feasible_set_preserved(self):
         rng = np.random.default_rng(11)
-        raw = Polytope(
-            np.array([[3.0, 4.0], [0.0, -2.0], [-5.0, 1.0], [1.0, 1.0]]),
-            np.array([10.0, 3.0, 2.0, 1.5]),
-        )
-        normed = normalize_rows(raw)
+        A = np.array([[3.0, 4.0], [0.0, -2.0], [-5.0, 1.0], [1.0, 1.0]])
+        b = np.array([10.0, 3.0, 2.0, 1.5])
+        normed = Polytope(A, b)
         pts = rng.uniform(-4, 4, size=(1000, 2))
         for p in pts:
-            s_raw = residuals(raw, p)
+            s_raw = b - A @ p
             s_new = residuals(normed, p)
             sign_raw = np.sign(np.where(np.abs(s_raw) <= 1e-9, 0.0, s_raw))
             sign_new = np.sign(np.where(np.abs(s_new) <= 1e-9, 0.0, s_new))
