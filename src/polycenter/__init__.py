@@ -20,7 +20,6 @@ from .center import (
     f_vector,
     harmonic_center,
     harmonic_hyperplane,
-    harmonic_point_on_axis,
     parse_trace_csv,
 )
 from .errors import (
@@ -38,7 +37,7 @@ from .harmonic import (
     harmonic_point_on_line,
     solve_harmonic_offset,
 )
-from .lines import LineSection, axis_direction, point_at, section, unit_direction
+from .lines import LineSection, axis_direction, section, unit_direction
 from .model import (
     Polytope,
     find_interior_point,
@@ -77,13 +76,11 @@ __all__ = [
     "find_interior_point",
     "harmonic_center",
     "harmonic_hyperplane",
-    "harmonic_point_on_axis",
     "harmonic_point_on_line",
     "load_polytope",
     "normalize_rows",
     "parse_polytope",
     "parse_trace_csv",
-    "point_at",
     "residuals",
     "section",
     "solve_harmonic_offset",

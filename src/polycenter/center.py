@@ -28,7 +28,6 @@ from .lines import (  # noqa: F401
     axis_index,
     checked_unit,
     interior,
-    interior_slacks,
     largest,
     line_bracket,
     norm,
@@ -101,7 +100,7 @@ def directional_sum(polytope, p, u):
     harmonic center and for every in-hyperplane ``u`` at any point.
     """
     u = checked_unit(u)
-    s = interior_slacks(polytope, p)
+    s = interior(polytope, residuals(polytope, p))
     return float(((polytope.A @ u) / s).sum())
 
 
@@ -312,16 +311,6 @@ def _search(polytope, p0, sweep, measure, stop_tol, max_iter):
     return run.q, CenterTrace(tuple(rows), converged, seen.get(rows[-1].point), value)
 
 
-def harmonic_point_on_axis(polytope, p, k, tol=1e-10):
-    """Harmonic point of the line through ``p`` parallel to axis ``k`` (1-based).
-
-    Only coordinate ``k`` changes; the others are returned bit-identical.
-    Raises ``ValueError`` for an axis outside ``1..n``.
-    """
-    _positive("tol", tol)
-    return _Search(polytope, p).stages((axis_index(k, polytope.n),), newton_offset, tol)
-
-
 def cs_step(polytope, p, tol=1e-10, *, _run=None):
     """One coordinate-search sweep: n sequential axis updates.
 
@@ -330,10 +319,12 @@ def cs_step(polytope, p, tol=1e-10, *, _run=None):
     the current point, in :class:`~polycenter.model.SlackSum`'s summation
     order, and takes the line's distances from them and the axis-k entry
     of ``polytope.axis_lines``, with no line section or direction vector.
-    The result is bit-identical to n chained :func:`harmonic_point_on_axis`
-    calls, which are one-stage runs of the same loop.  Returns the point
-    after stage n, a new array; with ``_run``, a kept :class:`_Search`
-    whose point is ``p``, the sweep continues it in place.
+    The result is bit-identical to n chained one-axis updates,
+    :func:`~polycenter.harmonic.harmonic_point_on_line` along
+    ``axis_direction(k, n)``, which solve on the same distances in the
+    same order.  Returns the point after stage n, a new array; with
+    ``_run``, a kept :class:`_Search` whose point is ``p``, the sweep
+    continues it in place.
     """
     _positive("tol", tol)
     run = _Search(polytope, p) if _run is None else _run

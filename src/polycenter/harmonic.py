@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lines import point_at, section
+from .lines import section
 from .model import _count, _positive
 
 # F is the dot of the reciprocals with ones; a line's ones are a slice of
@@ -243,7 +243,10 @@ def harmonic_point_on_line(polytope, p, u, tol=1e-10):
     is returned even when that solve runs out of its budget, with
     ``result.converged`` False.  It is strictly interior and is a property
     of the line, not of its orientation: ``u`` and ``-u`` give the same
-    point.  Raises ``ValueError`` unless ``tol > 0``.
+    point.  Along ``axis_direction(k, n)`` it is the one-axis update of the
+    coordinate search, float for float.  Raises ``ValueError`` unless
+    ``tol > 0``, and as :func:`section` does unless ``p`` has shape
+    ``(n,)`` and ``u`` has ``n`` entries.
     """
     res = solve_harmonic_offset(section(polytope, p, u), tol=tol)
-    return point_at(p, u, res.h), res
+    return np.asarray(p, dtype=float) + res.h * np.asarray(u, dtype=float), res

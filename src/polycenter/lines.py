@@ -96,15 +96,6 @@ def checked_unit(u):
     return u
 
 
-def point_at(p, u, t):
-    """The point ``p + t * u``."""
-    p = np.asarray(p, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if p.shape != u.shape:
-        raise ValueError(f"shape mismatch: point {p.shape}, direction {u.shape}")
-    return p + t * u
-
-
 class LineSection(_Frozen):
     """Intersection distances of one line with all m constraints.
 
@@ -216,15 +207,6 @@ def interior(polytope, s):
     return s
 
 
-def interior_slacks(polytope, p):
-    """Slacks at ``p``, which must be strictly interior (:func:`interior`).
-
-    Raises :class:`NotInteriorError` naming the first rows whose slack is
-    at or below ``SLACK_FLOOR`` (NaN included).
-    """
-    return interior(polytope, residuals(polytope, p))
-
-
 def not_interior(polytope, s):
     """The :class:`NotInteriorError` for slacks ``s``, naming the first four
     rows whose slack is not above ``SLACK_FLOOR`` (NaN included) by the
@@ -271,6 +253,6 @@ def section(polytope, p, u):
     in one of the two directions (the polytope is not bounded along it).
     """
     u = checked_unit(u)
-    s = interior_slacks(polytope, p)
+    s = interior(polytope, residuals(polytope, p))
     line = _axis_line(polytope.A @ u)
     return LineSection._of_line(line, s)

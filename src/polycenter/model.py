@@ -155,7 +155,8 @@ class Polytope(_Frozen):
     distance to its boundary.  ``A`` is column-major, so that a block of
     its columns, as :class:`SlackSum` reads it, is one contiguous slab; the
     quotient is taken in place in that copy, the one m x n array made.
-    ``labels``, when given, names each constraint row.  Construction
+    ``labels``, when given, names each constraint row: ``str`` of each
+    entry, or None, which names the row ``c<i + 1>``.  Construction
     requires more rows than columns (``m > n``) and rejects the first row
     with a non-finite entry, else the first whose norm is at most 1e-12
     (:func:`_check_rows`); then, after the labels, the first row whose
@@ -184,7 +185,7 @@ class Polytope(_Frozen):
             )
         norms = _check_rows(A, b)
         if labels is not None:
-            labels = tuple(str(s) for s in labels)
+            labels = tuple(None if s is None else str(s) for s in labels)
             if len(labels) != m:
                 raise PolytopeFormatError(
                     f"{len(labels)} labels for {m} constraints"

@@ -8,8 +8,9 @@ numbers independently of how the package normalizes them.  Each stage
 moves one coordinate to the harmonic point of its axis line, the root of
 ``sum_i 1 / (d_i - h)`` with ``d_i = S_i / A_ik`` over the rows with
 ``A_ik != 0``, found by bisection of the bracket between the nearest
-intersections on either side down to a width of ``BISECT_TOL``.  It shares
-no code with the package.
+intersections on either side down to a width of ``BISECT_TOL``.  The
+harmonic point of a line along any direction is found by the same
+bisection.  It shares no code with the package.
 """
 
 import decimal
@@ -46,7 +47,12 @@ def _f_norm(A, b, x):
 
 def _harmonic_offset(A, s, k):
     """The root of the axis-k line's reciprocal sum, by bisection."""
-    d = [si / row[k] for row, si in zip(A, s) if row[k]]
+    return _root([si / row[k] for row, si in zip(A, s) if row[k]])
+
+
+def _root(d):
+    """The root of ``sum 1 / (v - h)`` over the distances ``d``, bisected
+    between the nearest of them on either side of 0."""
     lo = max(v for v in d if v < 0)
     hi = min(v for v in d if v > 0)
     while hi - lo > BISECT_TOL:
@@ -72,3 +78,18 @@ def search(A, b, start, stop_tol, max_iter=100):
                 x[k] += _harmonic_offset(A, _slacks(A, b, x), k)
             rows.append((x, _f_norm(A, b, x)))
         return rows
+
+
+def harmonic_point(A, b, x, v):
+    """The harmonic point of the line through ``x`` along the direction
+    ``v`` (floats, read as their shortest decimal repr), each a list of
+    ``Decimal``: ``x + h * u`` with ``u = v / |v|`` and ``h`` the root of
+    the line's reciprocal sum, ``d_i = S_i / (A_i . u)`` over the rows with
+    ``A_i . u != 0``."""
+    with decimal.localcontext(decimal.Context(prec=DIGITS)):
+        v = [Decimal(repr(float(c))) for c in v]
+        length = sum(c * c for c in v).sqrt()
+        u = [c / length for c in v]
+        g = [sum(a * c for a, c in zip(row, u)) for row in A]
+        h = _root([si / gi for si, gi in zip(_slacks(A, b, x), g) if gi])
+        return [xj + h * c for xj, c in zip(x, u)]

@@ -33,7 +33,6 @@ from polycenter import (
     find_interior_point,
     harmonic_center,
     harmonic_hyperplane,
-    harmonic_point_on_axis,
     harmonic_point_on_line,
     parse_polytope,
     parse_trace_csv,
@@ -230,7 +229,7 @@ class TestCsStep:
         ]:
             q = np.array(start)
             for k in range(1, poly.n + 1):
-                q = harmonic_point_on_axis(poly, q, k)
+                q = harmonic_point_on_line(poly, q, axis_direction(k, poly.n))[0]
             assert np.array_equal(cs_step(poly, start), q)
 
     def test_square_fixed_point(self, square):
@@ -328,8 +327,6 @@ class TestHarmonicCenter:
                 harmonic_center(square, (0.5, 0.5), inner_tol=inner_tol)
         with pytest.raises(ValueError, match="tol"):
             cs_step(square, (0.5, 0.5), tol=-1.0)
-        with pytest.raises(ValueError, match="tol"):
-            harmonic_point_on_axis(square, (0.5, 0.5), 1, tol=np.nan)
         for tol in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="tol must be positive"):
                 harmonic_point_on_line(square, (0.25, 0.5), (1.0, 0.0), tol=tol)
@@ -365,7 +362,7 @@ class TestStageDiagnostics:
                 q = np.array(p)
                 prev = f_norm(poly, q)
                 for k in range(1, poly.n + 1):
-                    q = harmonic_point_on_axis(poly, q, k)
+                    q, _ = harmonic_point_on_line(poly, q, axis_direction(k, poly.n))
                     cur = f_norm(poly, q)
                     if cur > prev + 1e-12:
                         increases.append((start, sweep + 1, k, prev, cur))
@@ -457,6 +454,21 @@ def _chord_midpoint(sec):
     return 0.5 * (sec.d_plus + sec.d_minus)
 
 
+# the one-axis moves, called as (poly, p, k): the harmonic point of the
+# axis-k line, through harmonic_point_on_line along axis_direction(k, n),
+# and the chord midpoint's one-stage run
+AXIS_MOVES = pytest.mark.parametrize(
+    "call",
+    [
+        lambda poly, p, k: harmonic_point_on_line(
+            poly, p, axis_direction(k, poly.n)
+        )[0],
+        bi_point_on_axis,
+    ],
+    ids=["harmonic_point_on_axis", "bi_point_on_axis"],
+)
+
+
 class TestAxisStageMatchesSection:
     """The axis stage reads its bracket from the slacks and one column of
     ``A``; it must give the same floats as the generic ``section`` path."""
@@ -506,14 +518,15 @@ class TestAxisStageMatchesSection:
 
     @pytest.mark.parametrize("n", [2, 33, 100])
     def test_one_axis_calls(self, n):
-        # one-stage runs of the sweep loop; at n > 32 they cross the
-        # 32-column blocks of the slack sum
+        # a one-stage run of the sweep loop, and the harmonic point of the
+        # axis line, whose point moves only coordinate k; at n > 32 they
+        # cross the 32-column blocks of the slack sum
         rng = np.random.default_rng([431, n])
         poly, anchor = random_polytope(rng, n, extra=2 * n)
         p = random_interior_point(rng, poly, anchor)
         for k in range(1, n + 1):
             assert np.array_equal(
-                harmonic_point_on_axis(poly, p, k),
+                harmonic_point_on_line(poly, p, axis_direction(k, n))[0],
                 _section_stage(poly, p, k, _harmonic_offset),
             )
             assert np.array_equal(
@@ -521,7 +534,7 @@ class TestAxisStageMatchesSection:
                 _section_stage(poly, p, k, _chord_midpoint),
             )
 
-    @pytest.mark.parametrize("call", [harmonic_point_on_axis, bi_point_on_axis])
+    @AXIS_MOVES
     def test_axis_out_of_range(self, square, call):
         # axis_direction's check: no axis moves, whatever k wraps to
         for k in (0, -1, 3):
@@ -535,13 +548,13 @@ class TestAxisStageMatchesSection:
             call(poly, p, k)
         assert str(got.value) == str(ref.value)
 
-    @pytest.mark.parametrize("call", [harmonic_point_on_axis, bi_point_on_axis])
+    @AXIS_MOVES
     def test_exterior_start(self, square, call):
         for p in [(2.0, 0.5), (0.5, -1.0), (1.0, 1.0), (1.5, 1.5)]:
             for k in (1, 2):
                 self._same_error(NotInteriorError, call, square, p, k)
 
-    @pytest.mark.parametrize("call", [harmonic_point_on_axis, bi_point_on_axis])
+    @AXIS_MOVES
     def test_open_axis(self, call):
         # x in (0, 1); y bounded on one side only
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
@@ -574,7 +587,10 @@ INTERIOR_READERS = {
     "f_norm": f_norm,
     "directional_sum": lambda poly, p: directional_sum(poly, p, (1.0, 0.0)),
     "harmonic_hyperplane": harmonic_hyperplane,
-    "harmonic_point_on_axis": lambda poly, p: harmonic_point_on_axis(poly, p, 1),
+    # the harmonic point of the axis-1 line, the one-axis update
+    "harmonic_point_on_axis": lambda poly, p: harmonic_point_on_line(
+        poly, p, axis_direction(1, poly.n)
+    ),
     "bi_point_on_axis": lambda poly, p: bi_point_on_axis(poly, p, 1),
     "cs_step": cs_step,
     "harmonic_center": harmonic_center,
@@ -618,7 +634,9 @@ class TestKeptSearch:
 
     @staticmethod
     def _bi_reference(poly, p0, stop_tol, max_iter):
-        # chained one-axis calls, the stop measure from generic sections
+        # each axis moved to the midpoint of its generic section's chord,
+        # p + h * u, or left where it is when that midpoint is not finite;
+        # the stop measure from generic sections too
         def measure(q):
             return max(
                 abs(_chord_midpoint(section(poly, q, axis_direction(k, poly.n))))
@@ -630,7 +648,10 @@ class TestKeptSearch:
         value = measure(p)
         while value > stop_tol and len(records) <= max_iter:
             for k in range(1, poly.n + 1):
-                p = bi_point_on_axis(poly, p, k)
+                u = axis_direction(k, poly.n)
+                h = _chord_midpoint(section(poly, p, u))
+                if math.isfinite(h):
+                    p = p + h * u
             records.append((p, f_norm(poly, p)))
             value = measure(p)
         return records, value <= stop_tol
@@ -753,7 +774,9 @@ TINY_SLACK_BOX = Polytope(
     "call",
     [
         lambda: cs_step(TINY_SLACK_BOX, (0.0, 0.0)),
-        lambda: harmonic_point_on_axis(TINY_SLACK_BOX, (0.0, 0.0), 1),
+        lambda: harmonic_point_on_line(
+            TINY_SLACK_BOX, (0.0, 0.0), axis_direction(1, 2)
+        ),
         lambda: solve_harmonic_offset(section(TINY_SLACK_BOX, (0.0, 0.0), (1.0, 0.0))),
         # the +x distance overflows to an infinite bracket end
         lambda: cs_step(TestInfiniteChordEnd._poly(), (0.0, 0.0)),

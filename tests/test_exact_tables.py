@@ -2,15 +2,18 @@
 
 ``exact_reference`` runs coordinate search in 60-digit decimal arithmetic
 on each fixture's raw rows; these tests read every number the tables
-print against it, and the float search's trace too.
+print against it, and the float search's trace too.  At the exact
+harmonic center, they check criterion 4: every line through it is
+harmonic.
 """
 
 from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from conftest import DATA, TABLE1, TABLE2
-from exact_reference import read_rows, search
+from exact_reference import harmonic_point, read_rows, search
 from polycenter import harmonic_center, parse_polytope
 
 STOP_TOL = 0.01
@@ -63,3 +66,29 @@ def test_float_trace_follows_the_exact_iterates(exact_traces):
         for rec, (point, fnorm) in zip(trace.records, rows):
             assert max(abs(float(x) - p) for x, p in zip(point, rec.point)) <= 1e-8
             assert abs(float(fnorm) - rec.fnorm) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "name, start",
+    [("example1", (3.0, 0.25)), ("example2", TABLE2[0][0])],
+    ids=["example1", "example2"],
+)
+def test_every_line_through_the_exact_center_is_harmonic(name, start):
+    # the exact search to an f-norm of 1e-25 (12 sweeps for example1, 53
+    # for example2) stands for the center; the harmonic point of each line
+    # through it, along seeded directions off every axis, is the center
+    A, b = read_rows(DATA / f"{name}.poly")
+    rows = search(A, b, start, 1e-25)
+    center = rows[-1][0]
+    assert rows[-1][1] <= Decimal("1e-25")
+    rng = np.random.default_rng([907, len(center)])
+    for _ in range(8):
+        v = rng.normal(size=len(center))
+        assert np.all(np.abs(v) > 1e-3)
+        point = harmonic_point(A, b, center, v)
+        assert max(abs(q - c) for q, c in zip(point, center)) <= Decimal("1e-20")
+    # the float search lands within 1e-9 of it, though its f-norm may stall
+    # above this stop_tol (near 1e-10), unconverged
+    poly = parse_polytope((DATA / f"{name}.poly").read_text())
+    found, _ = harmonic_center(poly, start, stop_tol=1e-12)
+    assert max(abs(float(c) - x) for c, x in zip(center, found)) <= 1e-9

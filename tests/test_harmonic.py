@@ -11,7 +11,6 @@ from polycenter import (
     Polytope,
     axis_direction,
     bisection_oracle,
-    harmonic_point_on_axis,
     harmonic_point_on_line,
     residuals,
     section,
@@ -19,7 +18,7 @@ from polycenter import (
     unit_direction,
 )
 from polycenter.harmonic import _ONES, newton_offset
-from polycenter.lines import line_bracket, point_at
+from polycenter.lines import line_bracket
 
 # root of 1/(-1-h) + 1/(1-h) + 1/(2-h) = 0 inside (-1, 1): the equation
 # clears to 3h^2 - 4h - 1 = 0, and only this quadratic root is bracketed
@@ -300,22 +299,29 @@ class TestHarmonicPoints:
         want = solve_harmonic_offset(section(example1, p, u), tol=tol)
         assert type(res) is type(want) and res == want
         assert res.converged is (tol == 1e-10)
-        assert np.array_equal(q, point_at(p, u, want.h))
+        assert np.array_equal(q, np.asarray(p) + want.h * u)
 
     def test_axis_form_matches_line_form(self, square):
-        q = harmonic_point_on_axis(square, (0.25, 0.5), 1)
+        q, _ = harmonic_point_on_line(square, (0.25, 0.5), axis_direction(1, 2))
         assert np.allclose(q, (0.5, 0.5), atol=1e-10)
 
     def test_axis_fixed_point(self, square):
-        q = harmonic_point_on_axis(square, (0.5, 0.5), 2)
+        q, _ = harmonic_point_on_line(square, (0.5, 0.5), axis_direction(2, 2))
         assert np.allclose(q, (0.5, 0.5), atol=1e-12)
 
     def test_axis_leaves_other_coordinates_bit_identical(self):
         rng = np.random.default_rng(113)
         poly, anchor = random_polytope(rng, 4)
         p = random_interior_point(rng, poly, anchor)
-        q = harmonic_point_on_axis(poly, p, 2)
+        q, _ = harmonic_point_on_line(poly, p, axis_direction(2, 4))
         assert q[0] == p[0] and q[2] == p[2] and q[3] == p[3]
+
+    def test_shape_mismatch(self, square):
+        # section's checks: a point of shape (n,), a direction of n entries
+        with pytest.raises(ValueError, match="point has shape"):
+            harmonic_point_on_line(square, (0.5, 0.5, 0.5), (1.0, 0.0))
+        with pytest.raises(ValueError):
+            harmonic_point_on_line(square, (0.5, 0.5), (1.0, 0.0, 0.0))
 
     def test_result_strictly_interior(self):
         rng = np.random.default_rng(127)

@@ -13,7 +13,6 @@ from polycenter import (
     PolytopeError,
     UnboundedDirectionError,
     axis_direction,
-    point_at,
     residuals,
     section,
     unit_direction,
@@ -34,17 +33,6 @@ class TestAxisDirection:
     def test_out_of_range(self, k):
         with pytest.raises(ValueError):
             axis_direction(k, 2)
-
-
-class TestPointAt:
-    def test_cases(self):
-        assert np.allclose(point_at((0, 0), (1, 0), 2.5), (2.5, 0))
-        assert np.allclose(point_at((1, 1), (0, 1), -1), (1, 0))
-        assert np.allclose(point_at((0.5, 0.5), (0.6, 0.8), 0.5), (0.8, 0.9))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            point_at((0, 0), (1, 0, 0), 1.0)
 
 
 class TestUnitDirection:
@@ -259,7 +247,7 @@ class TestSection:
         u = random_unit(rng, 3)
         sec = section(poly, anchor, u)
         for t in np.linspace(sec.d_minus, sec.d_plus, 102)[1:-1]:
-            assert np.min(residuals(poly, point_at(anchor, u, t))) > 0.0
+            assert np.min(residuals(poly, anchor + t * u)) > 0.0
 
     def test_no_finite_distance_inside_bracket(self):
         rng = np.random.default_rng(29)
@@ -308,7 +296,7 @@ class TestContactConsistency:
                 u = random_unit(rng, n)
                 sec = section(poly, anchor, u)
                 for i in np.flatnonzero(~sec.parallel):
-                    contact = point_at(anchor, u, sec.distances[i])
+                    contact = anchor + sec.distances[i] * u
                     s = residuals(poly, contact)
                     assert abs(s[i]) <= 1e-9
 

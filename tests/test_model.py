@@ -23,7 +23,7 @@ from polycenter import (
     find_interior_point,
     harmonic_center,
     harmonic_hyperplane,
-    harmonic_point_on_axis,
+    harmonic_point_on_line,
     normalize_rows,
     parse_polytope,
     residuals,
@@ -219,6 +219,18 @@ class TestPolytopeInvariants:
         with pytest.raises(PolytopeFormatError, match="^2 labels for 3 constraints$"):
             Polytope(A, np.array([1.0, 1.0, 0.0]), labels=["a", "b"])
 
+    def test_none_label_names_its_row_by_index(self):
+        # a None label stays None, so the row is named c<i + 1>, not "None";
+        # every other label is its str
+        A = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+        poly = Polytope(A, [1.0, 0.0, 1.0, 0.0], labels=[None, "left", None, "bottom"])
+        assert poly.labels == (None, "left", None, "bottom")
+        labels = Polytope(A, poly.b, labels=[1, 2, None, 4.5]).labels
+        assert labels == ("1", "2", None, "4.5")
+        with pytest.raises(NotInteriorError) as exc:
+            section(poly, (1.0, 1.0), (1.0, 0.0))
+        assert str(exc.value) == "point is not strictly interior (rows: c1, c3)"
+
     def test_matrix_shape(self):
         with pytest.raises(PolytopeFormatError, match="two-dimensional"):
             Polytope(np.ones(3), np.ones(3))
@@ -324,7 +336,10 @@ SLACK_READERS = {
     "f_norm": f_norm,
     "directional_sum": lambda poly, p: directional_sum(poly, p, (1.0, 0.0)),
     "harmonic_hyperplane": harmonic_hyperplane,
-    "harmonic_point_on_axis": lambda poly, p: harmonic_point_on_axis(poly, p, 1),
+    # the harmonic point of the axis-1 line, the one-axis update
+    "harmonic_point_on_axis": lambda poly, p: harmonic_point_on_line(
+        poly, p, (1.0, 0.0)
+    ),
     "bi_point_on_axis": lambda poly, p: bi_point_on_axis(poly, p, 1),
     "cs_step": cs_step,
     "harmonic_center": harmonic_center,
