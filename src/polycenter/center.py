@@ -98,8 +98,9 @@ def directional_sum(polytope, p, u):
     Evaluates ``sum_i (A_i . u) / S_i`` directly; by rearrangement this
     equals ``u . f_vector(p)``, so it is zero for every ``u`` at the
     harmonic center and for every in-hyperplane ``u`` at any point.
+    ``ValueError`` unless ``u`` is a unit vector of shape ``(n,)``.
     """
-    u = checked_unit(u)
+    u = checked_unit(u, polytope.n)
     s = interior(polytope, residuals(polytope, p))
     return float(((polytope.A @ u) / s).sum())
 

@@ -88,9 +88,12 @@ def unit_direction(v):
     return v / m / r
 
 
-def checked_unit(u):
-    """``u`` as floats; ``ValueError`` unless a unit vector (NaN is not)."""
+def checked_unit(u, n):
+    """``u`` as floats; ``ValueError`` unless a unit vector (NaN is not) of
+    shape ``(n,)``."""
     u = np.asarray(u, dtype=float)
+    if u.shape != (n,):
+        raise ValueError(f"direction has shape {u.shape}, expected ({n},)")
     if not abs(norm(u) - 1.0) <= _UNIT_TOL:
         raise ValueError("direction must be a unit vector")
     return u
@@ -242,17 +245,18 @@ def line_bracket(line, s):
 def section(polytope, p, u):
     """Section of the line through interior point ``p`` with direction ``u``.
 
-    ``u`` must be a unit vector (a NaN entry is not).  The line's table is
-    ``_axis_line(A @ u)``, so a constraint whose normal is orthogonal to
-    ``u`` within ``PARALLEL_EPS`` is marked parallel (no intersection);
-    near-parallel constraints beyond that threshold keep their huge
-    finite distances, which downstream reciprocal sums handle naturally.
+    ``u`` must be a unit vector of shape ``(n,)`` (a NaN entry is not), or
+    ``ValueError`` is raised.  The line's table is ``_axis_line(A @ u)``,
+    so a constraint whose normal is orthogonal to ``u`` within
+    ``PARALLEL_EPS`` is marked parallel (no intersection); near-parallel
+    constraints beyond that threshold keep their huge finite distances,
+    which downstream reciprocal sums handle naturally.
 
     Raises :class:`NotInteriorError` unless ``p`` is strictly interior, and
     :class:`UnboundedDirectionError` if the line never exits the polytope
     in one of the two directions (the polytope is not bounded along it).
     """
-    u = checked_unit(u)
+    u = checked_unit(u, polytope.n)
     s = interior(polytope, residuals(polytope, p))
     line = _axis_line(polytope.A @ u)
     return LineSection._of_line(line, s)

@@ -104,29 +104,33 @@ def _axis_line(column):
     return AxisLine(rows, g, ahead)
 
 
-def _check_rows(A, b, line=None):
+def _check_rows(A, b, lines=None):
     """The one rule for the rows of ``A @ x <= b``: raise
-    :class:`PolytopeFormatError` for the first row with a non-finite entry
-    in ``A`` or ``b``, else for the first whose norm is at most
-    ``_ZERO_ROW_TOL``.  The error names the row's index, or, for the one
-    row of a file line, the ``line``.  Returns the row norms.
+    :class:`PolytopeFormatError` for the first bad row in row order.  A row
+    is bad when it has a non-finite entry in ``A`` or ``b``, else when its
+    norm is at most ``_ZERO_ROW_TOL``; so ``0 0 nan`` is a non-finite
+    entry.  The error names ``lines[i]``, the file line of row ``i``, when
+    ``lines`` is given, else the row's index.  Returns the row norms.
 
     The squares are summed by ``einsum``, so no m x n temporary is made.  A
     non-finite entry makes the sum non-finite, and so do finite entries
-    whose squares overflow; only rows with a non-finite sum are read again.
+    whose squares overflow; only rows with a non-finite sum or a zero norm
+    are read again.
     """
     norms = np.sqrt(np.einsum("ij,ij->i", A, A))
-    finite = np.isfinite(norms) & np.isfinite(b)
-    if not finite.all():
-        rows = np.flatnonzero(~finite)
-        bad = rows[~(np.isfinite(A[rows]).all(axis=1) & np.isfinite(b[rows]))]
-        if bad.size:
-            at = f" in row at index {bad[0]}" if line is None else ""
-            raise PolytopeFormatError("non-finite entry" + at, line=line)
-    zero = np.flatnonzero(norms <= _ZERO_ROW_TOL)
-    if zero.size:
-        at = f" at index {zero[0]}" if line is None else ""
-        raise PolytopeFormatError("zero coefficient row" + at, line=line)
+    suspect = ~(np.isfinite(norms) & np.isfinite(b))
+    zero = norms <= _ZERO_ROW_TOL
+    if suspect.any() or zero.any():
+        rows = np.flatnonzero(suspect | zero)
+        finite = np.isfinite(A[rows]).all(axis=1) & np.isfinite(b[rows])
+        bad = ~finite | zero[rows]
+        if bad.any():
+            j = bad.argmax()
+            error = "zero coefficient row" if finite[j] else "non-finite entry"
+            if lines is not None:
+                raise PolytopeFormatError(error, line=lines[rows[j]])
+            at = " at index" if finite[j] else " in row at index"
+            raise PolytopeFormatError(f"{error}{at} {rows[j]}")
     return norms
 
 
@@ -157,14 +161,14 @@ class Polytope(_Frozen):
     quotient is taken in place in that copy, the one m x n array made.
     ``labels``, when given, names each constraint row: ``str`` of each
     entry, or None, which names the row ``c<i + 1>``.  Construction
-    requires more rows than columns (``m > n``) and rejects the first row
-    with a non-finite entry, else the first whose norm is at most 1e-12
-    (:func:`_check_rows`); then, after the labels, the first row whose
-    quotient breaks that rule: a norm that overflowed leaves a zero row, a
-    tiny one can overflow ``b_i``.  It does not verify boundedness.  The
-    per-axis table :attr:`axis_lines` is derived from ``A`` on first use
-    and kept; it is read-only too.  Polytopes compare and hash by identity,
-    and their fields cannot be reassigned.
+    requires more rows than columns (``m > n``) and rejects, by its index,
+    the first row in row order with a non-finite entry or else a norm of at
+    most 1e-12 (:func:`_check_rows`); then, after the labels, the first row
+    whose quotient breaks that rule: a norm that overflowed leaves a zero
+    row, a tiny one can overflow ``b_i``.  It does not verify boundedness.
+    The per-axis table :attr:`axis_lines` is derived from ``A`` on first
+    use and kept; it is read-only too.  Polytopes compare and hash by
+    identity, and their fields cannot be reassigned.
     """
 
     def __init__(self, A, b, labels=None):
@@ -187,9 +191,7 @@ class Polytope(_Frozen):
         if labels is not None:
             labels = tuple(None if s is None else str(s) for s in labels)
             if len(labels) != m:
-                raise PolytopeFormatError(
-                    f"{len(labels)} labels for {m} constraints"
-                )
+                raise PolytopeFormatError(f"{len(labels)} labels for {m} constraints")
         A /= norms[:, None]
         b /= norms
         _check_rows(A, b)
@@ -237,77 +239,77 @@ def normalize_rows(polytope):
 def parse_polytope(text):
     """Parse ``.poly`` file content into a row-normalized :class:`Polytope`.
 
-    Raises :class:`PolytopeFormatError` (with the offending line number) on
-    syntax errors, rows that :func:`_check_rows` rejects, ``m <= n``, or
-    row/dimension mismatches; a row that turns zero or non-finite only
-    when normalized is named by its index.
+    Raises :class:`PolytopeFormatError`, naming the offending line, on
+    syntax errors, ``m <= n``, row/dimension mismatches, or rows that
+    :func:`_check_rows` rejects.  The rows are checked together, once:
+    reading stops at the first syntax or value error, and the first bad
+    row on an earlier line is reported before it.  A row that turns zero or
+    non-finite only when normalized is named by its index.
     """
-    dims = None
-    rows, rhs, labels = [], [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if dims is None:
-            if tokens[0] != "dims" or len(tokens) != 3:
-                raise PolytopeFormatError(
-                    "expected header 'dims <m> <n>'", line=lineno
-                )
-            try:
-                m, n = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise PolytopeFormatError(
-                    "dims header takes two integers", line=lineno
-                ) from None
-            if m < 1 or n < 1:
-                raise PolytopeFormatError("dims must be positive", line=lineno)
-            if m <= n:
-                raise PolytopeFormatError(
-                    f"need more constraints than dimensions, got m={m} <= n={n}",
-                    line=lineno,
-                )
-            dims = (m, n)
-            continue
-        m, n = dims
-        if len(rows) == m:
-            raise PolytopeFormatError(
-                f"extra data after {m} constraint rows", line=lineno
-            )
-        label = None
-        if len(tokens) == n + 2:
-            try:
-                float(tokens[-1])
-            except ValueError:
-                label = tokens[-1]
-                tokens = tokens[:-1]
-            else:
-                raise PolytopeFormatError(
-                    f"row has {n + 2} numbers, expected {n} coefficients "
-                    "and one right-hand side",
-                    line=lineno,
-                )
-        if len(tokens) != n + 1:
-            raise PolytopeFormatError(
-                f"row has {len(tokens)} fields, expected {n + 1}", line=lineno
-            )
-        try:
-            values = [float(t) for t in tokens]
-        except ValueError as exc:
-            raise PolytopeFormatError(str(exc), line=lineno) from None
-        row = np.array(values)
-        _check_rows(row[None, :n], row[n:], line=lineno)
-        rows.append(row[:n])
-        rhs.append(values[n])
-        labels.append(label)
-    if dims is None:
+    content = (
+        (lineno, line.split())
+        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
+        if line and not line.startswith("#")
+    )
+    lineno, tokens = next(content, (None, None))
+    if tokens is None:
         raise PolytopeFormatError("missing 'dims <m> <n>' header")
-    if len(rows) != dims[0]:
+    if tokens[0] != "dims" or len(tokens) != 3:
+        raise PolytopeFormatError("expected header 'dims <m> <n>'", line=lineno)
+    try:
+        m, n = int(tokens[1]), int(tokens[2])
+    except ValueError:
         raise PolytopeFormatError(
-            f"expected {dims[0]} constraint rows, found {len(rows)}"
+            "dims header takes two integers", line=lineno
+        ) from None
+    if m < 1 or n < 1:
+        raise PolytopeFormatError("dims must be positive", line=lineno)
+    if m <= n:
+        raise PolytopeFormatError(
+            f"need more constraints than dimensions, got m={m} <= n={n}", line=lineno
         )
-    named = tuple(_row_label(labels, i) for i in range(len(labels)))
-    return Polytope(np.array(rows), np.array(rhs), named)
+    values, lines, labels = [], [], []
+    held = None
+    try:
+        for lineno, tokens in content:
+            if len(lines) == m:
+                raise PolytopeFormatError(
+                    f"extra data after {m} constraint rows", line=lineno
+                )
+            label = f"c{len(lines) + 1}"
+            if len(tokens) == n + 2:
+                try:
+                    float(tokens[-1])
+                except ValueError:
+                    label = tokens[-1]
+                    tokens = tokens[:-1]
+                else:
+                    raise PolytopeFormatError(
+                        f"row has {n + 2} numbers, expected {n} coefficients "
+                        "and one right-hand side",
+                        line=lineno,
+                    )
+            if len(tokens) != n + 1:
+                raise PolytopeFormatError(
+                    f"row has {len(tokens)} fields, expected {n + 1}", line=lineno
+                )
+            try:
+                values.append([float(t) for t in tokens])
+            except ValueError as exc:
+                raise PolytopeFormatError(str(exc), line=lineno) from None
+            lines.append(lineno)
+            labels.append(label)
+    except PolytopeFormatError as exc:
+        held = exc
+    # the rows read before the error that stopped the reading come first
+    if lines:
+        rows = np.array(values)
+        _check_rows(rows[:, :n], rows[:, n], lines)
+    if held is not None:
+        raise held
+    if len(lines) != m:
+        raise PolytopeFormatError(f"expected {m} constraint rows, found {len(lines)}")
+    return Polytope(rows[:, :n], rows[:, n], labels)
 
 
 def load_polytope(path):

@@ -320,7 +320,7 @@ class TestHarmonicPoints:
         # section's checks: a point of shape (n,), a direction of n entries
         with pytest.raises(ValueError, match="point has shape"):
             harmonic_point_on_line(square, (0.5, 0.5, 0.5), (1.0, 0.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="direction has shape"):
             harmonic_point_on_line(square, (0.5, 0.5), (1.0, 0.0, 0.0))
 
     def test_result_strictly_interior(self):

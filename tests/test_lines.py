@@ -13,6 +13,8 @@ from polycenter import (
     PolytopeError,
     UnboundedDirectionError,
     axis_direction,
+    directional_sum,
+    harmonic_point_on_line,
     residuals,
     section,
     unit_direction,
@@ -207,6 +209,28 @@ class TestSection:
     def test_non_unit_direction_rejected(self, square):
         with pytest.raises(ValueError):
             section(square, (0.5, 0.5), (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "read", [section, harmonic_point_on_line, directional_sum]
+    )
+    @pytest.mark.parametrize(
+        "n, u, shape",
+        [
+            (1, [[1.0]], "(1, 1)"),
+            (1, 1.0, "()"),
+            (2, [[1.0], [0.0]], "(2, 1)"),
+            (2, [1.0, 0.0, 0.0], "(3,)"),
+            (2, [[1.0, 0.0]], "(1, 2)"),
+        ],
+    )
+    def test_direction_of_the_wrong_shape_rejected(self, read, n, u, shape):
+        # each is a unit vector, but not of shape (n,): it used to raise
+        # TypeError at n = 1, and numpy's "shapes not aligned" at n = 2
+        A = np.vstack([np.eye(n), -np.eye(n), np.ones((1, n))])
+        poly = Polytope(A, np.ones(2 * n + 1))
+        with pytest.raises(ValueError) as exc:
+            read(poly, np.full(n, 0.25), u)
+        assert str(exc.value) == f"direction has shape {shape}, expected ({n},)"
 
     @pytest.mark.parametrize("u", [(np.nan, 0.0), (0.0, np.nan), (np.nan, np.nan)])
     def test_nan_direction_rejected(self, square, u):

@@ -302,8 +302,9 @@ class TestRowRule:
     def test_same_error_everywhere(self, row, rhs, error, on_normalize):
         A, b, text = self._rows(row, rhs)
         at = " in row at index 1" if error == NON_FINITE else " at index 1"
-        # the parser checks each raw row as it reads its line; Polytope
-        # checks all the raw rows, then their quotients by the row norms
+        # the parser checks the raw rows and names the line; Polytope checks
+        # the raw rows, then their quotients by the row norms, and names the
+        # index
         parse_message = error + at if on_normalize else f"line 3: {error}"
         with np.errstate(over="ignore"):
             with pytest.raises(PolytopeFormatError) as lib:
@@ -321,12 +322,74 @@ class TestRowRule:
 
     def test_first_bad_line_wins(self):
         # a zero row on line 2 comes before a non-finite one on line 3;
-        # Polytope, which sees every row at once, names the non-finite one
+        # Polytope names the same row, the first bad one in row order
         text = "dims 4 2\n0 0 1\nnan 1 1\n1 0 1\n0 1 1\n"
         with pytest.raises(PolytopeFormatError, match="^line 2: zero"):
             parse_polytope(text)
-        with pytest.raises(PolytopeFormatError, match="index 1$"):
+        with pytest.raises(PolytopeFormatError) as exc:
             Polytope([[0, 0], [math.nan, 1], [1, 0], [0, 1]], [1, 1, 1, 1])
+        assert str(exc.value) == "zero coefficient row at index 0"
+
+
+class TestParseErrorOrder:
+    """The first error in the file wins: reading stops at the first syntax
+    or value error, and a bad row on an earlier line is reported before
+    it."""
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # a zero row before a value error on a later line, and the reverse
+            ("0 0 1\n1 x 1\n1 0 1\n0 1 1\n", "line 2: zero coefficient row"),
+            (
+                "1 x 1\n0 0 1\n1 0 1\n0 1 1\n",
+                "line 2: could not convert string to float: 'x'",
+            ),
+            # comments and blank lines between rows count as file lines
+            ("# c\n\nnan 0 1\n\n1 x 1\n1 0 1\n0 1 1\n", "line 4: non-finite entry"),
+            # a row error before a later syntax error, and the reverse
+            ("0 0 nan\n1 0\n1 0 1\n0 1 1\n", "line 2: non-finite entry"),
+            ("1 0\n0 0 nan\n1 0 1\n0 1 1\n", "line 2: row has 2 fields, expected 3"),
+            (
+                "1 0 1 7\n0 0 1\n1 0 1\n0 1 1\n",
+                "line 2: row has 4 numbers, expected 2 coefficients "
+                "and one right-hand side",
+            ),
+            # a row error before extra data, and extra data alone
+            ("-1 0 0\n0 -1 0\n0 0 1\n1 1 1\n5 5 5\n", "line 4: zero coefficient row"),
+            (
+                "-1 0 0\n0 -1 0\n1 0 1\n1 1 1\n5 5 5\n",
+                "line 6: extra data after 4 constraint rows",
+            ),
+            # a row error before too few rows, and too few rows alone
+            ("-1 0 0\n0 -1 0\n1 1 inf\n", "line 4: non-finite entry"),
+            ("-1 0 0\n0 -1 0\n1 1 1\n", "expected 4 constraint rows, found 3"),
+        ],
+    )
+    def test_first_error_in_the_file_wins(self, body, message):
+        with pytest.raises(PolytopeFormatError) as exc:
+            parse_polytope("dims 4 2\n" + body)
+        assert str(exc.value) == message
+
+    def test_same_floats_as_the_rows_written(self):
+        # each row written with repr, so that the parse gives its floats back
+        rng = np.random.default_rng(2000)
+        m, n = 2000, 20
+        A = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-5, 5, size=(m, 1))
+        b = rng.uniform(1, 2, m) * 10.0 ** rng.uniform(-5, 5, m)
+        names = [f"row_{i}" if i % 3 == 0 else f"c{i + 1}" for i in range(m)]
+        text = ["# seeded rows\n", f"dims {m} {n}\n"]
+        for i in range(m):
+            if i % 7 == 0:
+                text.append("\n# a comment\n")
+            label = f" {names[i]}" if i % 3 == 0 else ""
+            row = A[i].tolist() + [b[i].item()]
+            text.append(" ".join(map(repr, row)) + label + "\n")
+        parsed = parse_polytope("".join(text))
+        want = Polytope(A, b, names)
+        assert np.array_equal(parsed.A, want.A)
+        assert np.array_equal(parsed.b, want.b)
+        assert parsed.labels == want.labels
 
 
 # Every function that reads the slacks of a point, called at ``p``.
@@ -551,17 +614,18 @@ class TestNormalizeRows:
 
     def test_overflow_keeps_construction_errors(self):
         # a row norm that overflows leaves a zero row, a tiny norm can
-        # overflow b: the errors of the row rule, non-finite first, raised
-        # by Polytope on the quotients of rows that passed it
-        A = [[1.0, 0.0], [1e200, 1e200], [0.0, 1.0], [1e-11, -1e-11]]
+        # overflow b: the errors of the row rule, raised by Polytope on the
+        # quotients of rows that passed it.  Row 1 is the overflowing row,
+        # or a plain one, so that the first bad quotient is row 3's
         cases = [
-            ([1.0, 1.0, 1.0, 1.0], "zero coefficient row at index 1"),
-            ([1.0, 1.0, 1.0, 1e300], "non-finite entry in row at index 3"),
+            ([1e200, 1e200], 1.0, "zero coefficient row at index 1"),
+            ([-1.0, -1.0], 1e300, "non-finite entry in row at index 3"),
         ]
-        for b, message in cases:
+        for row, rhs, message in cases:
+            A = [[1.0, 0.0], row, [0.0, 1.0], [1e-11, -1e-11]]
             with np.errstate(over="ignore"):
                 with pytest.raises(PolytopeFormatError, match=message):
-                    Polytope(A, b)
+                    Polytope(A, [1.0, 1.0, 1.0, rhs])
 
     def test_feasible_set_preserved(self):
         rng = np.random.default_rng(11)
