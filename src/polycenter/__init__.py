@@ -20,7 +20,6 @@ from .center import (
     f_vector,
     harmonic_center,
     harmonic_hyperplane,
-    parse_trace_csv,
 )
 from .errors import (
     DegenerateAtCenterError,
@@ -42,7 +41,6 @@ from .model import (
     Polytope,
     find_interior_point,
     load_polytope,
-    normalize_rows,
     parse_polytope,
     residuals,
 )
@@ -78,9 +76,7 @@ __all__ = [
     "harmonic_hyperplane",
     "harmonic_point_on_line",
     "load_polytope",
-    "normalize_rows",
     "parse_polytope",
-    "parse_trace_csv",
     "residuals",
     "section",
     "solve_harmonic_offset",

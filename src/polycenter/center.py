@@ -190,31 +190,6 @@ def csv_rows(*rows):
     return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def parse_trace_csv(text):
-    """Parse trace CSV back into the tuple of :class:`TraceRecord`.
-
-    Values written by :meth:`CenterTrace.to_csv` round-trip exactly.  Blank
-    lines are skipped.  ``ValueError`` for a text with no header, a header
-    not ``iter,...,fnorm``, or a row whose cell count differs from it.
-    """
-    rows = [line.split(",") for line in text.splitlines() if line.strip()]
-    if not rows:
-        raise ValueError("empty trace CSV")
-    header, *body = rows
-    if header[0] != "iter" or header[-1] != "fnorm":
-        raise ValueError(f"unexpected trace header: {header}")
-    for row in body:
-        if len(row) != len(header):
-            raise ValueError(
-                f"trace row {','.join(row)!r} has {len(row)} cells, "
-                f"header has {len(header)}"
-            )
-    return tuple(
-        TraceRecord(int(row[0]), tuple(map(float, row[1:-1])), float(row[-1]))
-        for row in body
-    )
-
-
 def _midpoint(d, lo, hi, tol):
     """The chord midpoint, as a move like ``newton_offset``: exact if finite."""
     h = 0.5 * (hi + lo)

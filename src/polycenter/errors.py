@@ -13,13 +13,15 @@ class PolytopeError(Exception):
 
 
 class PolytopeFormatError(PolytopeError):
-    """Invalid polytope data: bad file syntax, zero row, m <= n, shape mismatch."""
+    """Invalid polytope data: bad file syntax, zero row, m <= n, shape mismatch.
+
+    With ``line``, the file line it names, the message starts ``line N:``.
+    """
 
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class NotInteriorError(PolytopeError):

@@ -42,6 +42,9 @@ _ONES.setflags(write=False)
 # half the largest float: the sum of two ends within it is finite
 _HALF_MAX = sys.float_info.max / 2
 
+# the iterations of one line solve, newton_offset's, before it gives up
+LINE_BUDGET = 100
+
 
 class HarmonicSolveResult(NamedTuple):
     """Root-solve outcome; a named tuple, so it compares and hashes by field.
@@ -61,7 +64,7 @@ class HarmonicSolveResult(NamedTuple):
     converged: bool
 
 
-def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
+def newton_offset(d, lo, hi, tol=1e-10):
     """Root of ``sum 1/(d_i - h)`` in the bracket ``lo < 0 < hi``.
 
     The one Newton loop of the package: :func:`solve_harmonic_offset` runs
@@ -76,9 +79,9 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     ``hi - lo``.  A bracket with an infinite end meets neither stop: every
     distance on that side overflowed, so ``F`` keeps one sign at every
     finite ``h`` and has no root among the floats.  Such a solve runs out
-    of ``max_iter`` with ``converged=False`` and a finite ``h``: a step
-    with no finite Newton value and no finite midpoint leaves ``h`` where
-    it is.
+    of its budget, :data:`LINE_BUDGET` (100) iterations, with
+    ``converged=False`` and a finite ``h``: a step with no finite Newton
+    value and no finite midpoint leaves ``h`` where it is.
 
     Each iteration computes ``inv = 1 / (d - h)`` once, into one buffer
     (``1 / d`` at the start, ``h = 0``), and takes ``F = inv @ ones`` and
@@ -112,7 +115,7 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     says.
 
     Returns ``(h, iterations, residual, converged)``; ``converged`` is
-    False only when ``max_iter`` ran out, and ``h`` is then the last
+    False only when the budget ran out, and ``h`` is then the last
     bracketed estimate, or when ``F`` was NaN at the start, ``h = 0``.
     """
     width = hi - lo
@@ -125,7 +128,7 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     ones = _ONES[: d.size] if d.size <= _ONES.size else np.ones(d.size)
     converged = False
     its = 0
-    for its in range(1, max_iter + 1):
+    for its in range(1, LINE_BUDGET + 1):
         f = float(inv.dot(ones))
         if abs(f) <= f_tol:
             converged = True
@@ -154,7 +157,7 @@ def newton_offset(d, lo, hi, tol=1e-10, max_iter=100):
     return h, its, f, converged
 
 
-def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
+def solve_harmonic_offset(sec, tol=1e-10):
     """Solve ``sum 1/(d_i - h) = 0`` on the feasible bracket of ``sec``.
 
     Runs :func:`newton_offset` on the section's distances as it keeps them,
@@ -164,7 +167,10 @@ def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
     line gives the coordinate search's floats bit for bit.  The solve runs
     under ``np.errstate(all="ignore")``, set once per call: its overflow
     and ``inf - inf`` are values it handles (see :func:`newton_offset`).
-    :func:`section` keeps the caller's state.
+    :func:`section` keeps the caller's state.  The solve has
+    :func:`newton_offset`'s budget, :data:`LINE_BUDGET` (100) iterations;
+    when it runs out, the result carries ``converged=False`` instead of
+    raising.
 
     Parameters
     ----------
@@ -174,19 +180,15 @@ def solve_harmonic_offset(sec, tol=1e-10, max_iter=100):
     tol : float
         Tolerance (> 0, else ``ValueError``) on the reciprocal sum, with a
         relative bracket-width fallback for poles too steep to meet it in float64.
-    max_iter : int
-        Iteration cap (>= 0, else ``ValueError``); on exhaustion the result
-        carries ``converged=False`` instead of raising.
 
     Returns
     -------
     HarmonicSolveResult
     """
     _positive("tol", tol)
-    _count("max_iter", max_iter)
     d = sec._ordered
     with np.errstate(all="ignore"):
-        h, its, f, converged = newton_offset(d, sec.d_minus, sec.d_plus, tol, max_iter)
+        h, its, f, converged = newton_offset(d, sec.d_minus, sec.d_plus, tol)
     return HarmonicSolveResult(h, its, f, converged)
 
 
@@ -199,10 +201,11 @@ def bisection_oracle(sec, tol=1e-10, max_iter=200):
     end has no root among the floats (the sum keeps one sign): it bisects
     the bracket's part within half the largest float, meets no stop, and
     returns a finite ``h`` with ``converged=False``.  It shares its
-    ``ValueError`` unless ``tol > 0`` and ``max_iter >= 0`` with
-    :func:`solve_harmonic_offset`, and deliberately neither its root
-    iteration nor its summation order (it sums ``finite_distances``, in row
-    order): it exists to cross-check it.
+    ``ValueError`` unless ``tol > 0`` with :func:`solve_harmonic_offset`,
+    and raises one unless ``max_iter >= 0`` too.  Deliberately, it shares
+    neither the root iteration nor the summation order (it sums
+    ``finite_distances``, in row order): it exists to cross-check them,
+    at a budget the cross-check sets.
     ``residual`` is the sum at the returned ``h``, also when ``max_iter``
     is 0 and ``h`` is the midpoint of the shrunk bracket.
     """

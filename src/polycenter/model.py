@@ -38,6 +38,9 @@ BLOCK = 32
 # point is strictly interior when every slack is above it (NaN is not).
 SLACK_FLOOR = 2.0 ** -1024
 
+# The projection steps find_interior_point takes before it gives up.
+INTERIOR_BUDGET = 1000
+
 
 def _row_label(labels, i):
     """Display name of row ``i`` (0-based): ``labels[i]``, or ``c<i + 1>``
@@ -109,28 +112,36 @@ def _check_rows(A, b, lines=None):
     :class:`PolytopeFormatError` for the first bad row in row order.  A row
     is bad when it has a non-finite entry in ``A`` or ``b``, else when its
     norm is at most ``_ZERO_ROW_TOL``; so ``0 0 nan`` is a non-finite
-    entry.  The error names ``lines[i]``, the file line of row ``i``, when
-    ``lines`` is given, else the row's index.  Returns the row norms.
+    entry.  After every such row comes the first row whose quotient by its
+    norm, the unit row :class:`Polytope` keeps, breaks the rule: a norm
+    that overflowed leaves a zero row, and ``b_i`` over a tiny norm can
+    overflow to a non-finite entry.  The error names ``lines[i]``, the file
+    line of row ``i``, when ``lines`` is given, else the row's index.
+    Returns the row norms.
 
     The squares are summed by ``einsum``, so no m x n temporary is made.  A
     non-finite entry makes the sum non-finite, and so do finite entries
-    whose squares overflow; only rows with a non-finite sum or a zero norm
-    are read again.
+    whose squares overflow.  The quotients are read as m-vectors, the norms
+    and ``b / norms``; only the rows they flag are read again.  The check
+    runs under its own ``np.errstate(all="ignore")``: an overflowed square,
+    a division by a zero norm and an overflowed quotient are values it
+    reads, so it warns under no caller's state.
     """
-    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
-    suspect = ~(np.isfinite(norms) & np.isfinite(b))
-    zero = norms <= _ZERO_ROW_TOL
-    if suspect.any() or zero.any():
-        rows = np.flatnonzero(suspect | zero)
+    with np.errstate(all="ignore"):
+        norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+        unit = (norms > _ZERO_ROW_TOL) & (norms < np.inf) & np.isfinite(b / norms)
+    if not unit.all():
+        rows = np.flatnonzero(~unit)
         finite = np.isfinite(A[rows]).all(axis=1) & np.isfinite(b[rows])
-        bad = ~finite | zero[rows]
-        if bad.any():
-            j = bad.argmax()
-            error = "zero coefficient row" if finite[j] else "non-finite entry"
-            if lines is not None:
-                raise PolytopeFormatError(error, line=lines[rows[j]])
-            at = " at index" if finite[j] else " in row at index"
-            raise PolytopeFormatError(f"{error}{at} {rows[j]}")
+        # the first flagged row bad as it is; with none, argmax gives 0, the
+        # first flagged row, which is bad only in its quotient
+        j = (~finite | (norms[rows] <= _ZERO_ROW_TOL)).argmax()
+        zero = finite[j] and not _ZERO_ROW_TOL < norms[rows[j]] < np.inf
+        error = "zero coefficient row" if zero else "non-finite entry"
+        if lines is not None:
+            raise PolytopeFormatError(error, line=lines[rows[j]])
+        at = " at index" if zero else " in row at index"
+        raise PolytopeFormatError(f"{error}{at} {rows[j]}")
     return norms
 
 
@@ -163,9 +174,10 @@ class Polytope(_Frozen):
     entry, or None, which names the row ``c<i + 1>``.  Construction
     requires more rows than columns (``m > n``) and rejects, by its index,
     the first row in row order with a non-finite entry or else a norm of at
-    most 1e-12 (:func:`_check_rows`); then, after the labels, the first row
-    whose quotient breaks that rule: a norm that overflowed leaves a zero
-    row, a tiny one can overflow ``b_i``.  It does not verify boundedness.
+    most 1e-12; then the first row whose quotient breaks that rule: a norm
+    that overflowed leaves a zero row, a tiny one can overflow ``b_i``
+    (:func:`_check_rows`).  A labels count other than ``m`` is rejected
+    after every row error.  It does not verify boundedness.
     The per-axis table :attr:`axis_lines` is derived from ``A`` on first
     use and kept; it is read-only too.  Polytopes compare and hash by
     identity, and their fields cannot be reassigned.
@@ -194,7 +206,6 @@ class Polytope(_Frozen):
                 raise PolytopeFormatError(f"{len(labels)} labels for {m} constraints")
         A /= norms[:, None]
         b /= norms
-        _check_rows(A, b)
         A.setflags(write=False)
         b.setflags(write=False)
         self.__dict__.update(A=A, b=b, labels=labels)
@@ -232,7 +243,11 @@ class Polytope(_Frozen):
 
 def normalize_rows(polytope):
     """Return ``polytope`` itself: its rows are unit already, since
-    :class:`Polytope` divides every row by its norm when it is made."""
+    :class:`Polytope` divides every row by its norm when it is made.
+
+    Not exported: kept only for the benchmark, whose workloads
+    (``perfbench/workloads.py``) call ``model.normalize_rows`` and whose
+    tracer wraps it as its ``model.polytope_build`` span."""
     return polytope
 
 
@@ -243,8 +258,8 @@ def parse_polytope(text):
     syntax errors, ``m <= n``, row/dimension mismatches, or rows that
     :func:`_check_rows` rejects.  The rows are checked together, once:
     reading stops at the first syntax or value error, and the first bad
-    row on an earlier line is reported before it.  A row that turns zero or
-    non-finite only when normalized is named by its index.
+    row on an earlier line is reported before it, also a row that turns
+    zero or non-finite only when normalized.
     """
     content = (
         (lineno, line.split())
@@ -374,7 +389,7 @@ def residuals(polytope, p):
     return SlackSum(polytope, np.asarray(p, dtype=float)).slacks()
 
 
-def find_interior_point(polytope, max_iter=1000):
+def find_interior_point(polytope):
     """Search for a strictly interior point by relaxation projection.
 
     Starting from the origin, repeatedly projects onto the worst (smallest
@@ -386,11 +401,9 @@ def find_interior_point(polytope, max_iter=1000):
 
     This is a convenience for callers without a known interior point; a
     user-supplied start is preferred.  Raises :class:`InteriorSearchError`
-    after ``max_iter`` projections, which signals an empty or degenerate
-    interior (or an unreasonably small budget), and ``ValueError`` unless
-    ``max_iter >= 0``.
+    after :data:`INTERIOR_BUDGET` (1000) projections, which signals an
+    empty or degenerate interior.
     """
-    _count("max_iter", max_iter)
     A = polytope.A
     sq = np.einsum("ij,ij->i", A, A)
     x = np.zeros(polytope.n)
@@ -398,7 +411,7 @@ def find_interior_point(polytope, max_iter=1000):
     target = 1.0
     stall_limit = max(20, 2 * polytope.m)
     stalled = 0
-    for _ in range(max_iter):
+    for _ in range(INTERIOR_BUDGET):
         s = residuals(polytope, x)
         worst = int(np.argmin(s))
         smin = float(s[worst])
@@ -414,5 +427,5 @@ def find_interior_point(polytope, max_iter=1000):
                 stalled = 0
         x = x - (target - smin) * A[worst] / sq[worst]
     raise InteriorSearchError(
-        f"no strictly interior point found in {max_iter} projection steps"
+        f"no strictly interior point found in {INTERIOR_BUDGET} projection steps"
     )

@@ -191,7 +191,7 @@ def test_criterion_9_error_paths(square, tmp_path):
             np.array([0.0, -1.0, 5.0, 5.0]),
         )
         with pytest.raises(InteriorSearchError):
-            find_interior_point(empty, max_iter=400)
+            find_interior_point(empty)
         open_poly = Polytope(
             np.array([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
             np.array([0.0, 5.0, 5.0]),

@@ -20,7 +20,7 @@ from polycenter import (
     bi_center,
     cli,
     harmonic_center,
-    parse_trace_csv,
+    load_polytope,
 )
 from polycenter.cli import (
     EXIT_INFEASIBLE,
@@ -72,10 +72,10 @@ class TestCenterCommand:
             ]
         )
         assert code == EXIT_OK
-        records = parse_trace_csv(trace_path.read_text())
-        assert len(records) == 4
-        assert records[0].iteration == 0
-        assert records[-1].fnorm <= 0.01
+        # the file is the library run's trace, byte for byte
+        _, trace = harmonic_center(load_polytope(EXAMPLE2), (1.0, 2.0, 2.5, 1.3))
+        assert trace_path.read_bytes() == trace.to_csv().encode()
+        assert trace.iterations == 3 and trace.final.fnorm <= 0.01
 
     def test_csv_format_matches_trace_file(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.csv"
@@ -607,12 +607,13 @@ def test_option_a_command_does_not_read_is_bad_usage(capsys, argv):
             "not converged after 100 iterations "
             "(the line solve missed --inner-tol 1e-10)\n",
         ),
-        # the norm of row 1 overflows, so the normalized row is zero
+        # the norm of row 1 overflows, so the normalized row is zero; the
+        # parse finds it and names its line
         (
             "1e200 1e200 1\n-1 0 1\n1 0 1\n0 -1 1\n",
             ["center"],
             EXIT_PARSE,
-            "error: zero coefficient row at index 0\n",
+            "error: line 2: zero coefficient row\n",
         ),
         # the f-vector (1e200, 0) at the start squares to inf: its norm
         # rescales, under the command's error state
@@ -886,9 +887,14 @@ def test_center_names_a_stalled_search(capsys, tmp_path, fixture):
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
     assert payload["iterations"] < 1000 and not payload["converged"]
-    records = parse_trace_csv(trace_path.read_text())
-    assert len(records) == payload["iterations"] + 1
-    assert records[-1].point == records[-2].point
+    # the file is the library run's trace, byte for byte, which ends on two
+    # rows with one point
+    start = tuple(map(float, STARTS[fixture].split(",")))
+    _, trace = harmonic_center(
+        load_polytope(argv[1]), start, stop_tol=1e-300, max_iter=1000
+    )
+    assert trace_path.read_bytes() == trace.to_csv().encode()
+    assert trace.iterations == payload["iterations"] and trace.stalled
     assert re.fullmatch(
         rf"not converged after {payload['iterations']} iterations "
         r"\(fnorm \S+ > 1e-300; the last sweep moved nothing at --inner-tol "

@@ -17,7 +17,8 @@ from polycenter import (
     solve_harmonic_offset,
     unit_direction,
 )
-from polycenter.harmonic import _ONES, newton_offset
+from polycenter import harmonic
+from polycenter.harmonic import _ONES, LINE_BUDGET, newton_offset
 from polycenter.lines import line_bracket
 
 # root of 1/(-1-h) + 1/(1-h) + 1/(2-h) = 0 inside (-1, 1): the equation
@@ -124,16 +125,17 @@ class TestSolverBehavior:
         assert abs(res.residual) > 1e3 * 1e-10
         assert sec.d_minus < res.h < sec.d_plus
 
-    def test_iteration_budget_flag(self):
+    def test_iteration_budget_flag(self, monkeypatch):
+        # the budget is LINE_BUDGET, which has no argument; set to 1, it
+        # runs out before the solve meets tol
+        monkeypatch.setattr(harmonic, "LINE_BUDGET", 1)
         sec = LineSection.from_distances([-1.0, 5.0, 6.0])
-        res = solve_harmonic_offset(sec, tol=1e-14, max_iter=1)
+        res = solve_harmonic_offset(sec, tol=1e-14)
         assert not res.converged
         assert res.iterations == 1
         assert sec.d_minus < res.h < sec.d_plus
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"tol": -1.0}, {"tol": np.nan}, {"max_iter": -3}]
-    )
+    @pytest.mark.parametrize("kwargs", [{"tol": -1.0}, {"tol": np.nan}])
     def test_bad_arguments_rejected(self, kwargs):
         sec = LineSection.from_distances([-1.0, 5.0, 6.0])
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -145,8 +147,6 @@ class TestSolverBehavior:
             ({"tol": 0.0}, "tol must be positive"),
             ({"tol": -1.0}, "tol must be positive"),
             ({"tol": np.nan}, "tol must be positive"),
-            ({"max_iter": -1}, "max_iter must be non-negative"),
-            ({"max_iter": -3}, "max_iter must be non-negative"),
         ],
     )
     @pytest.mark.parametrize("solve", [solve_harmonic_offset, bisection_oracle])
@@ -155,6 +155,14 @@ class TestSolverBehavior:
         with pytest.raises(ValueError) as exc:
             solve(sec, **kwargs)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("max_iter", [-1, -3])
+    def test_bisection_oracle_rejects_a_negative_budget(self, max_iter):
+        # the oracle keeps its budget argument, with the centers' message
+        sec = LineSection.from_distances([-1.0, 5.0, 6.0])
+        with pytest.raises(ValueError) as exc:
+            bisection_oracle(sec, max_iter=max_iter)
+        assert str(exc.value) == "max_iter must be non-negative"
 
     @pytest.mark.parametrize("max_iter", [0, 1, 7])
     def test_bisection_oracle_reports_the_sum_at_its_h(self, max_iter):
@@ -198,13 +206,15 @@ class TestInfiniteBracketEnd:
             ([np.inf, -1.0, -2.0], -1.0, np.inf),
         ],
     )
-    @pytest.mark.parametrize("max_iter", [1, 100, 3000])
-    def test_budget_runs_out_at_a_finite_offset(self, d, lo, hi, max_iter):
+    @pytest.mark.parametrize("budget", [1, LINE_BUDGET, 3000])
+    def test_budget_runs_out_at_a_finite_offset(self, monkeypatch, d, lo, hi, budget):
         # RuntimeWarnings are errors in this suite; a ZeroDivisionError
-        # or an inf or NaN step would fail here too
-        h, its, f, converged = newton_offset(np.array(d), lo, hi, max_iter=max_iter)
+        # or an inf or NaN step would fail here too.  The budget has no
+        # argument: the shortest and a long run set the module's constant
+        monkeypatch.setattr(harmonic, "LINE_BUDGET", budget)
+        h, its, f, converged = newton_offset(np.array(d), lo, hi)
         assert not converged
-        assert its == max_iter
+        assert its == budget
         assert math.isfinite(h) and math.isfinite(f)
         assert lo < h < hi or h == 0.0
 

@@ -24,7 +24,6 @@ from polycenter import (
     harmonic_center,
     harmonic_hyperplane,
     harmonic_point_on_line,
-    normalize_rows,
     parse_polytope,
     residuals,
     section,
@@ -33,9 +32,11 @@ from polycenter import (
 from polycenter.lines import line_bracket
 from polycenter.model import (
     _ZERO_ROW_TOL,
+    INTERIOR_BUDGET,
     PARALLEL_EPS,
     SLACK_FLOOR,
     _axis_line,
+    normalize_rows,
 )
 
 SQUARE_TEXT = """\
@@ -302,17 +303,43 @@ class TestRowRule:
     def test_same_error_everywhere(self, row, rhs, error, on_normalize):
         A, b, text = self._rows(row, rhs)
         at = " in row at index 1" if error == NON_FINITE else " at index 1"
-        # the parser checks the raw rows and names the line; Polytope checks
-        # the raw rows, then their quotients by the row norms, and names the
-        # index
-        parse_message = error + at if on_normalize else f"line 3: {error}"
-        with np.errstate(over="ignore"):
-            with pytest.raises(PolytopeFormatError) as lib:
-                Polytope(A, b)
-            with pytest.raises(PolytopeFormatError) as parsed:
-                parse_polytope(text)
+        # one check of the rows and their quotients by the row norms, under
+        # its own error state: Polytope names the index, the parser the line
+        with pytest.raises(PolytopeFormatError) as lib:
+            Polytope(A, b)
+        with pytest.raises(PolytopeFormatError) as parsed:
+            parse_polytope(text)
         assert str(lib.value) == error + at
-        assert str(parsed.value) == parse_message
+        assert str(parsed.value) == f"line 3: {error}"
+        # a row bad only in its quotient is finite, with a norm above the
+        # threshold, as written
+        written = np.isfinite([*row, rhs]).all() and math.hypot(*row) > _ZERO_ROW_TOL
+        assert written == on_normalize
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [("1e200 1e200 1", ZERO), ("1e-11 -1e-11 1e300", NON_FINITE)],
+    )
+    def test_quotient_error_names_its_line(self, row, error):
+        # a norm that overflows leaves a zero row, and a tiny one overflows
+        # b_i: the parse names the file line, Polytope the index
+        text = f"dims 5 2\n-1 0 0\n0 -1 0\n{row}\n1 0 1\n0 1 1\n"
+        with pytest.raises(PolytopeFormatError) as parsed:
+            parse_polytope(text)
+        assert str(parsed.value) == f"line 4: {error}"
+        values = np.array([line.split() for line in text.splitlines()[1:]], float)
+        at = " in row at index" if error == NON_FINITE else " at index"
+        with pytest.raises(PolytopeFormatError) as lib:
+            Polytope(values[:, :2], values[:, 2])
+        assert str(lib.value) == f"{error}{at} 2"
+
+    def test_row_errors_come_before_the_labels_count(self):
+        # every row error, one found in a quotient too, before a labels count
+        # that differs from m
+        A = [[1.0, 0.0], [1e200, 1e200], [0.0, 1.0], [-1.0, -1.0]]
+        with pytest.raises(PolytopeFormatError) as exc:
+            Polytope(A, [1.0, 1.0, 1.0, 1.0], labels=["a"])
+        assert str(exc.value) == "zero coefficient row at index 1"
 
     def test_one_ulp_above_the_threshold_is_kept(self):
         A, b, text = self._rows((float(np.nextafter(_ZERO_ROW_TOL, 1.0)), 0.0), 1.0)
@@ -349,6 +376,9 @@ class TestParseErrorOrder:
             ("# c\n\nnan 0 1\n\n1 x 1\n1 0 1\n0 1 1\n", "line 4: non-finite entry"),
             # a row error before a later syntax error, and the reverse
             ("0 0 nan\n1 0\n1 0 1\n0 1 1\n", "line 2: non-finite entry"),
+            # a row bad only in its quotient before a later syntax error
+            ("1e200 1e200 1\n1 x 1\n1 0 1\n0 1 1\n", "line 2: zero coefficient row"),
+            ("1e-11 -1e-11 1e300\n1 0\n1 0 1\n0 1 1\n", "line 2: non-finite entry"),
             ("1 0\n0 0 nan\n1 0 1\n0 1 1\n", "line 2: row has 2 fields, expected 3"),
             (
                 "1 0 1 7\n0 0 1\n1 0 1\n0 1 1\n",
@@ -615,17 +645,17 @@ class TestNormalizeRows:
     def test_overflow_keeps_construction_errors(self):
         # a row norm that overflows leaves a zero row, a tiny norm can
         # overflow b: the errors of the row rule, raised by Polytope on the
-        # quotients of rows that passed it.  Row 1 is the overflowing row,
-        # or a plain one, so that the first bad quotient is row 3's
+        # quotients of rows that passed it, with no warning.  Row 1 is the
+        # overflowing row, or a plain one, so that the first bad quotient is
+        # row 3's
         cases = [
             ([1e200, 1e200], 1.0, "zero coefficient row at index 1"),
             ([-1.0, -1.0], 1e300, "non-finite entry in row at index 3"),
         ]
         for row, rhs, message in cases:
             A = [[1.0, 0.0], row, [0.0, 1.0], [1e-11, -1e-11]]
-            with np.errstate(over="ignore"):
-                with pytest.raises(PolytopeFormatError, match=message):
-                    Polytope(A, [1.0, 1.0, 1.0, rhs])
+            with pytest.raises(PolytopeFormatError, match=message):
+                Polytope(A, [1.0, 1.0, 1.0, rhs])
 
     def test_feasible_set_preserved(self):
         rng = np.random.default_rng(11)
@@ -718,14 +748,12 @@ class TestFindInteriorPoint:
         # x <= 0 and x >= 1 cannot both hold; y rows pad m above n
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         b = np.array([0.0, -1.0, 5.0, 5.0])
-        with pytest.raises(InteriorSearchError):
-            find_interior_point(Polytope(A, b), max_iter=400)
-
-    def test_negative_max_iter(self, square):
-        with pytest.raises(ValueError, match="max_iter must be non-negative"):
-            find_interior_point(square, max_iter=-3)
-        with pytest.raises(InteriorSearchError, match="in 0 projection steps"):
-            find_interior_point(square, max_iter=0)
+        with pytest.raises(InteriorSearchError) as exc:
+            find_interior_point(Polytope(A, b))
+        assert INTERIOR_BUDGET == 1000
+        assert str(exc.value) == (
+            "no strictly interior point found in 1000 projection steps"
+        )
 
     def test_random_polytopes(self):
         rng = np.random.default_rng(23)

@@ -9,14 +9,17 @@ for the result types.
 
 import importlib.util
 
+import numpy as np
+
 from conftest import DATA
 from polycenter import (
-    LineSection,
+    Polytope,
     bi_center,
     center,
     cli,
     harmonic_center,
     harmonic_hyperplane,
+    section,
     solve_harmonic_offset,
 )
 
@@ -44,8 +47,12 @@ def test_span_info_reads_solve_results_and_center_runs(square):
     # the tracer's _info tells the result kinds apart by their attributes;
     # the value records are tuples, so each must still take its own branch
     info = _tracing()._info
-    sec = LineSection.from_distances([-1.0, 5.0, 6.0])
-    assert info(solve_harmonic_offset(sec, tol=1e-14, max_iter=1)) == [1, False]
+    # row 1's distance along +x overflows: an infinite bracket end, on which
+    # the solve runs out of its 100 iterations
+    poly = Polytope([[0, 1], [1e-11, 1], [-1, 0], [0, -1]], [1, 1e300, 1, 1])
+    with np.errstate(over="ignore"):
+        sec = section(poly, (0.0, 0.0), (1.0, 0.0))
+    assert info(solve_harmonic_offset(sec)) == [100, False]
     point, trace = harmonic_center(square, (0.25, 0.5))
     assert info((point, trace)) == [trace.iterations, True]
     assert trace.iterations > 0
