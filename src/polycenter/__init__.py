@@ -13,7 +13,6 @@ from .center import (
     Hyperplane,
     TraceRecord,
     bi_center,
-    bi_point_on_axis,
     cs_step,
     directional_sum,
     f_norm,
@@ -64,7 +63,6 @@ __all__ = [
     "UnboundedDirectionError",
     "axis_direction",
     "bi_center",
-    "bi_point_on_axis",
     "bisection_oracle",
     "cs_step",
     "directional_sum",

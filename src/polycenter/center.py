@@ -25,7 +25,6 @@ from .errors import DegenerateAtCenterError, PolytopeError
 # tracer wraps them under these module names.
 from .harmonic import newton_offset, solve_harmonic_offset  # noqa: F401
 from .lines import (  # noqa: F401
-    axis_index,
     checked_unit,
     interior,
     largest,
@@ -193,7 +192,7 @@ def csv_rows(*rows):
 def _midpoint(d, lo, hi, tol):
     """The chord midpoint, as a move like ``newton_offset``: exact if finite."""
     h = 0.5 * (hi + lo)
-    return h, 0, 0.0, math.isfinite(h)
+    return h, 0, math.isfinite(h)
 
 
 class _Search:
@@ -209,12 +208,13 @@ class _Search:
         self.s = self.sum.slacks()
         self.exact = True
 
-    def stages(self, axes, move, tol):
-        """One stage per 0-based axis of ``axes``; returns ``q``.  A stage
-        moves by ``h`` from ``h, _, _, exact = move(d, lo, hi, tol)`` on its
-        axis line's bracket.  An inexact stage clears ``exact``; one whose
-        ``h`` is not finite (never exact) leaves the coordinate, as
-        ``section`` would.
+    def stages(self, move, tol):
+        """One sweep, a stage on each axis from 1 to n; returns ``q``.  A
+        stage moves by ``h`` from ``h, _, exact = move(d, lo, hi, tol)`` on
+        its axis line's bracket, the move of :func:`cs_step` or of
+        :meth:`bisect`.  An inexact stage clears ``exact``; one whose ``h``
+        is not finite (never exact) leaves the coordinate, as ``section``
+        would.
 
         The stages run under ``np.errstate(all="ignore")``, set once per
         call, so the line solve sets none (see :func:`newton_offset`).  Each
@@ -228,9 +228,9 @@ class _Search:
         polytope, q, s = self.polytope, self.q, self.s
         lines, moved, slacks = polytope.axis_lines, self.sum.moved, self.sum.slacks
         with np.errstate(all="ignore"):
-            for j in axes:
-                d, lo, hi = line_bracket(lines[j], interior(polytope, s))
-                h, _, _, exact = move(d, lo, hi, tol)
+            for j, line in enumerate(lines):
+                d, lo, hi = line_bracket(line, interior(polytope, s))
+                h, _, exact = move(d, lo, hi, tol)
                 if not exact:
                     self.exact = False
                     if not math.isfinite(h):
@@ -243,7 +243,7 @@ class _Search:
 
     def bisect(self):
         """``bi_center``'s sweep: a chord-midpoint stage on every axis."""
-        self.stages(range(self.polytope.n), _midpoint, 0.0)
+        self.stages(_midpoint, 0.0)
 
     def record(self, iteration):
         """The trace row of ``q``, with the f-norm at the slacks ``s``.
@@ -295,16 +295,17 @@ def cs_step(polytope, p, tol=1e-10, *, _run=None):
     the current point, in :class:`~polycenter.model.SlackSum`'s summation
     order, and takes the line's distances from them and the axis-k entry
     of ``polytope.axis_lines``, with no line section or direction vector.
-    The result is bit-identical to n chained one-axis updates,
-    :func:`~polycenter.harmonic.harmonic_point_on_line` along
-    ``axis_direction(k, n)``, which solve on the same distances in the
-    same order.  Returns the point after stage n, a new array; with
-    ``_run``, a kept :class:`_Search` whose point is ``p``, the sweep
-    continues it in place.
+    Every call is a whole sweep (:meth:`_Search.stages`); one axis update
+    is :func:`~polycenter.harmonic.harmonic_point_on_line` along
+    ``axis_direction(k, n)``, and the sweep is bit-identical to n of them
+    chained, which solve on the same distances in the same order.
+    Returns the point after stage n, a new array; with ``_run``, a kept
+    :class:`_Search` whose point is ``p``, the sweep continues it in
+    place.
     """
     _positive("tol", tol)
     run = _Search(polytope, p) if _run is None else _run
-    return run.stages(range(polytope.n), newton_offset, tol)
+    return run.stages(newton_offset, tol)
 
 
 def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
@@ -339,16 +340,6 @@ def harmonic_center(polytope, p0, stop_tol=0.01, max_iter=100, inner_tol=1e-10):
         cs_step(polytope, run.q, inner_tol, _run=run)
 
     return _search(polytope, p0, sweep, lambda _, rec: rec.fnorm, stop_tol, max_iter)
-
-
-def bi_point_on_axis(polytope, p, k):
-    """Midpoint of the nearest contacts of the axis-k line through ``p``.
-
-    Coordinate k moves by ``(d_plus + d_minus) / 2``, unless that is not
-    finite; the others are unchanged.  Raises ``ValueError`` for an axis
-    outside ``1..n``.
-    """
-    return _Search(polytope, p).stages((axis_index(k, polytope.n),), _midpoint, 0.0)
 
 
 def bi_center(polytope, p0, stop_tol=0.01, max_iter=100):

@@ -22,12 +22,7 @@ from .center import (
     harmonic_center,
     harmonic_hyperplane,
 )
-from .errors import (
-    NotInteriorError,
-    PolytopeError,
-    PolytopeFormatError,
-    UnboundedDirectionError,
-)
+from .errors import PolytopeError, PolytopeFormatError
 from .harmonic import harmonic_point_on_line
 from .lines import axis_direction, norm, unit_direction
 from .model import find_interior_point, load_polytope
@@ -36,8 +31,6 @@ from .svg import emit_svg, require_plane
 # every error kind carries its own exit code (see polycenter.errors)
 EXIT_OK = 0
 EXIT_PARSE = PolytopeError.exit_code
-EXIT_INFEASIBLE = NotInteriorError.exit_code
-EXIT_UNBOUNDED = UnboundedDirectionError.exit_code
 EXIT_MAXITER = 4
 
 

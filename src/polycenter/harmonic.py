@@ -49,18 +49,18 @@ LINE_BUDGET = 100
 class HarmonicSolveResult(NamedTuple):
     """Root-solve outcome; a named tuple, so it compares and hashes by field.
 
-    ``h`` is the offset along the line (in the same units as the section
-    distances) and ``residual`` the value of the reciprocal sum at ``h``.
-    ``converged`` is False only when the iteration budget ran out, in
-    which case ``h`` is the best bracketed estimate, or when the Newton sum
-    was NaN at the start, ``h = 0`` (see :func:`newton_offset`).  The
+    ``h`` is the offset along the line, in the same units as the section
+    distances; the result does not keep the reciprocal sum there, which is
+    ``np.sum(1 / (sec.finite_distances - h))``.  ``converged`` is False
+    only when the iteration budget ran out, in which case ``h`` is the best
+    bracketed estimate, or when the Newton sum was NaN at the start,
+    ``h = 0`` (see :func:`newton_offset`).  The
     solver is the function that returned it: :func:`solve_harmonic_offset`
     or :func:`bisection_oracle`.
     """
 
     h: float
     iterations: int
-    residual: float
     converged: bool
 
 
@@ -114,9 +114,10 @@ def newton_offset(d, lo, hi, tol=1e-10):
     :func:`solve_harmonic_offset`.  A direct call warns as numpy's state
     says.
 
-    Returns ``(h, iterations, residual, converged)``; ``converged`` is
-    False only when the budget ran out, and ``h`` is then the last
-    bracketed estimate, or when ``F`` was NaN at the start, ``h = 0``.
+    Returns ``(h, iterations, converged)``, the fields of a
+    :class:`HarmonicSolveResult`; ``converged`` is False only when the
+    budget ran out, and ``h`` is then the last bracketed estimate, or when
+    ``F`` was NaN at the start, ``h = 0``.
     """
     width = hi - lo
     if width < math.inf:
@@ -127,7 +128,6 @@ def newton_offset(d, lo, hi, tol=1e-10):
     inv = np.reciprocal(d)
     ones = _ONES[: d.size] if d.size <= _ONES.size else np.ones(d.size)
     converged = False
-    its = 0
     for its in range(1, LINE_BUDGET + 1):
         f = float(inv.dot(ones))
         if abs(f) <= f_tol:
@@ -152,9 +152,7 @@ def newton_offset(d, lo, hi, tol=1e-10):
             step = mid if math.isfinite(mid) else h
         h = step
         np.reciprocal(np.subtract(d, h, out=inv), out=inv)
-    if not converged:
-        f = float(inv.dot(ones))
-    return h, its, f, converged
+    return h, its, converged
 
 
 def solve_harmonic_offset(sec, tol=1e-10):
@@ -184,12 +182,13 @@ def solve_harmonic_offset(sec, tol=1e-10):
     Returns
     -------
     HarmonicSolveResult
+        ``newton_offset``'s ``(h, iterations, converged)``, as it returns
+        them.
     """
     _positive("tol", tol)
     d = sec._ordered
     with np.errstate(all="ignore"):
-        h, its, f, converged = newton_offset(d, sec.d_minus, sec.d_plus, tol)
-    return HarmonicSolveResult(h, its, f, converged)
+        return HarmonicSolveResult(*newton_offset(d, sec.d_minus, sec.d_plus, tol))
 
 
 def bisection_oracle(sec, tol=1e-10, max_iter=200):
@@ -205,9 +204,8 @@ def bisection_oracle(sec, tol=1e-10, max_iter=200):
     and raises one unless ``max_iter >= 0`` too.  Deliberately, it shares
     neither the root iteration nor the summation order (it sums
     ``finite_distances``, in row order): it exists to cross-check them,
-    at a budget the cross-check sets.
-    ``residual`` is the sum at the returned ``h``, also when ``max_iter``
-    is 0 and ``h`` is the midpoint of the shrunk bracket.
+    at a budget the cross-check sets.  At ``max_iter`` 0 it returns the
+    midpoint of the shrunk bracket, unconverged.
     """
     _positive("tol", tol)
     _count("max_iter", max_iter)
@@ -221,7 +219,6 @@ def bisection_oracle(sec, tol=1e-10, max_iter=200):
         lo, hi = max(sec.d_minus, -_HALF_MAX), min(sec.d_plus, _HALF_MAX)
         f_tol = width_tol = -1.0
     h = 0.5 * (lo + hi)
-    f = float(np.sum(1.0 / (d - h)))
     converged = False
     its = 0
     for its in range(1, max_iter + 1):
@@ -234,7 +231,7 @@ def bisection_oracle(sec, tol=1e-10, max_iter=200):
             hi = h
         else:
             lo = h
-    return HarmonicSolveResult(h, its, f, converged)
+    return HarmonicSolveResult(h, its, converged)
 
 
 def harmonic_point_on_line(polytope, p, u, tol=1e-10):

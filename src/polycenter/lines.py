@@ -20,20 +20,15 @@ _NO_FORWARD = "line has no forward intersection: polytope unbounded along it"
 _NO_BACKWARD = "line has no backward intersection: polytope unbounded along it"
 
 
-def axis_index(k, n):
-    """The column of axis ``k`` (1-based) in ``n`` dimensions, 0-based.
+def axis_direction(k, n):
+    """Unit vector along coordinate axis ``k`` (1-based) in ``n`` dimensions.
 
     Raises ``ValueError`` unless ``1 <= k <= n``.
     """
     if not 1 <= k <= n:
         raise ValueError(f"axis index {k} out of range 1..{n}")
-    return k - 1
-
-
-def axis_direction(k, n):
-    """Unit vector along coordinate axis ``k`` (1-based) in ``n`` dimensions."""
     u = np.zeros(n)
-    u[axis_index(k, n)] = 1.0
+    u[k - 1] = 1.0
     return u
 
 
@@ -105,9 +100,9 @@ class LineSection(_Frozen):
     ``distances[i]`` is the signed parameter at which the line meets
     constraint ``i``; entries are ``inf`` where there is no intersection
     (mask in ``parallel``).  ``d_minus < 0 < d_plus`` bound the feasible
-    bracket; ``i_plus`` / ``i_minus`` are the blocking row indices
-    (lowest index wins ties).  No finite distance lies strictly inside
-    the bracket.
+    bracket, and no finite distance lies strictly inside it.  The rows
+    that block the line are those, not parallel, at an end's distance;
+    the section does not name them.
 
     A section is built from a line's table (an
     :class:`~polycenter.model.AxisLine`) and slacks, by :func:`section` or
@@ -155,10 +150,9 @@ class LineSection(_Frozen):
         """The section of the line with table ``line`` at slacks ``s``: the
         one builder of a section.  It keeps :func:`line_bracket`'s
         distances as they are, in the table's order (``_ordered``), and
-        scatters them into m rows.  A blocking row is the first row on its
-        side at that end's distance (lowest index wins ties).
+        scatters them into m rows.
         """
-        rows, _, ahead = line
+        rows = line.rows
         d, d_minus, d_plus = line_bracket(line, s)
         distances = np.full(s.size, np.inf)
         distances[rows] = d
@@ -172,8 +166,6 @@ class LineSection(_Frozen):
             parallel=parallel,
             d_plus=d_plus,
             d_minus=d_minus,
-            i_plus=int(rows[(d[:ahead] == d_plus).argmax()]),
-            i_minus=int(rows[ahead + (d[ahead:] == d_minus).argmax()]),
             _ordered=d,
         )
         return sec

@@ -38,7 +38,7 @@ from polycenter import (
     section,
     solve_harmonic_offset,
 )
-from polycenter.cli import EXIT_INFEASIBLE, EXIT_MAXITER, EXIT_PARSE, EXIT_UNBOUNDED, main
+from polycenter.cli import EXIT_MAXITER, EXIT_PARSE, main
 from polycenter.errors import PolytopeFormatError
 
 
@@ -219,9 +219,11 @@ def test_criterion_9_error_paths(square, tmp_path):
         with contextlib.redirect_stdout(quiet_out), contextlib.redirect_stderr(
             quiet_err
         ):
-            assert main(["center", square_file, "--start", "2,2"]) == EXIT_INFEASIBLE
-            assert main(["center", empty_file]) == EXIT_INFEASIBLE
-            assert main(["center", open_file, "--start", "1,1"]) == EXIT_UNBOUNDED
+            start_outside = main(["center", square_file, "--start", "2,2"])
+            assert start_outside == NotInteriorError.exit_code
+            assert main(["center", empty_file]) == InteriorSearchError.exit_code
+            opened = main(["center", open_file, "--start", "1,1"])
+            assert opened == UnboundedDirectionError.exit_code
             assert main(["center", bad_file]) == EXIT_PARSE
             assert (
                 main(["center", square_file, "--start", "0.9,0.9", "--max-iter", "0"])

@@ -16,22 +16,16 @@ import polycenter
 from conftest import DATA, OVERFLOWING_F
 from polycenter import (
     CenterTrace,
+    InteriorSearchError,
+    NotInteriorError,
     TraceRecord,
+    UnboundedDirectionError,
     bi_center,
     cli,
     harmonic_center,
     load_polytope,
 )
-from polycenter.cli import (
-    EXIT_INFEASIBLE,
-    EXIT_MAXITER,
-    EXIT_OK,
-    EXIT_PARSE,
-    EXIT_UNBOUNDED,
-    build_parser,
-    main,
-    run,
-)
+from polycenter.cli import EXIT_MAXITER, EXIT_OK, EXIT_PARSE, build_parser, main, run
 
 EXAMPLE1 = str(DATA / "example1.poly")
 EXAMPLE2 = str(DATA / "example2.poly")
@@ -310,20 +304,20 @@ class TestExitCodes:
         assert main(["center", "/nonexistent/x.poly"]) == EXIT_PARSE
 
     def test_non_interior_start(self, capsys):
-        assert main(["center", SQUARE, "--start", "2,2"]) == EXIT_INFEASIBLE
+        assert main(["center", SQUARE, "--start", "2,2"]) == NotInteriorError.exit_code
 
     def test_empty_interior(self, infeasible_file, capsys):
-        assert main(["center", infeasible_file]) == EXIT_INFEASIBLE
+        assert main(["center", infeasible_file]) == InteriorSearchError.exit_code
 
     def test_unbounded(self, unbounded_file, tmp_path, capsys):
         code = main(["center", unbounded_file, "--start", "1,1"])
-        assert code == EXIT_UNBOUNDED
+        assert code == UnboundedDirectionError.exit_code
         # the strip |x - y| <= 1, x + y >= 0 is open along (1, 1)
         strip = tmp_path / "strip.poly"
         strip.write_text("dims 3 2\n1 -1 1\n-1 1 1\n-1 -1 0\n")
         capsys.readouterr()
         code = main(["point", str(strip), "--start", "0.5,0.5", "--dir", "1,1"])
-        assert code == EXIT_UNBOUNDED
+        assert code == UnboundedDirectionError.exit_code
         assert capsys.readouterr().err == (
             "error: line has no forward intersection: polytope unbounded along it\n"
         )
@@ -455,7 +449,7 @@ class TestExitCodes:
         if command[0] in ("hyperplane", "check"):
             assert code == EXIT_OK
             assert "inf" not in out + err and "nan" not in out + err
-        assert main([*argv, "--start", "0,0"]) == EXIT_INFEASIBLE
+        assert main([*argv, "--start", "0,0"]) == NotInteriorError.exit_code
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: point is not strictly interior (rows: c1)\n"

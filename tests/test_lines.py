@@ -173,7 +173,9 @@ class TestSection:
         assert tuple(sec.parallel) == (False, True, False, True)
         assert sec.d_plus == pytest.approx(0.5)
         assert sec.d_minus == pytest.approx(-0.5)
-        assert (sec.i_minus, sec.i_plus) == (0, 2)
+        # the blocking rows, whose distances are the ends
+        assert np.flatnonzero(sec.distances == sec.d_minus).tolist() == [0]
+        assert np.flatnonzero(sec.distances == sec.d_plus).tolist() == [2]
 
     def test_square_off_center(self, square):
         sec = section(square, (0.25, 0.5), (1.0, 0.0))
@@ -243,27 +245,17 @@ class TestSection:
     def test_blocking_rows_not_parallel_when_distances_overflow(self, sign):
         # along +-x, row 0 is parallel and row 1 (coefficient +-1e-11, slack
         # 1e300) is the only row on its side, at a distance that overflows
-        # to +-inf; the blocking row on that side is row 1
+        # to +-inf: that side's end, from a row that is not parallel,
+        # though row 0's distance is inf too
         A = np.array([[0.0, 1.0], [1e-11, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         poly = Polytope(A, np.array([1.0, 1e300, 1.0, 1.0]))
         with np.errstate(over="ignore"):
             sec = section(poly, (0.0, 0.0), (sign, 0.0))
-        assert not sec.parallel[sec.i_plus]
-        assert not sec.parallel[sec.i_minus]
-        assert (sec.i_plus, sec.i_minus) == ((1, 2) if sign > 0 else (2, 1))
         ends = (-1.0, np.inf) if sign > 0 else (-np.inf, 1.0)
         assert (sec.d_minus, sec.d_plus) == ends
-
-    def test_tie_breaks_to_lowest_index(self):
-        # duplicate x <= 1 rows produce exactly equal forward distances
-        A = np.array(
-            [[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
-        )
-        b = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
-        poly = Polytope(A, b)
-        sec = section(poly, (0.5, 0.5), (1.0, 0.0))
-        assert sec.distances[2] == sec.distances[4]
-        assert sec.i_plus == 2
+        overflowed = np.isinf(sec.distances) & ~sec.parallel
+        assert np.flatnonzero(overflowed).tolist() == [1]
+        assert sec.distances[1] == sign * np.inf
 
     def test_bracket_keeps_point_interior(self):
         rng = np.random.default_rng(17)

@@ -15,7 +15,6 @@ from polycenter import (
     PolytopeFormatError,
     TraceRecord,
     bi_center,
-    bi_point_on_axis,
     cs_step,
     directional_sum,
     f_norm,
@@ -433,7 +432,6 @@ SLACK_READERS = {
     "harmonic_point_on_axis": lambda poly, p: harmonic_point_on_line(
         poly, p, (1.0, 0.0)
     ),
-    "bi_point_on_axis": lambda poly, p: bi_point_on_axis(poly, p, 1),
     "cs_step": cs_step,
     "harmonic_center": harmonic_center,
     "bi_center": bi_center,
@@ -796,11 +794,11 @@ IDENTITY_TYPES = {
 
 FIELDS = {
     "Polytope": ("A", "b", "labels"),
-    "LineSection": ("distances", "parallel", "d_plus", "d_minus", "i_plus", "i_minus"),
+    "LineSection": ("distances", "parallel", "d_plus", "d_minus"),
     "Hyperplane": ("normal", "offset"),
     "TraceRecord": ("iteration", "point", "fnorm"),
     "CenterTrace": ("records", "converged", "repeats", "measure"),
-    "HarmonicSolveResult": ("h", "iterations", "residual", "converged"),
+    "HarmonicSolveResult": ("h", "iterations", "converged"),
 }
 
 
