@@ -34,9 +34,6 @@ from .lines import (  # noqa: F401
 )
 from .model import SlackSum, _count, _Frozen, _positive, residuals
 
-# An f-norm at or below this has no hyperplane: the point is the center.
-_DEGENERATE_EPS = 1e-9
-
 
 def f_vector(polytope, p):
     """The vector ``f_j = sum_i A_ij / S_i`` at interior point ``p``.
@@ -83,9 +80,9 @@ def _f_at(polytope, s):
 def f_norm(polytope, p):
     """Euclidean norm of the f-vector: the closeness-to-center indicator.
 
-    :func:`~polycenter.lines.norm`: ``sqrt(v . v)`` of the f-vector ``v``,
+    :func:`~polycenter.model.norm`: ``sqrt(v . v)`` of the f-vector ``v``,
     float for float what ``np.linalg.norm`` gives, rescaled by
-    ``max|v_i|`` when that under- or overflows: finite wherever the
+    ``max|v_i|`` where ``v . v`` is not a normal float: finite wherever the
     f-vector is, unless the norm itself exceeds the largest float.
     """
     return norm(f_vector(polytope, p))
@@ -117,16 +114,19 @@ def harmonic_hyperplane(polytope, p):
     Its normal is the f-vector at ``p``: any line through ``p`` with a
     direction orthogonal to it has reciprocal-distance sum zero, i.e. ``p``
     is already the harmonic point of that line.  At the harmonic center the
-    f-vector vanishes and no single such hyperplane exists: an f-norm
-    (:func:`~polycenter.lines.norm`) at or below ``_DEGENERATE_EPS`` raises
-    :class:`DegenerateAtCenterError` (every direction is harmonic there).
+    f-vector vanishes and no single such hyperplane exists: an f-vector
+    that is exactly zero raises :class:`DegenerateAtCenterError` (every
+    direction is harmonic there).  Any other finite f-vector, however
+    small, is its normal: no threshold decides what is zero, so scaling the
+    polytope changes no verdict.  Scaled by ``2**k``, with ``p``, it gives
+    the normal times ``2**-k`` and the same offset, float for float.
     Where the f-vector itself overflows (see :func:`_f_at`), the normal
     has no finite value: that raises :class:`PolytopeError`.
     """
     v = f_vector(polytope, p)
     if not np.isfinite(v).all():
         raise PolytopeError("the f-vector overflows at the point: hyperplane undefined")
-    if norm(v) <= _DEGENERATE_EPS:
+    if not v.any():
         raise DegenerateAtCenterError(
             "point is the harmonic center: hyperplane undefined"
         )

@@ -8,12 +8,11 @@ first contacts in each direction is the feasible bracket: the set of
 parameters keeping the point strictly inside.
 """
 
-import math
-
 import numpy as np
 
 from .errors import NotInteriorError, UnboundedDirectionError
 from .model import SLACK_FLOOR, _axis_line, _Frozen, _row_label, residuals
+from .model import _scaled_norm, norm
 
 _UNIT_TOL = 1e-9
 _NO_FORWARD = "line has no forward intersection: polytope unbounded along it"
@@ -32,46 +31,14 @@ def axis_direction(k, n):
     return u
 
 
-def _scaled_norm(v):
-    """``(m, r)``: ``v / m`` has norm ``r = sqrt((v / m) . (v / m))``.
-
-    ``m`` is 1.0, so that ``r`` is ``sqrt(v . v)``, unless ``v . v`` under-
-    or overflows for a finite nonzero ``v``: then ``m = max|v_i|`` (Blue
-    1978, *ACM TOMS* 4), and ``r`` is finite and at least 1.  The one
-    statement of when a norm rescales.
-    """
-    r = math.sqrt(v.dot(v))
-    if not 0.0 < r < math.inf:
-        m = float(np.abs(v).max())
-        if 0.0 < m < math.inf:  # else zero, or an inf or NaN entry: r is right
-            w = v / m
-            return m, math.sqrt(w.dot(w))
-    return 1.0, r
-
-
-def norm(v):
-    """Euclidean norm of the 1-D float array ``v``: every vector norm in
-    the package (the row norms of ``A`` aside).
-
-    ``sqrt(v . v)``, float for float what ``np.linalg.norm`` gives, unless
-    that under- or overflows: then ``m * sqrt(w . w)`` with ``w = v / m``
-    and ``m = max|v_i|`` (:func:`_scaled_norm`).  So a finite vector's norm
-    is finite unless it exceeds the largest float, and 0 only for the zero
-    vector; a vector with a NaN entry has norm NaN, else one with an
-    infinite entry has norm inf.  An overflow in ``v . v`` warns under the
-    caller's numpy error state.
-    """
-    m, r = _scaled_norm(v)
-    return m * r
-
-
 def unit_direction(v):
     """Normalize ``v`` to unit Euclidean norm.
 
-    ``(v / m) / r`` with :func:`_scaled_norm`'s ``(m, r)``: ``v / norm(v)``
-    unless that norm under- or overflows, and then ``v`` is first divided
-    by its largest magnitude.  Raises ``ValueError`` for a zero or
-    non-finite vector.
+    ``(v / m) / r`` with :func:`~polycenter.model._scaled_norm`'s
+    ``(m, r)``: ``v / norm(v)`` where ``v . v`` is a normal float, else
+    ``v`` is first divided by its largest magnitude.  So every finite
+    nonzero vector has a direction, however small or large.  Raises
+    ``ValueError`` for a zero or non-finite vector.
     """
     v = np.asarray(v, dtype=float)
     if not np.isfinite(v).all():

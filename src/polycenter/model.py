@@ -16,6 +16,7 @@ Every bound, including nonnegativity, must appear as an explicit row
 or scientific notation; parsing is locale-independent.
 """
 
+import math
 import sys
 from functools import cached_property
 from typing import NamedTuple
@@ -23,8 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InteriorSearchError, PolytopeFormatError
-
-_ZERO_ROW_TOL = 1e-12
 
 # A line whose direction meets row i with |A_i . u| at or below this is
 # parallel to constraint i: it never meets it.
@@ -107,41 +106,91 @@ def _axis_line(column):
     return AxisLine(rows, g, ahead)
 
 
+def _normal(s):
+    """Whether the sum of squares ``s`` (a float, or an array of them) is a
+    normal float, at least ``sys.float_info.min`` and finite: the one
+    statement of when a norm rescales (see :func:`_scaled_norm`)."""
+    return (s >= sys.float_info.min) & (s < math.inf)
+
+
+def _scaled_norm(v):
+    """``(m, r)``: ``v / m`` has norm ``r = sqrt((v / m) . (v / m))``.
+
+    ``m`` is 1.0, so that ``r`` is ``sqrt(v . v)``, unless ``v . v`` is not
+    a normal float (:func:`_normal`): a sum below the smallest normal float,
+    subnormal or 0, has lost bits to underflow, and one that is not finite
+    has overflowed or holds a NaN or inf.  Then, for a finite nonzero ``v``,
+    ``m = max|v_i|`` (Blue 1978, *ACM TOMS* 4), and ``r`` is finite and at
+    least 1.
+    """
+    s = v.dot(v)
+    if not _normal(s):
+        m = float(np.abs(v).max())
+        if 0.0 < m < math.inf:  # else zero, or an inf or NaN entry: s is right
+            return m, norm(v / m)  # (v / m) . (v / m) is at least 1: normal
+    return 1.0, math.sqrt(s)
+
+
+def norm(v):
+    """Euclidean norm of the 1-D float array ``v``: every vector norm in
+    the package, and the norm of each row of ``A`` whose sum of squares is
+    not normal (see :func:`_check_rows`).
+
+    ``sqrt(v . v)``, float for float what ``np.linalg.norm`` gives, where
+    ``v . v`` is a normal float; else ``m * sqrt(w . w)`` with
+    ``w = v / m`` and ``m = max|v_i|`` (:func:`_scaled_norm`).  So a finite
+    vector's norm is finite unless it exceeds the largest float, 0 only for
+    the zero vector, and otherwise within a few ulps of the true norm,
+    however small or large; a vector with a NaN entry has norm NaN, else
+    one with an infinite entry has norm inf.  An overflow in ``v . v``
+    warns under the caller's numpy error state.
+    """
+    m, r = _scaled_norm(v)
+    return m * r
+
+
 def _check_rows(A, b, lines=None):
     """The one rule for the rows of ``A @ x <= b``: raise
     :class:`PolytopeFormatError` for the first bad row in row order.  A row
     is bad when it has a non-finite entry in ``A`` or ``b``, else when its
-    norm is at most ``_ZERO_ROW_TOL``; so ``0 0 nan`` is a non-finite
-    entry.  After every such row comes the first row whose quotient by its
-    norm, the unit row :class:`Polytope` keeps, breaks the rule: a norm
-    that overflowed leaves a zero row, and ``b_i`` over a tiny norm can
-    overflow to a non-finite entry.  The error names ``lines[i]``, the file
-    line of row ``i``, when ``lines`` is given, else the row's index.
-    Returns the row norms.
+    norm is exactly 0; so ``0 0 nan`` is a non-finite entry.  After every
+    such row comes the first row whose quotient by its norm, the unit row
+    :class:`Polytope` keeps, breaks the rule: a norm above the largest
+    float leaves a zero row, and ``b_i`` over a tiny norm can overflow to
+    a non-finite entry.  No threshold decides what is zero, so scaling a
+    row changes no verdict unless a float overflows.  The error names
+    ``lines[i]``, the file line of row ``i``, when ``lines`` is given,
+    else the row's index.  Returns the row norms.
 
-    The squares are summed by ``einsum``, so no m x n temporary is made.  A
-    non-finite entry makes the sum non-finite, and so do finite entries
-    whose squares overflow.  The quotients are read as m-vectors, the norms
-    and ``b / norms``; only the rows they flag are read again.  The check
-    runs under its own ``np.errstate(all="ignore")``: an overflowed square,
-    a division by a zero norm and an overflowed quotient are values it
-    reads, so it warns under no caller's state.
+    The squares are summed by ``einsum``, so no m x n temporary is made,
+    and a row's norm is the root of its sum.  A row whose sum is not a
+    normal float (:func:`_normal`: it underflowed or overflowed, or the row
+    holds a non-finite entry) or whose quotient ``b_i / norm`` is not
+    finite is measured again by :func:`norm`, which rescales it; only the
+    rows so flagged are read again.  The check runs under its own
+    ``np.errstate(all="ignore")``: an overflowed square, a division by a
+    zero norm and an overflowed quotient are values it reads, so it warns
+    under no caller's state.
     """
     with np.errstate(all="ignore"):
-        norms = np.sqrt(np.einsum("ij,ij->i", A, A))
-        unit = (norms > _ZERO_ROW_TOL) & (norms < np.inf) & np.isfinite(b / norms)
-    if not unit.all():
-        rows = np.flatnonzero(~unit)
-        finite = np.isfinite(A[rows]).all(axis=1) & np.isfinite(b[rows])
-        # the first flagged row bad as it is; with none, argmax gives 0, the
-        # first flagged row, which is bad only in its quotient
-        j = (~finite | (norms[rows] <= _ZERO_ROW_TOL)).argmax()
-        zero = finite[j] and not _ZERO_ROW_TOL < norms[rows[j]] < np.inf
-        error = "zero coefficient row" if zero else "non-finite entry"
-        if lines is not None:
-            raise PolytopeFormatError(error, line=lines[rows[j]])
-        at = " at index" if zero else " in row at index"
-        raise PolytopeFormatError(f"{error}{at} {rows[j]}")
+        sq = np.einsum("ij,ij->i", A, A)
+        norms = np.sqrt(sq)
+        unit = _normal(sq) & np.isfinite(b / norms)
+        if not unit.all():
+            rows = np.flatnonzero(~unit)
+            norms[rows] = [norm(A[i]) for i in rows]
+            rows = rows[~((norms[rows] < np.inf) & np.isfinite(b[rows] / norms[rows]))]
+            if rows.size:
+                finite = np.isfinite(A[rows]).all(axis=1) & np.isfinite(b[rows])
+                # the first row bad as it is; with none, argmax gives 0, the
+                # first row left, which is bad only in its quotient
+                j = (~finite | (norms[rows] == 0.0)).argmax()
+                zero = finite[j] and not 0.0 < norms[rows[j]] < np.inf
+                error = "zero coefficient row" if zero else "non-finite entry"
+                if lines is not None:
+                    raise PolytopeFormatError(error, line=lines[rows[j]])
+                at = " at index" if zero else " in row at index"
+                raise PolytopeFormatError(f"{error}{at} {rows[j]}")
     return norms
 
 
@@ -173,11 +222,15 @@ class Polytope(_Frozen):
     ``labels``, when given, names each constraint row: ``str`` of each
     entry, or None, which names the row ``c<i + 1>``.  Construction
     requires more rows than columns (``m > n``) and rejects, by its index,
-    the first row in row order with a non-finite entry or else a norm of at
-    most 1e-12; then the first row whose quotient breaks that rule: a norm
-    that overflowed leaves a zero row, a tiny one can overflow ``b_i``
-    (:func:`_check_rows`).  A labels count other than ``m`` is rejected
-    after every row error.  It does not verify boundedness.
+    the first row in row order with a non-finite entry or else a norm of
+    exactly 0; then the first row whose quotient breaks that rule: a norm
+    above the largest float leaves a zero row, a tiny one can overflow
+    ``b_i`` (:func:`_check_rows`).  A row's norm is rescaled where its sum
+    of squares is not a normal float (:func:`norm`), so a row scaled by
+    any factor that keeps its entries normal floats and its quotient
+    finite gives the same unit row, to rounding.  A labels count other
+    than ``m`` is rejected after every row error.  It does not verify
+    boundedness.
     The per-axis table :attr:`axis_lines` is derived from ``A`` on first
     use and kept; it is read-only too.  Polytopes compare and hash by
     identity, and their fields cannot be reassigned.

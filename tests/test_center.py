@@ -1008,6 +1008,68 @@ class TestInvariances:
             b, _ = harmonic_center(scaled, anchor, inner_tol=1e-12)
             assert np.max(np.abs(a - b)) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "fixture, start",
+        [("example1", (3.0, 0.25)), ("example2", (1.0, 2.0, 2.5, 1.3))],
+    )
+    def test_scaling_by_a_power_of_two_is_exact(self, request, fixture, start):
+        # the polytope and the start times 2**k, each tolerance times the
+        # scale of its measure: every sum, product, quotient and root the
+        # searches take scales exactly, and no threshold reads an absolute
+        # size, so each float comes out times 2**k and each verdict the
+        # same.  Both polytopes divide the same rows by the same norms.
+        # The searches keep k >= -20: newton_offset also reads inner_tol as
+        # a relative width (ROADMAP item 2), which ends a line solve early
+        # from k = -25 on example2
+        poly = request.getfixturevalue(fixture)
+        base, start = Polytope(poly.A, poly.b), np.array(start)
+        for k in (-20, 20, 60):
+            c = 2.0**k
+            scaled = Polytope(poly.A, poly.b * c)
+            runs = [
+                (
+                    harmonic_center(base, start),
+                    harmonic_center(
+                        scaled, start * c, stop_tol=0.01 / c, inner_tol=1e-10 / c
+                    ),
+                ),
+                (bi_center(base, start), bi_center(scaled, start * c, 0.01 * c)),
+            ]
+            for (_, trace), (_, got) in runs:
+                assert (got.iterations, got.converged) == (
+                    trace.iterations,
+                    trace.converged,
+                )
+                for rec, scaled_rec in zip(trace.records, got.records):
+                    assert np.array_equal(np.array(rec.point) * c, scaled_rec.point)
+        # the hyperplane at any scale: its normal, the f-vector, has units
+        # of 1 / length, and there is no f-norm below which it is undefined
+        hp = harmonic_hyperplane(base, start)
+        for k in range(-900, 901, 50):
+            c = 2.0**k
+            got = harmonic_hyperplane(Polytope(poly.A, poly.b * c), start * c)
+            assert np.array_equal(got.normal, hp.normal / c)
+            assert got.offset == hp.offset
+
+    def test_row_scales_change_nothing(self):
+        # criterion 7 at any scale: each row (A_i, b_i) times 10**U(-300,
+        # 300) gives the same unit rows, to rounding, and a center within
+        # TestBarrierOracle's bound of the analytic center of the rows as
+        # they were
+        tol = TestBarrierOracle.STOP_TOL
+        for case in range(20):
+            rng = np.random.default_rng([281, case])
+            n = 2 + case % 4
+            unit, anchor = random_polytope(rng, n)
+            scales = 10.0 ** rng.uniform(-300.0, 300.0, size=unit.m)
+            poly = Polytope(unit.A * scales[:, None], unit.b * scales)
+            assert np.abs(poly.A - unit.A).max() <= 1e-15
+            center, trace = harmonic_center(poly, anchor, stop_tol=tol, max_iter=1000)
+            assert trace.converged
+            ref, _ = analytic_center(unit, anchor)
+            bound = self._oracle_bound(unit, anchor, tol)
+            assert np.linalg.norm(center - ref) <= bound
+
     def test_translation_moves_center_exactly(self):
         rng = np.random.default_rng(241)
         for _ in range(10):

@@ -163,11 +163,13 @@ class TestPointCommand:
         assert "point: (0.50, 0.50)" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "extreme, ordinary", [("1e-320,0", "1,0"), ("1e308,1e308", "1,1")]
+        "extreme, ordinary",
+        [("1e-320,0", "1,0"), ("1e308,1e308", "1,1"), ("1e-160,0", "1,0")],
     )
     def test_direction_norm_under_and_overflow(self, capsys, extreme, ordinary):
-        # the norm of the first underflows to 0 and of the second overflows
-        # to inf; both are still the ordinary direction
+        # the sum of squares of the first underflows to 0, of the second
+        # overflows to inf, and of the third is subnormal, whose root has
+        # lost bits; each is rescaled, and is still the ordinary direction
         outputs = []
         for v in (extreme, ordinary):
             argv = ["point", SQUARE, "--start", "0.5,0.5", "--dir", v]
@@ -589,6 +591,27 @@ def test_option_a_command_does_not_read_is_bad_usage(capsys, argv):
     assert captured.err.startswith(f"usage: polycenter {argv[0]} [-h] [--start")
 
 
+@pytest.mark.parametrize("scale", ["1e200", "1e-160", "1e-300", "1e-13"])
+def test_a_scaled_row_changes_no_output(tmp_path, capsys, scale):
+    # criterion 7: the square with its x_hi row written times a scale
+    # prints what the square prints, under every command and format.  The
+    # row's plain sum of squares overflows (1e200), is subnormal (1e-160)
+    # or is 0 (1e-300); at 1e-13 it is a normal float, a small one
+    path = tmp_path / "scaled.poly"
+    path.write_text(
+        (DATA / "square.poly").read_text().replace("1 0 1", f"{scale} 0 {scale}")
+    )
+    for command in ("center", "point", "hyperplane", "compare-bi", "check"):
+        argv = ["--start", "0.25,0.5"] + ["--axis", "1"] * (command == "point")
+        for fmt in ("table", "csv", "json"):
+            outputs = []
+            for poly in (SQUARE, str(path)):
+                code = main([command, poly, *argv, "--format", fmt])
+                outputs.append((code, capsys.readouterr()))
+            assert outputs[0] == outputs[1]
+            assert outputs[0][0] == EXIT_OK
+
+
 @pytest.mark.parametrize(
     "rows, argv, code, err",
     [
@@ -601,10 +624,10 @@ def test_option_a_command_does_not_read_is_bad_usage(capsys, argv):
             "not converged after 100 iterations "
             "(the line solve missed --inner-tol 1e-10)\n",
         ),
-        # the norm of row 1 overflows, so the normalized row is zero; the
-        # parse finds it and names its line
+        # the norm of row 1 is above the largest float, so the normalized
+        # row is zero; the parse finds it and names its line
         (
-            "1e200 1e200 1\n-1 0 1\n1 0 1\n0 -1 1\n",
+            "1.5e308 1.5e308 1\n-1 0 1\n1 0 1\n0 -1 1\n",
             ["center"],
             EXIT_PARSE,
             "error: line 2: zero coefficient row\n",

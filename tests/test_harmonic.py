@@ -311,6 +311,17 @@ class TestHarmonicPoints:
         assert res.converged is (tol == 1e-10)
         assert np.array_equal(q, np.asarray(p) + want.h * u)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_a_loose_tol_is_not_read_as_a_relative_width(self, square):
+        # F(0) = 1/0.75 - 1/0.25 = -2.67 on the axis-1 line through
+        # (0.25, 0.5), which misses tol 1, and the root is at h = 0.25; but
+        # newton_offset also stops when the sub-bracket is within tol times
+        # the bracket's width, which tol 1 meets as soon as the first
+        # iteration moves lo to 0: converged at h = 0, the start
+        p, u = (0.25, 0.5), axis_direction(1, 2)
+        _, res = harmonic_point_on_line(square, p, u, tol=1.0)
+        assert abs(reciprocal_sum(section(square, p, u), res.h)) <= 1.0
+
     def test_axis_form_matches_line_form(self, square):
         q, _ = harmonic_point_on_line(square, (0.25, 0.5), axis_direction(1, 2))
         assert np.allclose(q, (0.5, 0.5), atol=1e-10)

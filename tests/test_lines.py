@@ -53,10 +53,12 @@ class TestUnitDirection:
             ((0.0, -5e-324), (0.0, -1.0)),
             ((1e308, 1e308), (1.0, 1.0)),
             ((-1.7e308, 0.0, 1.7e308), (-1.0, 0.0, 1.0)),
+            ((1e-160, 0.0), (1.0, 0.0)),
         ],
     )
     def test_norm_under_and_overflow(self, v, want):
-        # the norm of v is 0 or inf; v / max|v| has the same direction
+        # v . v is 0, subnormal or inf, so that its root is 0, inexact or
+        # inf; v / max|v| has the same direction
         want = np.asarray(want)
         assert np.array_equal(unit_direction(v), want / np.linalg.norm(want))
 
@@ -79,7 +81,7 @@ class TestUnitDirection:
 
 class TestNorm:
     """``norm`` is ``sqrt(v . v)``, rescaled by ``max|v_i|`` only when that
-    under- or overflows."""
+    sum is not a normal float."""
 
     def test_ordinary_vectors_are_linalg_norm(self):
         # the seeded family of test_ordinary_vectors_divided_by_norm
@@ -91,14 +93,25 @@ class TestNorm:
             assert norm(v) == np.linalg.norm(v)
 
     @pytest.mark.parametrize(
-        "v", [(1e200, 1e200), (1e-200, 1e-200), (1e308, 1e308), (5e-324, 0.0)]
+        "v, want",
+        [
+            pytest.param(v, math.hypot(*v), id=f"v{i}")
+            for i, v in enumerate(
+                [(1e200, 1e200), (1e-200, 1e-200), (1e308, 1e308), (5e-324, 0.0)]
+            )
+        ]
+        # 10**k * (3, 4) at every decade: from k = -162 to -156 the sum of
+        # squares is subnormal, and its plain root is off by up to 1e-5
+        + [
+            pytest.param((3 * 10.0**k, 4 * 10.0**k), 5 * 10.0**k, id=f"3,4e{k}")
+            for k in range(-307, 308)
+        ],
     )
-    def test_under_and_overflow_rescaled(self, v):
+    def test_under_and_overflow_rescaled(self, v, want):
         # v . v overflows under the caller's error state, as documented
         with np.errstate(over="ignore"):
             got = norm(np.array(v))
-        assert math.isfinite(got)
-        assert abs(got - math.hypot(*v)) <= 1e-15 * math.hypot(*v)
+        assert abs(got - want) <= 4 * math.ulp(want)
 
     @pytest.mark.parametrize(
         "v, want",

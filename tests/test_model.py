@@ -30,7 +30,6 @@ from polycenter import (
 )
 from polycenter.lines import line_bracket
 from polycenter.model import (
-    _ZERO_ROW_TOL,
     INTERIOR_BUDGET,
     PARALLEL_EPS,
     SLACK_FLOOR,
@@ -177,8 +176,9 @@ class TestPolytopeInvariants:
 
     @pytest.mark.parametrize("n", [2, 5, 40])
     def test_rows_are_unit_at_any_scale(self, n):
-        # each row (A_i, b_i) scaled by 10**U(-11, 150): a smaller norm is
-        # a zero row (_ZERO_ROW_TOL), and a larger one's squares can overflow
+        # each row (A_i, b_i) scaled by 10**U(-11, 150), where every plain
+        # sum of squares is a normal float (the rescaled norms of wider
+        # scales: TestInvariances::test_row_scales_change_nothing)
         rng = np.random.default_rng([61, n])
         # the rounding of n squares' sum, its root, the scaling and the
         # quotient, in each of the two polytopes compared
@@ -264,8 +264,8 @@ NON_FINITE, ZERO = "non-finite entry", "zero coefficient row"
 
 class TestRowRule:
     """One rule for every row, wherever it is checked: a non-finite entry
-    first, then a norm at most ``_ZERO_ROW_TOL``.  The row goes in at
-    index 1 of a triangle, which is line 3 of its file."""
+    first, then a norm of exactly 0.  The row goes in at index 1 of a
+    triangle, which is line 3 of its file."""
 
     BASE = [((-1.0, 0.0), 1.0), ((0.0, -1.0), 1.0), ((1.0, 1.0), 1.0)]
 
@@ -283,7 +283,7 @@ class TestRowRule:
         "row, rhs, error, on_normalize",
         [
             ((0.0, 0.0), 1.0, ZERO, False),
-            ((0.0, 1e-300), 1.0, ZERO, False),
+            ((-0.0, 0.0), 1.0, ZERO, False),
             ((math.nan, 1.0), 1.0, NON_FINITE, False),
             ((1.0, -math.inf), 1.0, NON_FINITE, False),
             ((1.0, 1.0), math.nan, NON_FINITE, False),
@@ -291,12 +291,17 @@ class TestRowRule:
             # a zero row with a non-finite right-hand side: non-finite first
             ((0.0, 0.0), math.nan, NON_FINITE, False),
             ((0.0, 0.0), -math.inf, NON_FINITE, False),
-            # the norm overflows, so the normalized row is zero
-            ((1e200, 1e200), 1.0, ZERO, True),
+            # the norm is above the largest float, so the normalized row is
+            # zero
+            ((1.5e308, 1.5e308), 1.0, ZERO, True),
             # the norm is tiny, so the normalized right-hand side overflows
             ((1e-11, -1e-11), 1e300, NON_FINITE, True),
-            ((_ZERO_ROW_TOL, 0.0), 1.0, ZERO, False),
-            ((float(np.nextafter(_ZERO_ROW_TOL, 0.0)), 0.0), 1.0, ZERO, False),
+            # a zero is a zero whatever its sign
+            ((0.0, -0.0), 1.0, ZERO, False),
+            ((-0.0, -0.0), 1.0, ZERO, False),
+            # the smallest subnormal row is no zero: its norm is exact, and
+            # its right-hand side overflows
+            ((5e-324, 0.0), 1.0, NON_FINITE, True),
         ],
     )
     def test_same_error_everywhere(self, row, rhs, error, on_normalize):
@@ -310,18 +315,17 @@ class TestRowRule:
             parse_polytope(text)
         assert str(lib.value) == error + at
         assert str(parsed.value) == f"line 3: {error}"
-        # a row bad only in its quotient is finite, with a norm above the
-        # threshold, as written
-        written = np.isfinite([*row, rhs]).all() and math.hypot(*row) > _ZERO_ROW_TOL
+        # a row bad only in its quotient is finite and nonzero as written
+        written = np.isfinite([*row, rhs]).all() and any(row)
         assert written == on_normalize
 
     @pytest.mark.parametrize(
         "row, error",
-        [("1e200 1e200 1", ZERO), ("1e-11 -1e-11 1e300", NON_FINITE)],
+        [("1.5e308 1.5e308 1", ZERO), ("1e-11 -1e-11 1e300", NON_FINITE)],
     )
     def test_quotient_error_names_its_line(self, row, error):
-        # a norm that overflows leaves a zero row, and a tiny one overflows
-        # b_i: the parse names the file line, Polytope the index
+        # a norm above the largest float leaves a zero row, and a tiny one
+        # overflows b_i: the parse names the file line, Polytope the index
         text = f"dims 5 2\n-1 0 0\n0 -1 0\n{row}\n1 0 1\n0 1 1\n"
         with pytest.raises(PolytopeFormatError) as parsed:
             parse_polytope(text)
@@ -335,16 +339,27 @@ class TestRowRule:
     def test_row_errors_come_before_the_labels_count(self):
         # every row error, one found in a quotient too, before a labels count
         # that differs from m
-        A = [[1.0, 0.0], [1e200, 1e200], [0.0, 1.0], [-1.0, -1.0]]
+        A = [[1.0, 0.0], [1.5e308, 1.5e308], [0.0, 1.0], [-1.0, -1.0]]
         with pytest.raises(PolytopeFormatError) as exc:
             Polytope(A, [1.0, 1.0, 1.0, 1.0], labels=["a"])
         assert str(exc.value) == "zero coefficient row at index 1"
 
-    def test_one_ulp_above_the_threshold_is_kept(self):
-        A, b, text = self._rows((float(np.nextafter(_ZERO_ROW_TOL, 1.0)), 0.0), 1.0)
-        poly = Polytope(A, b)
-        assert np.array_equal(poly.A, parse_polytope(text).A)
-        assert poly.A[1, 0] == 1.0
+    def test_rows_at_any_scale_are_kept(self):
+        # no threshold decides what is zero, and a sum of squares that is
+        # not a normal float is rescaled: a row and its multiples, down to
+        # the smallest subnormal, give one unit row, by Polytope and the
+        # parse alike
+        scales = [1e-13, 1e-160, 1e-300, 1e200, 1e308]
+        for row, rhs in [((1.0, 0.0), 1.0), ((1.0, -1.0), 0.5)]:
+            A, b, _ = self._rows(row, rhs)
+            want = Polytope(A, b)
+            # an axis row's norm and quotients are exact
+            tol = 0.0 if row[1] == 0.0 else 2**-53
+            for c in scales + [5e-324] * (row[1] == 0.0):
+                A, b, text = self._rows((c * row[0], c * row[1]), c * rhs)
+                for poly in (Polytope(A, b), parse_polytope(text)):
+                    assert np.abs(poly.A - want.A).max() <= tol
+                    assert np.abs(poly.b - want.b).max() <= tol
 
     def test_first_bad_line_wins(self):
         # a zero row on line 2 comes before a non-finite one on line 3;
@@ -376,7 +391,10 @@ class TestParseErrorOrder:
             # a row error before a later syntax error, and the reverse
             ("0 0 nan\n1 0\n1 0 1\n0 1 1\n", "line 2: non-finite entry"),
             # a row bad only in its quotient before a later syntax error
-            ("1e200 1e200 1\n1 x 1\n1 0 1\n0 1 1\n", "line 2: zero coefficient row"),
+            (
+                "1.5e308 1.5e308 1\n1 x 1\n1 0 1\n0 1 1\n",
+                "line 2: zero coefficient row",
+            ),
             ("1e-11 -1e-11 1e300\n1 0\n1 0 1\n0 1 1\n", "line 2: non-finite entry"),
             ("1 0\n0 0 nan\n1 0 1\n0 1 1\n", "line 2: row has 2 fields, expected 3"),
             (
@@ -641,13 +659,13 @@ class TestNormalizeRows:
         assert peak < poly.A.nbytes / 100
 
     def test_overflow_keeps_construction_errors(self):
-        # a row norm that overflows leaves a zero row, a tiny norm can
-        # overflow b: the errors of the row rule, raised by Polytope on the
-        # quotients of rows that passed it, with no warning.  Row 1 is the
-        # overflowing row, or a plain one, so that the first bad quotient is
-        # row 3's
+        # a row norm above the largest float leaves a zero row, a tiny norm
+        # can overflow b: the errors of the row rule, raised by Polytope on
+        # the quotients of rows that passed it, with no warning.  Row 1 is
+        # the overflowing row, or a plain one, so that the first bad
+        # quotient is row 3's
         cases = [
-            ([1e200, 1e200], 1.0, "zero coefficient row at index 1"),
+            ([1.5e308, 1.5e308], 1.0, "zero coefficient row at index 1"),
             ([-1.0, -1.0], 1e300, "non-finite entry in row at index 3"),
         ]
         for row, rhs, message in cases:
